@@ -15,7 +15,6 @@ from .euler_bernoulli import (
     zeta_even_via_euler,
 )
 from .numeric_core import (
-    ExactRational,
     HighPrecisionReal,
     PiAgreementError,
     binomial,
@@ -36,6 +35,7 @@ from .series_verifier import (
     eta_partial,
     identity_check_expansion,
     phi_at_one,
+    phi_coefficients,
     phi_series,
     phi_taylor_coeff,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "BernoulliTable",
     "EtaPartial",
     "EulerPolynomial",
-    "ExactRational",
     "HighPrecisionReal",
     "PhiEvaluation",
     "PiAgreementError",
@@ -72,6 +71,7 @@ __all__ = [
     "fraction_to_decimal",
     "identity_check_expansion",
     "phi_at_one",
+    "phi_coefficients",
     "phi_series",
     "phi_taylor_coeff",
     "positional_str",

@@ -23,7 +23,8 @@ their precision onto digits. Records go to stdout; diagnostics --
 including full JSON report lines, with identity names and parameters,
 for every failed check -- go to stderr.
 
-Exit status: 0 success, 1 if any emitted report failed, 2 usage error.
+Exit status: 0 success, 1 if any emitted report failed, 2 usage or
+input error (one line on stderr, no traceback).
 Every subcommand except bench (which prints timings) is deterministic:
 identical invocations produce byte-identical stdout.
 """
@@ -35,7 +36,7 @@ import csv
 import json
 import sys
 import time
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from typing import Optional
 
@@ -46,6 +47,7 @@ from .series_verifier import (
     abel_limit_check,
     eta_partial,
     identity_check_expansion,
+    phi_coefficients,
     phi_series,
     phi_taylor_coeff,
 )
@@ -175,8 +177,6 @@ def _cmd_zeta(args, parser) -> int:
     ks = range(1, args.kmax + 1) if args.kmax is not None else [args.k]
     records, lines = [], []
     for k in ks:
-        if k < 1:
-            parser.error("--k must be >= 1")
         if args.exact:
             ratio = zeta_even_ratio(k)
             records.append({"kind": "ratio", "k": k, **_rational_fields(ratio)})
@@ -201,7 +201,7 @@ def _cmd_bernoulli(args, parser) -> int:
 def _cmd_euler_poly(args, parser) -> int:
     poly = euler_polynomial(args.m)
     if args.at is not None:
-        point = Fraction(args.at)
+        point = args.at
         value = euler_polynomial_eval(poly, point)
         records = [
             {"kind": "euler_poly", "m": args.m, "u": str(point), **_rational_fields(value)}
@@ -218,7 +218,7 @@ def _cmd_euler_poly(args, parser) -> int:
 
 
 def _cmd_phi(args, parser) -> int:
-    u = Fraction(args.u)
+    u = args.u
     if args.route == "taylor":
         if args.m < 0:
             parser.error("--route taylor extracts Taylor coefficients; needs m >= 0")
@@ -260,12 +260,13 @@ def _phi_limit_tolerance(m: int, delta: Fraction) -> Decimal:
         return 2 * d * (1 + Decimal(1) / (m - 2))
 
 
-def _phi_suite(digits: int, eta_terms: int, tolerance: Optional[str]) -> list[VerificationReport]:
+def _phi_suite(
+    digits: int, eta_terms: int, tolerance: Optional[Decimal]
+) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for u in _PHI_SAMPLE_US:
-        for m in range(0, 21):
+        for m, exact in enumerate(phi_coefficients(u, 20)):
             evaluation = phi_series(m, u, digits)
-            exact = phi_taylor_coeff(m, u, m)
             # the exact side must not be quantized: these values reach
             # ~1e8, where even 55 significant digits would inject more
             # absolute error than the series' own bound
@@ -275,7 +276,7 @@ def _phi_suite(digits: int, eta_terms: int, tolerance: Optional[str]) -> list[Ve
                 residual_dec = evaluation.value.value - exact_dec
             residual = HighPrecisionReal(residual_dec, digits)
             tol = (
-                HighPrecisionReal(Decimal(tolerance), 15)
+                HighPrecisionReal(tolerance, 15)
                 if tolerance is not None
                 else evaluation.error_bound
             )
@@ -313,7 +314,7 @@ def _phi_suite(digits: int, eta_terms: int, tolerance: Optional[str]) -> list[Ve
             evaluation = phi_series(-m, 1 + delta, digits)
             residual = evaluation.value - target
             tol_dec = (
-                Decimal(tolerance)
+                tolerance
                 if tolerance is not None
                 else _phi_limit_tolerance(m, delta)
                 + evaluation.error_bound.value
@@ -387,8 +388,42 @@ def _cmd_bench(args, parser) -> int:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one stderr line (no usage dump), exit status 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _finite_decimal(text: str) -> Decimal:
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from None
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zetaeven",
         description="Exact even zeta values and series-identity verification.",
     )
@@ -403,8 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", parents=[shared], help="zeta(2k) exactly or as a decimal")
     which = p_zeta.add_mutually_exclusive_group(required=True)
-    which.add_argument("--k", type=int, help="single index k")
-    which.add_argument("--kmax", type=int, help="table for k = 1..kmax")
+    which.add_argument("--k", type=_positive_int, help="single index k")
+    which.add_argument("--kmax", type=_positive_int, help="table for k = 1..kmax")
     how = p_zeta.add_mutually_exclusive_group()
     how.add_argument("--exact", action="store_true", help="emit the ratio zeta(2k)/pi^(2k)")
     how.add_argument("--digits", type=int, default=50, help="decimal significant digits (default 50)")
@@ -416,12 +451,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_euler = sub.add_parser("euler-poly", parents=[shared], help="Euler polynomial E_m")
     p_euler.add_argument("--m", type=int, required=True)
-    p_euler.add_argument("--at", help="evaluate at this rational point instead of listing coefficients")
+    p_euler.add_argument("--at", type=_rational, help="evaluate at this rational point instead of listing coefficients")
     p_euler.set_defaults(func=_cmd_euler_poly)
 
     p_phi = sub.add_parser("phi", parents=[shared], help="phi_m(u) by series or Taylor route")
     p_phi.add_argument("--m", type=int, required=True)
-    p_phi.add_argument("--u", required=True, help="rational u, e.g. 3/2")
+    p_phi.add_argument("--u", type=_rational, required=True, help="rational u, e.g. 3/2")
     p_phi.add_argument("--route", choices=("series", "taylor"), default="series")
     p_phi.add_argument("--digits", type=int, default=50)
     p_phi.set_defaults(func=_cmd_phi)
@@ -438,8 +473,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--terms", type=int, default=100000, help="alternating-sum length for odd-index limit targets")
     p_verify.add_argument(
         "--tolerance",
+        type=_finite_decimal,
         help="override the derived tolerances of the expansion and phi suites "
-        "(decimal string); recurrence and abel keep their intrinsic judgments",
+        "(finite decimal); recurrence and abel keep their intrinsic judgments",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Union
 
 __all__ = [
-    "ExactRational",
     "HighPrecisionReal",
     "PiAgreementError",
     "rat_arith",
@@ -32,10 +31,6 @@ __all__ = [
     "round_significant",
     "positional_str",
 ]
-
-# The universal exact value type. Fraction satisfies the required
-# invariants structurally: denominator > 0, gcd(|num|, den) == 1, 0 == 0/1.
-ExactRational = Fraction
 
 _RAT_OPS = ("add", "sub", "mul", "div", "cmp")
 

@@ -35,8 +35,6 @@ from .numeric_core import (
     factorial,
     round_significant,
 )
-from .powerseries import exp_series, series_div
-from .euler_bernoulli import euler_polynomial, euler_polynomial_eval
 from .reports import VerificationReport
 from .zeta_recurrence import zeta_even_decimal
 
@@ -45,6 +43,7 @@ __all__ = [
     "EtaPartial",
     "ZetaPartial",
     "phi_series",
+    "phi_coefficients",
     "phi_taylor_coeff",
     "phi_at_one",
     "eta_partial",
@@ -168,40 +167,65 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     )
 
 
-def phi_taylor_coeff(m: int, u, order: int = 0) -> Fraction:
-    """Exact phi_m(u) as a Taylor coefficient of 2e^t/(e^t + u).
+def phi_coefficients(u, m_max: int) -> list[Fraction]:
+    """Exact phi_0(u), ..., phi_m_max(u): Taylor coefficients of 2e^t/(e^t + u).
 
-    Truncated series division of 2 e^t by e^t + u, both as exact
-    rational coefficient lists, then coefficient m times m!. ``order``
-    only sets the truncation length (at least m); the triangular
-    structure of the division makes the answer independent of it.
+    Matching coefficients of t^m/m! in (e^t + u) * F(t) = 2e^t gives
+
+        (1 + u) phi_m = 2 - sum_{j<m} C(m, j) phi_j,
+
+    O(m_max^2) multiplications in all. At u = 1 this is the Euler
+    polynomial recurrence for E_m(1). The recurrence runs on integers:
+    with u = p/q and s = p + q, N_m = phi_m * s^(m+1) satisfies
+
+        N_m = q * (2 s^m - sum_{j<m} C(m, j) N_j s^(m-j-1)),
+
+    so no gcd is taken inside the recurrence; each returned Fraction is
+    reduced once.
     """
     u = Fraction(u)
     if u < 1:
         raise ValueError("u must be >= 1")
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    p, q = u.numerator, u.denominator
+    s = p + q
+    s_pow = [s**i for i in range(m_max + 2)]
+    scaled: list[int] = []
+    for m in range(m_max + 1):
+        acc = 2 * s_pow[m]
+        for j, n_j in enumerate(scaled):
+            acc -= math.comb(m, j) * n_j * s_pow[m - j - 1]
+        scaled.append(q * acc)
+    return [Fraction(n, s_pow[m + 1]) for m, n in enumerate(scaled)]
+
+
+def phi_taylor_coeff(m: int, u, order: int = 0) -> Fraction:
+    """Exact phi_m(u) as a Taylor coefficient of 2e^t/(e^t + u).
+
+    The entry m of ``phi_coefficients(u, m)``. ``order`` has no effect;
+    it is accepted for compatibility with callers that pass a
+    truncation length.
+    """
     if m < 0:
         raise ValueError("coefficient extraction needs m >= 0")
-    order = max(order, m, 1)
-    e = exp_series(order)
-    numer = [2 * c for c in e]
-    denom = list(e)
-    denom[0] += u
-    return series_div(numer, denom)[m] * factorial(m)
+    return phi_coefficients(u, m)[m]
 
 
 def phi_at_one(m: int) -> PhiEvaluation:
     """The exact boundary value phi_m(1).
 
     At u = 1 the generating function is the Euler-polynomial one at
-    x = 1, so phi_m(1) = E_m(1): 1 for m = 0 and 0 for every m > 0.
+    x = 1, so phi_m(1) = E_m(1): 1 for m = 0 and 0 for even m > 0. Odd m
+    give the coefficients of 1 + tanh(t/2) = 2e^t/(e^t + 1), which do
+    not vanish: E_1(1) = 1/2, E_3(1) = -1/4.
     """
     if m < 0:
         raise ValueError("boundary values need m >= 0")
-    value = euler_polynomial_eval(euler_polynomial(m), Fraction(1))
     return PhiEvaluation(
         m=m,
         u=Fraction(1),
-        value=value,
+        value=phi_coefficients(1, m)[m],
         terms_used=m + 1,
         error_bound=HighPrecisionReal(Decimal(0), 10),
     )
@@ -409,6 +433,9 @@ def identity_check_expansion(
     pi = compute_pi(work)
 
     total, lhs_terms = _reciprocal_power_sum(k, u, scale)
+    # exact phi_0..phi_{m_next}; m_next indexes the first omitted term
+    m_next = 2 * (J_max + 1) - 2 * k
+    exact_phi = phi_coefficients(u, m_next)
     c_u = _ceil_div(u.numerator, u.numerator - u.denominator)
     lhs_dust_ulps = (c_u + 1) * (lhs_terms + c_u + 2)
 
@@ -422,7 +449,7 @@ def identity_check_expansion(
             mi = 2 * j - 2 * k
             coeff = pi.value ** (2 * j) / (2 * factorial(2 * j))
             if mi >= 0:
-                exact = phi_taylor_coeff(mi, u, mi)
+                exact = exact_phi[mi]
                 phi_dec = Decimal(exact.numerator) / Decimal(exact.denominator)
             else:
                 pe = phi_series(mi, u, precision + 5)
@@ -449,8 +476,7 @@ def identity_check_expansion(
         tol = HighPrecisionReal(Decimal(tolerance), 15)
 
     # actual first omitted term, from the exact phi route (2(J+1) >= 2k)
-    m_next = 2 * (J_max + 1) - 2 * k
-    exact_next = phi_taylor_coeff(m_next, u, m_next)
+    exact_next = exact_phi[m_next]
     with localcontext() as ctx:
         ctx.prec = 30
         first_omitted = (

@@ -236,6 +236,37 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    def test_bad_inputs_exit_two_with_one_stderr_line(self, capsys):
+        cases = (
+            ("phi", "--m", "1", "--u", "1/0"),
+            ("phi", "--m", "1", "--u", "abc"),
+            ("euler-poly", "--m", "3", "--at", "2/0"),
+            ("zeta", "--kmax", "0"),
+            ("zeta", "--kmax", "-3"),
+            ("zeta", "--k", "0", "--exact"),
+            ("zeta", "--k", "abc", "--exact"),
+            ("verify", "--suite", "phi", "--tolerance", "nan"),
+            ("verify", "--suite", "expansion", "--tolerance", "abc"),
+            ("verify", "--suite", "expansion", "--tolerance", "inf"),
+            ("verify", "--suite", "phi", "--tolerance", "-Infinity"),
+            ("verify", "--suite", "expansion", "--tolerance", "sNaN"),
+        )
+        for case in cases:
+            code, out, err = run_cli(capsys, *case)
+            assert code == 2, case
+            assert out == "", case
+            assert len(err.splitlines()) == 1 and "error:" in err, case
+
+    def test_negative_finite_tolerance_fails_every_overridden_check(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "expansion", "--jmax", "6",
+            "--digits", "15", "--tolerance=-1e-5", "--format", "json-lines",
+        )
+        assert code == 1
+        records = json_records(out)
+        assert len(records) == 3
+        assert all(r["passed"] is False for r in records)
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 

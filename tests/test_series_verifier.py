@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zetaeven
 from zetaeven.euler_bernoulli import euler_polynomial, euler_polynomial_eval
-from zetaeven.numeric_core import HighPrecisionReal
+from zetaeven.numeric_core import HighPrecisionReal, factorial
+from zetaeven.powerseries import exp_series, series_div
 from zetaeven.reports import VerificationReport
 from zetaeven.series_verifier import (
     PhiEvaluation,
@@ -14,6 +20,7 @@ from zetaeven.series_verifier import (
     eta_partial,
     identity_check_expansion,
     phi_at_one,
+    phi_coefficients,
     phi_series,
     phi_taylor_coeff,
 )
@@ -112,6 +119,44 @@ class TestPhiTaylor:
             phi_taylor_coeff(-1, F(2))
         with pytest.raises(ValueError):
             phi_taylor_coeff(1, F(1, 2))
+
+    def test_recurrence_matches_series_division_oracle(self):
+        order = 60
+        e = exp_series(order)
+        for u in (F(1), F(3, 2), F(2), F(7, 3), F(25, 8)):
+            denom = list(e)
+            denom[0] += u
+            oracle = series_div([2 * c for c in e], denom)
+            values = phi_coefficients(u, order)
+            assert len(values) == order + 1
+            for m, value in enumerate(values):
+                assert value == oracle[m] * factorial(m), (u, m)
+                assert phi_taylor_coeff(m, u) == value, (u, m)
+
+    def test_recurrence_at_one_is_euler_polynomial_values(self):
+        for m, value in enumerate(phi_coefficients(1, 40)):
+            assert value == euler_polynomial_eval(euler_polynomial(m), F(1))
+
+    def test_coefficient_list_validation(self):
+        assert phi_coefficients(F(3), 0) == [F(1, 2)]
+        with pytest.raises(ValueError):
+            phi_coefficients(F(2), -1)
+        with pytest.raises(ValueError):
+            phi_coefficients(F(1, 2), 3)
+
+
+def test_cli_import_leaves_power_series_out_of_the_runtime():
+    # a fresh interpreter, pointed at the same package these tests import
+    src = Path(zetaeven.__file__).resolve().parents[1]
+    code = "import sys, zetaeven.cli; print('zetaeven.powerseries' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestPhiAtOne:

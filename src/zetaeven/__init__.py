@@ -22,7 +22,6 @@ from .numeric_core import (
     factorial,
     fraction_to_decimal,
     positional_str,
-    rat_arith,
     round_significant,
 )
 from .reports import VerificationReport
@@ -75,7 +74,6 @@ __all__ = [
     "phi_series",
     "phi_taylor_coeff",
     "positional_str",
-    "rat_arith",
     "recurrence_cross_check",
     "round_significant",
     "zeta_even_decimal",

@@ -18,12 +18,10 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "HighPrecisionReal",
     "PiAgreementError",
-    "rat_arith",
     "factorial",
     "binomial",
     "compute_pi",
@@ -32,30 +30,9 @@ __all__ = [
     "positional_str",
 ]
 
-_RAT_OPS = ("add", "sub", "mul", "div", "cmp")
-
 
 class PiAgreementError(ArithmeticError):
     """Two independent pi formulae disagreed at the requested precision."""
-
-
-def rat_arith(a: Fraction, b: Fraction, op: str) -> Union[Fraction, int]:
-    """Exact rational arithmetic dispatch.
-
-    ``op`` is one of add/sub/mul/div/cmp; cmp returns -1, 0 or 1 under the
-    usual total order. Division by zero raises ZeroDivisionError.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b  # raises ZeroDivisionError for b == 0
-    if op == "cmp":
-        return (a > b) - (a < b)
-    raise ValueError(f"unknown op {op!r}; expected one of {_RAT_OPS}")
 
 
 def factorial(n: int) -> int:

@@ -15,16 +15,19 @@ letting u -> 1+; the series-identity checks that justify each of those
 steps live in the verifier module, and the classical Bernoulli-based
 formula serves as a fully independent oracle in the test suite.
 
-All table arithmetic is exact (Fraction); decimals only appear in
-``zeta_even_decimal``, which multiplies r_k by a guarded high-precision
-pi power at the very end.
+All table arithmetic is exact (big integers and Fraction; see
+``ZetaEvenTable`` for the integer form the recurrence runs in); decimals
+only appear in ``zeta_even_decimal``, which multiplies r_k by a guarded
+high-precision pi power at the very end.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .euler_bernoulli import zeta_even_via_euler
@@ -43,11 +46,18 @@ __all__ = [
 class ZetaEvenTable:
     """Memoized ratios r_k = zeta(2k)/pi^(2k) for k = 1..max_k.
 
-    Entries are exact Fractions, each tagged with the route that
-    produced it (always "recurrence" here; the tag exists so a table
-    populated from the classical formula is distinguishable). Factorials
-    are grown once per table and reused across entries, since (2k)! and
-    the (2k-2m)! family dominate the cost at large k.
+    Entries are exact Fractions. The recurrence runs on a_k = (2k)! r_k,
+    where dividing r_m by (2k-2m)! becomes multiplying a_m by C(2k, 2m):
+
+        (1 - 4^-k) a_k = sum_{m<k} (-1)^(k-m+1) C(2k, 2m) w_m - (-1)^k / 4,
+        w_m = (1/2 - 4^-m) a_m.
+
+    The w_m are kept as integer numerators over one common denominator
+    (the lcm of their reduced denominators, with the stored numerators
+    rescaled whenever it grows), so the inner sum is pure big-integer
+    arithmetic and each k costs one reduced Fraction for a_k. Nothing
+    here uses Bernoulli or tangent numbers, which keeps the route
+    independent of the classical formula it is checked against.
 
     Extension is serialized behind a lock; reads of completed entries
     are safe from any thread.
@@ -55,8 +65,9 @@ class ZetaEvenTable:
 
     def __init__(self) -> None:
         self._ratios: list[Fraction] = []  # position k-1 holds r_k
-        self._sources: list[str] = []
-        self._factorials: list[int] = [1]  # position i holds i!
+        self._w_numerators: list[int] = []  # position m-1 holds w_m * _w_denominator
+        self._w_denominator = 1
+        self._factorial = 1  # (2k)! for k = max_k
         self._lock = threading.Lock()
 
     @property
@@ -71,33 +82,43 @@ class ZetaEvenTable:
             self._extend_to(k)
         return self._ratios[k - 1]
 
-    def source(self, k: int) -> str:
-        if not 1 <= k <= len(self._ratios):
-            raise ValueError(f"no entry for k={k}")
-        return self._sources[k - 1]
-
     def ratios(self) -> tuple[Fraction, ...]:
         """Snapshot of all computed ratios, r_1 first."""
         return tuple(self._ratios)
 
-    def _grow_factorials(self, n: int) -> None:
-        while len(self._factorials) <= n:
-            self._factorials.append(self._factorials[-1] * len(self._factorials))
-
     def _extend_to(self, k_max: int) -> None:
         with self._lock:
+            numerators = self._w_numerators
             while len(self._ratios) < k_max:
                 k = len(self._ratios) + 1
-                self._grow_factorials(2 * k)
-                fact = self._factorials
-                acc = Fraction(0)
-                for m in range(1, k):
-                    piece = (Fraction(1, 2) - Fraction(1, 4**m)) * self._ratios[m - 1]
-                    piece /= fact[2 * k - 2 * m]
-                    acc += -piece if (k - m) % 2 == 0 else piece
-                acc += Fraction(1 if k % 2 else -1, 4 * fact[2 * k])
-                self._ratios.append(acc / (1 - Fraction(1, 4**k)))
-                self._sources.append("recurrence")
+                n = 2 * k
+                # acc = D * sum_{m<k} (-1)^(k-m+1) C(2k, 2m) w_m, with the
+                # binomial C(2k, j + 2) stepped up from C(2k, j)
+                acc = 0
+                binom = 1
+                for j, numerator in zip(range(0, n, 2), numerators):
+                    binom = binom * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
+                    term = binom * numerator
+                    if (k - j // 2) % 2:
+                        acc -= term
+                    else:
+                        acc += term
+                # solve (1 - 4^-k) a_k = acc/D - (-1)^k/4 for a_k
+                denominator = self._w_denominator
+                quarter = 4 ** (k - 1)  # 4^k / 4
+                signed_d = denominator if k % 2 == 0 else -denominator  # (-1)^k D
+                a_k = Fraction(quarter * (4 * acc - signed_d), denominator * (4 * quarter - 1))
+                self._factorial *= (n - 1) * n
+                self._ratios.append(a_k / self._factorial)
+
+                # w_k = (1/2 - 4^-k) a_k, brought over the common denominator
+                w_k = a_k * Fraction(2 * quarter - 1, 4 * quarter)
+                grow = w_k.denominator // math.gcd(denominator, w_k.denominator)
+                if grow > 1:
+                    numerators[:] = [w * grow for w in numerators]
+                    denominator *= grow
+                    self._w_denominator = denominator
+                numerators.append(w_k.numerator * (denominator // w_k.denominator))
 
 
 _shared_table = ZetaEvenTable()
@@ -123,6 +144,17 @@ def zeta_even_table(k_max: int) -> ZetaEvenTable:
     return table
 
 
+@lru_cache(maxsize=4)
+def _pi(digits: int) -> HighPrecisionReal:
+    """compute_pi(digits), kept for the few precisions a k-loop asks for.
+
+    A table of decimals at one ``digits`` needs only two working
+    precisions (they differ by the digit count of 2k), so this saves
+    recomputing the same pi for every k. The value is immutable.
+    """
+    return compute_pi(digits)
+
+
 def zeta_even_decimal(k: int, digits: int) -> str:
     """zeta(2k) rendered to ``digits`` significant digits.
 
@@ -137,7 +169,7 @@ def zeta_even_decimal(k: int, digits: int) -> str:
         raise ValueError("digits must be >= 10")
     ratio = zeta_even_ratio(k)
     work = digits + 12 + len(str(2 * k))
-    pi = compute_pi(work)
+    pi = _pi(work)
     with localcontext() as ctx:
         ctx.prec = work
         ctx.rounding = ROUND_HALF_EVEN

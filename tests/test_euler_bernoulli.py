@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from zetaeven import euler_bernoulli
 from zetaeven.euler_bernoulli import (
     BernoulliTable,
     EulerPolynomial,
@@ -49,8 +50,38 @@ class TestBernoulli:
         assert bernoulli(12) == F(-691, 2730)
 
     def test_matches_series_division_oracle(self):
-        oracle = bernoulli_by_series_division(30)
-        assert [bernoulli(n) for n in range(31)] == oracle
+        oracle = bernoulli_by_series_division(60)
+        assert [bernoulli(n) for n in range(61)] == oracle
+
+    def test_max_index_is_the_requested_index(self):
+        # the tangent table may run ahead of the request; the values may not
+        oracle = bernoulli_by_series_division(60)
+        table = BernoulliTable()
+        for n in (1, 2, 9, 8, 20, 21, 22, 60):
+            top = max(n, table.max_index)
+            assert table.value(n) == oracle[n]
+            assert table.max_index == top
+            assert list(table.values) == oracle[: top + 1]
+        for n in (0, 1, 2, 3, 12, 44):
+            fresh = BernoulliTable()
+            fresh.value(n)
+            assert fresh.max_index == n
+
+    def test_growing_requests_rebuild_the_tangent_table_rarely(self, monkeypatch):
+        # the cross-check asks for B_2, B_4, ..., B_2K in turn; rebuilding the
+        # O(K^2) tangent table for each would make that loop O(K^3)
+        builds = []
+        build = euler_bernoulli._tangent_numbers
+
+        def counting_build(count):
+            builds.append(count)
+            return build(count)
+
+        monkeypatch.setattr(euler_bernoulli, "_tangent_numbers", counting_build)
+        table = BernoulliTable()
+        for k in range(1, 129):
+            table.value(2 * k)
+        assert builds == [1, 2, 4, 8, 16, 32, 64, 128]
 
     def test_odd_values_vanish(self):
         assert all(bernoulli(n) == 0 for n in range(3, 202, 2))
@@ -86,6 +117,18 @@ class TestEulerPolynomials:
             oracle = euler_values_by_series_division(x, 30)
             for m in range(31):
                 assert euler_polynomial_eval(euler_polynomial(m), x) == oracle[m]
+
+    def test_matches_summation_recurrence(self):
+        # reference: E_m(x) = x^m - (1/2) sum_{j<m} C(m, j) E_j(x) on whole
+        # coefficient lists, independent of the Appell form the module uses
+        polys = []
+        for m in range(41):
+            coeffs = [F(0)] * m + [F(1)]
+            for j, prev in enumerate(polys):
+                for i, c in enumerate(prev):
+                    coeffs[i] -= F(binomial(m, j), 2) * c
+            polys.append(coeffs)
+            assert euler_polynomial(m).coefficients == tuple(coeffs)
 
     def test_halfway_zero_of_degree_one(self):
         assert euler_polynomial_eval(euler_polynomial(1), F(1, 2)) == 0

@@ -11,45 +11,12 @@ from zetaeven.numeric_core import (
     factorial,
     fraction_to_decimal,
     positional_str,
-    rat_arith,
     round_significant,
 )
 
 # Reference digits of pi (oracle: widely published value, far more digits
 # than any internal formula shares code with).
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
-
-
-class TestRatArith:
-    def test_ops(self):
-        a, b = Fraction(3, 4), Fraction(5, 6)
-        assert rat_arith(a, b, "add") == Fraction(19, 12)
-        assert rat_arith(a, b, "sub") == Fraction(-1, 12)
-        assert rat_arith(a, b, "mul") == Fraction(5, 8)
-        assert rat_arith(a, b, "div") == Fraction(9, 10)
-
-    def test_cmp(self):
-        assert rat_arith(Fraction(1, 3), Fraction(1, 2), "cmp") == -1
-        assert rat_arith(Fraction(2, 4), Fraction(1, 2), "cmp") == 0
-        assert rat_arith(Fraction(2), Fraction(1, 2), "cmp") == 1
-
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_arith(Fraction(1), Fraction(0), "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            rat_arith(Fraction(1), Fraction(1), "pow")
-
-    @given(
-        st.fractions(max_denominator=1000),
-        st.fractions(max_denominator=1000),
-    )
-    def test_cmp_matches_order(self, a, b):
-        c = rat_arith(a, b, "cmp")
-        assert c == (a > b) - (a < b)
-        # antisymmetry
-        assert rat_arith(b, a, "cmp") == -c
 
 
 class TestCombinatorics:

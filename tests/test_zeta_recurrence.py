@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import zetaeven.zeta_recurrence as zr
-from zetaeven.euler_bernoulli import zeta_even_via_euler
+from zetaeven.euler_bernoulli import BernoulliTable, zeta_even_via_euler
+from zetaeven.numeric_core import compute_pi
 from zetaeven.reports import VerificationReport
 from zetaeven.zeta_recurrence import (
     ZetaEvenTable,
@@ -27,9 +28,27 @@ class TestRatios:
         assert zeta_even_ratio(5) == F(1, 93555)
 
     def test_agrees_with_bernoulli_route(self):
-        table = zeta_even_table(25)
-        for k in range(1, 26):
+        table = zeta_even_table(400)
+        for k in range(1, 401):
             assert table.ratio(k) == zeta_even_via_euler(k)
+
+    @pytest.mark.slow
+    def test_agrees_with_bernoulli_route_to_1000(self):
+        table = zeta_even_table(1000)
+        for k in range(1, 1001):
+            assert table.ratio(k) == zeta_even_via_euler(k)
+
+    def test_recurrence_uses_no_bernoulli_numbers(self, monkeypatch):
+        # the cross-check compares two routes only if they are independent
+        def refuse(*args):
+            raise AssertionError("the recurrence reached the Bernoulli table")
+
+        monkeypatch.setattr(BernoulliTable, "value", refuse)
+        monkeypatch.setattr(BernoulliTable, "_extend_to", refuse)
+        table = ZetaEvenTable()
+        assert [table.ratio(k) for k in range(1, 6)] == [
+            F(1, 6), F(1, 90), F(1, 945), F(1, 9450), F(1, 93555)
+        ]
 
     def test_ratios_positive_and_decreasing(self):
         ratios = zeta_even_table(30).ratios()
@@ -47,13 +66,11 @@ class TestTable:
         assert table.max_k == 0
         table.ratio(7)
         assert table.max_k == 7
-        assert table.source(3) == "recurrence"
-
-    def test_source_requires_computed_entry(self):
-        table = ZetaEvenTable()
-        table.ratio(2)
-        with pytest.raises(ValueError):
-            table.source(3)
+        for k in (1, 2, 5, 37, 120):
+            table = ZetaEvenTable()
+            table.ratio(k)
+            assert table.max_k == k
+            assert len(table.ratios()) == k
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -85,6 +102,24 @@ class TestDecimal:
 
     def test_deterministic(self):
         assert zeta_even_decimal(3, 40) == zeta_even_decimal(3, 40)
+
+    def test_pi_computed_once_per_working_precision(self, monkeypatch):
+        precisions = []
+
+        def counting_pi(digits):
+            precisions.append(digits)
+            return compute_pi(digits)
+
+        monkeypatch.setattr(zr, "compute_pi", counting_pi)
+        zr._pi.cache_clear()
+        try:
+            first = [zeta_even_decimal(k, 30) for k in range(1, 9)]
+            again = [zeta_even_decimal(k, 30) for k in range(1, 9)]
+        finally:
+            zr._pi.cache_clear()
+        # working precision is digits + 12 + len(str(2k)): 43 for k < 5, 44 after
+        assert precisions == [43, 44]
+        assert first == again
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from .reports import VerificationReport
 from .series_verifier import (
     EtaPartial,
     PhiEvaluation,
+    SeriesBudgetError,
     ZetaPartial,
     abel_limit_check,
     direct_zeta_partial,
@@ -55,6 +56,7 @@ __all__ = [
     "HighPrecisionReal",
     "PhiEvaluation",
     "PiAgreementError",
+    "SeriesBudgetError",
     "VerificationReport",
     "ZetaEvenTable",
     "ZetaPartial",

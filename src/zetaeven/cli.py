@@ -24,7 +24,8 @@ including full JSON report lines, with identity names and parameters,
 for every failed check -- go to stderr.
 
 Exit status: 0 success, 1 if any emitted report failed, 2 usage or
-input error (one line on stderr, no traceback).
+input error (one line on stderr, no traceback), including a series that
+would need more than MAX_SERIES_TERMS terms.
 Every subcommand except bench (which prints timings) is deterministic:
 identical invocations produce byte-identical stdout.
 """
@@ -32,7 +33,6 @@ identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -44,6 +44,7 @@ from .euler_bernoulli import bernoulli, euler_polynomial, euler_polynomial_eval
 from .numeric_core import HighPrecisionReal, round_significant
 from .reports import VerificationReport
 from .series_verifier import (
+    MAX_SERIES_TERMS,
     abel_limit_check,
     eta_partial,
     identity_check_expansion,
@@ -93,6 +94,8 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
             ordered = {key: rec[key] for key in FIELD_ORDER if key in rec}
             out.write(json.dumps(ordered) + "\n")
         return
+    import csv  # deferred: only csv output pays for this import
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(FIELD_ORDER)
     for rec in records:
@@ -470,7 +473,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--kmax", type=int, default=50, help="recurrence cross-check depth")
     p_verify.add_argument("--digits", type=int, default=50, help="working precision")
     p_verify.add_argument("--jmax", type=int, default=25, help="expansion truncation order")
-    p_verify.add_argument("--terms", type=int, default=100000, help="alternating-sum length for odd-index limit targets")
+    p_verify.add_argument(
+        "--terms",
+        type=int,
+        default=100000,
+        help="alternating-sum length for odd-index limit targets "
+        f"(at most {MAX_SERIES_TERMS}, the series work budget)",
+    )
     p_verify.add_argument(
         "--tolerance",
         type=_finite_decimal,

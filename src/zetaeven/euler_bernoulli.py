@@ -20,10 +20,9 @@ consume |B_2k|, so the B_1 sign convention never reaches them.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric_core import binomial, factorial
+from .numeric_core import FrozenRecord, binomial, factorial
 
 __all__ = [
     "BernoulliTable",
@@ -115,16 +114,19 @@ def bernoulli(n: int) -> Fraction:
     return _default_bernoulli.value(n)
 
 
-@dataclass(frozen=True)
-class EulerPolynomial:
+class EulerPolynomial(FrozenRecord):
     """E_m(x) as exact monomial coefficients, coefficients[j] multiplying x^j."""
 
-    degree: int
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("degree", "coefficients")
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.degree + 1:
+    def __init__(self, degree: int, coefficients: tuple[Fraction, ...]):
+        if len(coefficients) != degree + 1:
             raise ValueError("coefficient count must be degree + 1")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 _euler_lock = threading.Lock()

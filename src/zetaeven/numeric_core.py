@@ -10,12 +10,14 @@ Two value kinds underpin everything else here:
 Pi is generated internally from two independent arctangent formulae that
 must agree before a value is released, so no precomputed constant enters
 the trust base.
+
+``FrozenRecord`` is the base of the package's immutable value records
+(Euler polynomials, phi evaluations, verification reports).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
@@ -179,6 +181,37 @@ class HighPrecisionReal:
 
     def __repr__(self):
         return f"HighPrecisionReal({str(self.rounded())!r}, digits={self.precision_digits})"
+
+
+class FrozenRecord:
+    """Immutable record whose fields are the subclass's ``__slots__``.
+
+    A subclass sets its fields with ``object.__setattr__`` in ``__init__``.
+    Instances compare field-wise (only with instances of the same class),
+    print as ``Name(field=value, ...)`` and refuse assignment. They are
+    unhashable unless the subclass defines ``__hash__``. This gives what
+    a frozen dataclass gives, without importing ``dataclasses`` (and with
+    it ``inspect`` and ``ast``) into every process that runs the CLI.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"{type(self).__name__} is immutable ({name})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _arctan_inverse_fixed(m: int, scale: int) -> int:

@@ -4,7 +4,10 @@ A report captures one verification: what was compared, at which
 parameters, the residual, and the tolerance it was judged against.
 ``passed`` is never supplied by the caller -- it is computed at
 construction from |residual| <= tolerance, so the field can never
-contradict the numbers it summarizes.
+contradict the numbers it summarizes. The comparison is exact, on the
+full decimal values: rounding either side first could turn a residual
+just above its tolerance into a pass. A NaN or infinite residual or
+tolerance fails: an infinite tolerance certifies nothing.
 
 A report whose check failed for a structural reason (for example a
 residual sequence that was supposed to decrease but did not) carries
@@ -18,12 +21,11 @@ they can be logged, diffed, and re-read without loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .numeric_core import HighPrecisionReal
+from .numeric_core import FrozenRecord, HighPrecisionReal
 
 __all__ = ["VerificationReport", "render_value"]
 
@@ -46,24 +48,49 @@ def render_value(value: Any) -> Any:
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(FrozenRecord):
     """One identity check: parameters in, residual/tolerance/passed out."""
 
-    identity_name: str
-    parameters: Mapping[str, Any]
-    lhs: str
-    rhs: str
-    residual: HighPrecisionReal
-    tolerance: HighPrecisionReal
-    passed: bool = field(init=False)
+    __slots__ = (
+        "identity_name",
+        "parameters",
+        "lhs",
+        "rhs",
+        "residual",
+        "tolerance",
+        "passed",
+    )
+
+    def __init__(
+        self,
+        identity_name: str,
+        parameters: Mapping[str, Any],
+        lhs: Any,
+        rhs: Any,
+        residual: HighPrecisionReal,
+        tolerance: HighPrecisionReal,
+    ):
+        object.__setattr__(self, "identity_name", identity_name)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "tolerance", tolerance)
+        self.__post_init__()
 
     def __post_init__(self):
         rendered = {str(k): render_value(v) for k, v in dict(self.parameters).items()}
         object.__setattr__(self, "parameters", rendered)
         object.__setattr__(self, "lhs", render_value(self.lhs))
         object.__setattr__(self, "rhs", render_value(self.rhs))
-        object.__setattr__(self, "passed", abs(self.residual) <= self.tolerance)
+        residual, tolerance = self.residual.value, self.tolerance.value
+        # copy_abs and Decimal comparison are exact; abs() would round
+        passed = (
+            residual.is_finite()
+            and tolerance.is_finite()
+            and residual.copy_abs() <= tolerance
+        )
+        object.__setattr__(self, "passed", passed)
 
     def to_line(self) -> str:
         """One-line JSON form, stable key order, lossless for residuals."""

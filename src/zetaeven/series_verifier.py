@@ -24,22 +24,23 @@ integers, not about rounded floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .numeric_core import (
+    FrozenRecord,
     HighPrecisionReal,
-    compute_pi,
     factorial,
     round_significant,
 )
 from .reports import VerificationReport
-from .zeta_recurrence import zeta_even_decimal
+from .zeta_recurrence import _pi, zeta_even_decimal
 
 __all__ = [
+    "MAX_SERIES_TERMS",
     "PhiEvaluation",
+    "SeriesBudgetError",
     "EtaPartial",
     "ZetaPartial",
     "phi_series",
@@ -53,23 +54,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhiEvaluation:
+class PhiEvaluation(FrozenRecord):
     """One evaluation of phi_m(u): value, terms used, proven error bound."""
 
-    m: int
-    u: Fraction
-    value: Union[HighPrecisionReal, Fraction]
-    terms_used: int
-    error_bound: HighPrecisionReal
+    __slots__ = ("m", "u", "value", "terms_used", "error_bound")
 
-    def __post_init__(self):
-        if self.u < 1:
+    def __init__(
+        self,
+        m: int,
+        u: Fraction,
+        value: Union[HighPrecisionReal, Fraction],
+        terms_used: int,
+        error_bound: HighPrecisionReal,
+    ):
+        if u < 1:
             raise ValueError("u must be >= 1")
-        if self.terms_used < 1:
+        if terms_used < 1:
             raise ValueError("terms_used must be positive")
-        if self.error_bound.value < 0:
+        if error_bound.value < 0:
             raise ValueError("error_bound must be nonnegative")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "terms_used", terms_used)
+        object.__setattr__(self, "error_bound", error_bound)
+
+
+# Work budget of one series evaluation, in terms. The verify suites and
+# the benchmark workloads ask for at most about 1.8e5 terms (phi_3 at
+# u = 1 + 1/1200, 50 digits); u = 1 + 1e-9 at 50 digits would need ~1e11.
+MAX_SERIES_TERMS = 3_000_000
+
+
+class SeriesBudgetError(ValueError):
+    """A series would need more than MAX_SERIES_TERMS terms."""
+
+
+def _check_budget(what: str, terms: int) -> None:
+    if terms > MAX_SERIES_TERMS:
+        raise SeriesBudgetError(
+            f"{what} {terms} terms, over the budget of "
+            f"{MAX_SERIES_TERMS} terms"
+        )
 
 
 class EtaPartial(NamedTuple):
@@ -106,6 +132,9 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     ratio). The error bound covers the geometric tail from that point
     plus every ulp the integer arithmetic could have dropped, so
     |true - value| <= error_bound unconditionally.
+
+    Raises SeriesBudgetError, before summing, when the estimated term
+    count exceeds MAX_SERIES_TERMS (u too close to 1 for the precision).
     """
     u = Fraction(u)
     if u <= 1:
@@ -115,15 +144,16 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     p, q = u.numerator, u.denominator
     c_u = _ceil_div(p, p - q)  # stationary bound, in ulps, on the u^-n error
 
-    # Heuristic size estimates feed only the guard-digit choice; the
-    # bound below is computed from what actually happened, so a bad
-    # estimate can waste digits but never soundness.
+    # Heuristic size estimates feed only the work budget and the
+    # guard-digit choice; the bound below is computed from what actually
+    # happened, so a bad estimate can waste digits but never soundness.
     ln_u = math.log(p) - math.log(q)
     n_min = 1 if m <= 0 else math.floor(m / ln_u) + 1
     target = precision * math.log(10) + math.log(2.0)
     n_est = max(n_min, int(target / ln_u) + 2)
     for _ in range(4):
         n_est = max(n_min, int((target + max(m, 0) * math.log(n_est)) / ln_u) + 2)
+    _check_budget(f"phi_{m}({u}) to {precision} digits needs about", n_est)
     guard = 18 + math.ceil(max(m, 0) * math.log10(n_est + 1)) + len(str(c_u * (n_est + 1)))
 
     scale = 10 ** (precision + guard)
@@ -239,12 +269,14 @@ def eta_partial(m: int, N: int) -> EtaPartial:
     (rounded up only when it does not fit 15 significant digits). The
     returned value additionally carries summation/representation dust
     below 10^{-52}, invisible at its 50-digit precision and negligible
-    against any truncation bound.
+    against any truncation bound. N above MAX_SERIES_TERMS raises
+    SeriesBudgetError.
     """
     if m < 2:
         raise ValueError("alternating zeta sum needs m >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_budget(f"the alternating sum of 1/n^{m} asks for", N)
     scale = 10 ** (60 + len(str(N)))
     total = 0
     for n in range(1, N + 1):
@@ -430,7 +462,7 @@ def identity_check_expansion(
 
     work = precision + 15
     scale = 10**work
-    pi = compute_pi(work)
+    pi = _pi(work)
 
     total, lhs_terms = _reciprocal_power_sum(k, u, scale)
     # exact phi_0..phi_{m_next}; m_next indexes the first omitted term
@@ -532,7 +564,8 @@ def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, pi_value: Decimal)
         one_minus_q = 1 - q_up
     if one_minus_q <= 0:
         # u so close to 1 that 40 digits cannot separate R from pi; no
-        # finite certified bound is available at this working precision.
+        # finite certified bound is available at this working precision,
+        # and a report judged against it fails.
         return Decimal("Infinity")
     with localcontext() as ctx:
         ctx.prec = 40

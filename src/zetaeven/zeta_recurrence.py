@@ -149,8 +149,9 @@ def _pi(digits: int) -> HighPrecisionReal:
     """compute_pi(digits), kept for the few precisions a k-loop asks for.
 
     A table of decimals at one ``digits`` needs only two working
-    precisions (they differ by the digit count of 2k), so this saves
-    recomputing the same pi for every k. The value is immutable.
+    precisions (they differ by the digit count of 2k), and the cases of
+    the expansion suite share one, so this saves recomputing the same pi
+    for every k and every case. The value is immutable.
     """
     return compute_pi(digits)
 

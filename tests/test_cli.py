@@ -5,6 +5,7 @@ from decimal import Decimal
 
 from zetaeven import cli
 from zetaeven.reports import VerificationReport
+from zetaeven.series_verifier import MAX_SERIES_TERMS
 
 FIELDS = list(cli.FIELD_ORDER)
 
@@ -250,6 +251,9 @@ class TestExitCodes:
             ("verify", "--suite", "expansion", "--tolerance", "inf"),
             ("verify", "--suite", "phi", "--tolerance", "-Infinity"),
             ("verify", "--suite", "expansion", "--tolerance", "sNaN"),
+            # past the series work budget
+            ("phi", "--m", "-2", "--u", "1.000000001", "--digits", "50"),
+            ("verify", "--suite", "phi", "--digits", "12", "--terms", str(MAX_SERIES_TERMS + 1)),
         )
         for case in cases:
             code, out, err = run_cli(capsys, *case)

@@ -167,6 +167,23 @@ class TestEulerPolynomials:
         with pytest.raises(ValueError):
             EulerPolynomial(2, (F(1),))
 
+    def test_polynomial_type_is_an_immutable_value(self):
+        p = euler_polynomial(2)
+        assert p == EulerPolynomial(degree=2, coefficients=(F(0), F(-1), F(1)))
+        assert p != EulerPolynomial(1, (F(-1, 2), F(1)))
+        assert p != (2, p.coefficients)
+        assert hash(p) == hash(EulerPolynomial(2, p.coefficients))
+        assert len({p, euler_polynomial(2), euler_polynomial(1)}) == 2
+        assert repr(p) == (
+            "EulerPolynomial(degree=2, coefficients="
+            "(Fraction(0, 1), Fraction(-1, 1), Fraction(1, 1)))"
+        )
+        with pytest.raises(AttributeError):
+            p.degree = 3
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert p.degree == 2
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             euler_polynomial(-1)

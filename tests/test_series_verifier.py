@@ -14,7 +14,9 @@ from zetaeven.numeric_core import HighPrecisionReal, factorial
 from zetaeven.powerseries import exp_series, series_div
 from zetaeven.reports import VerificationReport
 from zetaeven.series_verifier import (
+    MAX_SERIES_TERMS,
     PhiEvaluation,
+    SeriesBudgetError,
     abel_limit_check,
     direct_zeta_partial,
     eta_partial,
@@ -46,6 +48,23 @@ class TestPhiEvaluationType:
             PhiEvaluation(0, F(2), F(1), 0, bound)
         with pytest.raises(ValueError):
             PhiEvaluation(0, F(2), F(1), 1, HighPrecisionReal(Decimal(-1), 10))
+
+    def test_is_an_immutable_value(self):
+        bound = HighPrecisionReal(Decimal(0), 10)
+        evaluation = PhiEvaluation(2, F(2), F(4, 27), 1, bound)
+        same = PhiEvaluation(m=2, u=F(2), value=F(4, 27), terms_used=1, error_bound=bound)
+        assert evaluation == same
+        assert evaluation != PhiEvaluation(2, F(2), F(4, 27), 2, bound)
+        assert evaluation != PhiEvaluation(3, F(2), F(4, 27), 1, bound)
+        assert repr(evaluation) == (
+            "PhiEvaluation(m=2, u=Fraction(2, 1), value=Fraction(4, 27), terms_used=1, "
+            "error_bound=HighPrecisionReal('0', digits=10))"
+        )
+        with pytest.raises(AttributeError):
+            evaluation.terms_used = 5
+        assert evaluation.terms_used == 1
+        with pytest.raises(TypeError):
+            hash(evaluation)
 
 
 class TestPhiSeries:
@@ -90,6 +109,15 @@ class TestPhiSeries:
             phi_series(2, F(1, 2), 20)
         with pytest.raises(ValueError):
             phi_series(0, F(2), 9)
+
+    def test_work_budget(self):
+        # u = 1 + 1e-9 at 50 digits needs ~1e11 terms: refused before summing
+        for m in (-2, 0, 3):
+            with pytest.raises(SeriesBudgetError, match="over the budget"):
+                phi_series(m, F("1.000000001"), 50)
+        # the longest series the suites and benchmark ask for keeps a 10x margin
+        evaluation = phi_series(3, F(1201, 1200), 50)
+        assert 10 * evaluation.terms_used <= MAX_SERIES_TERMS
 
     def test_reports_terms_used(self):
         evaluation = phi_series(0, F(10), 20)
@@ -146,17 +174,19 @@ class TestPhiTaylor:
 
 
 def test_cli_import_leaves_power_series_out_of_the_runtime():
-    # a fresh interpreter, pointed at the same package these tests import
+    # a fresh interpreter, pointed at the same package these tests import;
+    # -S keeps site hooks from preloading any of these and masking an import
     src = Path(zetaeven.__file__).resolve().parents[1]
-    code = "import sys, zetaeven.cli; print('zetaeven.powerseries' in sys.modules)"
+    absent = ("zetaeven.powerseries", "dataclasses", "inspect", "csv")
+    code = f"import sys, zetaeven.cli; print([m for m in {absent!r} if m in sys.modules])"
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 class TestPhiAtOne:
@@ -195,6 +225,8 @@ class TestEtaPartial:
             eta_partial(1, 10)
         with pytest.raises(ValueError):
             eta_partial(2, 0)
+        with pytest.raises(SeriesBudgetError):
+            eta_partial(3, MAX_SERIES_TERMS + 1)
 
 
 class TestDirectZetaPartial:
@@ -336,6 +368,81 @@ class TestReports:
                 residual=HighPrecisionReal(Decimal(0), 10),
                 tolerance=HighPrecisionReal(Decimal(1), 10),
             )
+
+    @staticmethod
+    def verdict(residual, tolerance, digits=30):
+        return VerificationReport(
+            identity_name="example",
+            parameters={},
+            lhs="a",
+            rhs="a",
+            residual=HighPrecisionReal(Decimal(residual), digits),
+            tolerance=HighPrecisionReal(Decimal(tolerance), 15),
+        ).passed
+
+    def test_verdict_is_exact_not_rounded(self):
+        # rounded to 15 digits the residual would equal the tolerance
+        verdict = self.verdict
+        assert not verdict("1.0000000000000001e-5", "1e-5")
+        assert not verdict("-1.0000000000000001e-5", "1e-5")
+        assert verdict("1e-5", "1e-5")
+        assert verdict("-0.99999999999999999e-5", "1e-5")
+        assert not verdict("1.00000000000000000000000000000000001e-5", "1e-5", 50)
+
+    def test_nan_and_infinite_values_fail(self):
+        for residual, tolerance in (
+            ("NaN", "1"),
+            ("sNaN", "1"),
+            ("0", "NaN"),
+            ("0", "-sNaN"),
+            ("NaN", "NaN"),
+            ("Infinity", "Infinity"),
+            ("-Infinity", "1"),
+            ("0", "Infinity"),
+        ):
+            assert not self.verdict(residual, tolerance), (residual, tolerance)
+
+    def test_post_init_runs_once_per_report(self, monkeypatch):
+        calls = []
+        post_init = VerificationReport.__post_init__
+
+        def counting(self):
+            calls.append(self.identity_name)
+            post_init(self)
+
+        monkeypatch.setattr(VerificationReport, "__post_init__", counting)
+        report = VerificationReport(
+            "example", {"k": 1}, F(1, 2), "x",
+            HighPrecisionReal(Decimal(0), 10), HighPrecisionReal(Decimal(1), 10),
+        )
+        assert calls == ["example"] and report.passed
+        VerificationReport.from_line(report.to_line())
+        abel_limit_check(2, [F(1, 10)], 20)
+        assert calls == ["example", "example", "zeta_even_abel_limit"]
+
+    def test_is_an_immutable_value(self):
+        def report(residual="0.5"):
+            return VerificationReport(
+                "example", {"u": F(3, 2)}, F(1, 3), "x",
+                HighPrecisionReal(Decimal(residual), 10),
+                HighPrecisionReal(Decimal(1), 10),
+            )
+
+        first = report()
+        assert first == report()
+        assert first == VerificationReport.from_line(first.to_line())
+        assert first != report("2")
+        assert repr(first) == (
+            "VerificationReport(identity_name='example', parameters={'u': '3/2'}, "
+            "lhs='1/3', rhs='x', residual=HighPrecisionReal('0.5', digits=10), "
+            "tolerance=HighPrecisionReal('1', digits=10), passed=True)"
+        )
+        for name, value in (("passed", False), ("residual", None), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(first, name, value)
+        assert first.passed
+        with pytest.raises(TypeError):
+            hash(first)
 
     def test_tampered_line_rejected(self):
         line = identity_check_expansion(1, F(3, 2), 8, 25).to_line()

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import zetaeven.zeta_recurrence as zr
+from zetaeven.cli import _EXPANSION_CASES
 from zetaeven.euler_bernoulli import BernoulliTable, zeta_even_via_euler
 from zetaeven.numeric_core import compute_pi
 from zetaeven.reports import VerificationReport
+from zetaeven.series_verifier import identity_check_expansion
 from zetaeven.zeta_recurrence import (
     ZetaEvenTable,
     recurrence_cross_check,
@@ -103,7 +105,9 @@ class TestDecimal:
     def test_deterministic(self):
         assert zeta_even_decimal(3, 40) == zeta_even_decimal(3, 40)
 
-    def test_pi_computed_once_per_working_precision(self, monkeypatch):
+    @pytest.fixture
+    def pi_precisions(self, monkeypatch):
+        """Precisions of the compute_pi calls behind a fresh _pi memo."""
         precisions = []
 
         def counting_pi(digits):
@@ -112,14 +116,21 @@ class TestDecimal:
 
         monkeypatch.setattr(zr, "compute_pi", counting_pi)
         zr._pi.cache_clear()
-        try:
-            first = [zeta_even_decimal(k, 30) for k in range(1, 9)]
-            again = [zeta_even_decimal(k, 30) for k in range(1, 9)]
-        finally:
-            zr._pi.cache_clear()
+        yield precisions
+        zr._pi.cache_clear()
+
+    def test_pi_computed_once_per_working_precision(self, pi_precisions):
+        first = [zeta_even_decimal(k, 30) for k in range(1, 9)]
+        again = [zeta_even_decimal(k, 30) for k in range(1, 9)]
         # working precision is digits + 12 + len(str(2k)): 43 for k < 5, 44 after
-        assert precisions == [43, 44]
+        assert pi_precisions == [43, 44]
         assert first == again
+
+    def test_expansion_suite_computes_pi_once(self, pi_precisions):
+        for k, u in _EXPANSION_CASES:
+            identity_check_expansion(k, u, 4, 20)
+        # one working precision, digits + 15, shared by the three cases
+        assert pi_precisions == [35]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -19,25 +19,22 @@ from .numeric_core import (
     PiAgreementError,
     binomial,
     compute_pi,
-    factorial,
-    fraction_to_decimal,
     positional_str,
     round_significant,
 )
 from .reports import VerificationReport
 from .series_verifier import (
-    EtaPartial,
+    SUITES,
     PhiEvaluation,
     SeriesBudgetError,
-    ZetaPartial,
     abel_limit_check,
     direct_zeta_partial,
     eta_partial,
     identity_check_expansion,
-    phi_at_one,
     phi_coefficients,
     phi_series,
     phi_taylor_coeff,
+    run_suite,
 )
 from .zeta_recurrence import (
     ZetaEvenTable,
@@ -51,15 +48,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliTable",
-    "EtaPartial",
     "EulerPolynomial",
     "HighPrecisionReal",
     "PhiEvaluation",
     "PiAgreementError",
+    "SUITES",
     "SeriesBudgetError",
     "VerificationReport",
     "ZetaEvenTable",
-    "ZetaPartial",
     "abel_limit_check",
     "bernoulli",
     "binomial",
@@ -68,16 +64,14 @@ __all__ = [
     "eta_partial",
     "euler_polynomial",
     "euler_polynomial_eval",
-    "factorial",
-    "fraction_to_decimal",
     "identity_check_expansion",
-    "phi_at_one",
     "phi_coefficients",
     "phi_series",
     "phi_taylor_coeff",
     "positional_str",
     "recurrence_cross_check",
     "round_significant",
+    "run_suite",
     "zeta_even_decimal",
     "zeta_even_ratio",
     "zeta_even_table",

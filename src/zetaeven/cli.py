@@ -36,28 +36,19 @@ import argparse
 import json
 import sys
 import time
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Optional
 
 from .euler_bernoulli import bernoulli, euler_polynomial, euler_polynomial_eval
-from .numeric_core import HighPrecisionReal, round_significant
 from .reports import VerificationReport
 from .series_verifier import (
     MAX_SERIES_TERMS,
-    abel_limit_check,
-    eta_partial,
-    identity_check_expansion,
-    phi_coefficients,
+    SUITES,
     phi_series,
     phi_taylor_coeff,
+    run_suite,
 )
-from .zeta_recurrence import (
-    ZetaEvenTable,
-    recurrence_cross_check,
-    zeta_even_decimal,
-    zeta_even_ratio,
-)
+from .zeta_recurrence import ZetaEvenTable, zeta_even_decimal, zeta_even_ratio
 
 __all__ = ["main"]
 
@@ -78,10 +69,7 @@ FIELD_ORDER = (
     "jmax",
 )
 
-_EXPANSION_CASES = ((1, Fraction(3, 2)), (2, Fraction(2)), (3, Fraction(3, 2)))
-_ABEL_DELTAS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
-_PHI_SAMPLE_US = (Fraction(3, 2), Fraction(2), Fraction(3))
-_PHI_LIMIT_MS = (2, 3, 4, 6)
+_SUITE_KNOBS = ("kmax", "digits", "jmax", "terms", "tolerance")
 
 
 def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
@@ -225,7 +213,7 @@ def _cmd_phi(args, parser) -> int:
     if args.route == "taylor":
         if args.m < 0:
             parser.error("--route taylor extracts Taylor coefficients; needs m >= 0")
-        value = phi_taylor_coeff(args.m, u, args.m)
+        value = phi_taylor_coeff(args.m, u)
         records = [{"kind": "phi", "m": args.m, "u": str(u), **_rational_fields(value)}]
         lines = [f"phi_{args.m}({u}) = {value}"]
     else:
@@ -248,121 +236,10 @@ def _cmd_phi(args, parser) -> int:
     return 0
 
 
-def _phi_limit_tolerance(m: int, delta: Fraction) -> Decimal:
-    """Proven bound on |2(1-2^(1-m)) zeta(m) - phi_{-m}(1+delta)|.
-
-    The difference is 2 sum (1-x^n)/n^m with x = 1/(1+delta); splitting
-    at n ~ 1/eps gives 2*delta*(2 + delta + ln(1/delta)) for m = 2, and
-    termwise 1-x^n <= n*eps gives 2*delta*(1 + 1/(m-2)) for m >= 3.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 40
-        d = Decimal(delta.numerator) / Decimal(delta.denominator)
-        if m == 2:
-            return 2 * d * (2 + d + (1 / d).ln())
-        return 2 * d * (1 + Decimal(1) / (m - 2))
-
-
-def _phi_suite(
-    digits: int, eta_terms: int, tolerance: Optional[Decimal]
-) -> list[VerificationReport]:
-    reports: list[VerificationReport] = []
-    for u in _PHI_SAMPLE_US:
-        for m, exact in enumerate(phi_coefficients(u, 20)):
-            evaluation = phi_series(m, u, digits)
-            # the exact side must not be quantized: these values reach
-            # ~1e8, where even 55 significant digits would inject more
-            # absolute error than the series' own bound
-            with localcontext() as ctx:
-                ctx.prec = digits + 30
-                exact_dec = Decimal(exact.numerator) / Decimal(exact.denominator)
-                residual_dec = evaluation.value.value - exact_dec
-            residual = HighPrecisionReal(residual_dec, digits)
-            tol = (
-                HighPrecisionReal(tolerance, 15)
-                if tolerance is not None
-                else evaluation.error_bound
-            )
-            reports.append(
-                VerificationReport(
-                    identity_name="phi_series_vs_coefficients",
-                    parameters={
-                        "m": m,
-                        "u": u,
-                        "precision": digits,
-                        "terms": evaluation.terms_used,
-                    },
-                    lhs=evaluation.value,
-                    rhs=exact,
-                    residual=residual,
-                    tolerance=tol,
-                )
-            )
-    for m in _PHI_LIMIT_MS:
-        factor = Fraction(2) * (1 - Fraction(1, 2 ** (m - 1)))
-        if m % 2 == 0:
-            zeta_m = Decimal(zeta_even_decimal(m // 2, digits + 5))
-            with localcontext() as ctx:
-                ctx.prec = digits + 5
-                target_dec = (
-                    Decimal(factor.numerator) / Decimal(factor.denominator) * zeta_m
-                )
-            target = HighPrecisionReal(target_dec, digits)
-            target_bound = Decimal(10) ** (-digits)
-        else:
-            eta = eta_partial(m, eta_terms)
-            target = HighPrecisionReal.from_int(-2) * eta.value
-            target_bound = 2 * eta.error_bound.value
-        for delta in _ABEL_DELTAS:
-            evaluation = phi_series(-m, 1 + delta, digits)
-            residual = evaluation.value - target
-            tol_dec = (
-                tolerance
-                if tolerance is not None
-                else _phi_limit_tolerance(m, delta)
-                + evaluation.error_bound.value
-                + target_bound
-            )
-            reports.append(
-                VerificationReport(
-                    identity_name="phi_negative_index_limit",
-                    parameters={
-                        "m": m,
-                        "u": 1 + delta,
-                        "precision": digits,
-                        "terms": evaluation.terms_used,
-                    },
-                    lhs=evaluation.value,
-                    rhs=target,
-                    residual=residual,
-                    tolerance=HighPrecisionReal(tol_dec, 15),
-                )
-            )
-    return reports
-
-
 def _cmd_verify(args, parser) -> int:
-    suites = (
-        ["recurrence", "expansion", "abel", "phi"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    reports: list[VerificationReport] = []
-    for suite in suites:
-        if suite == "recurrence":
-            reports.append(recurrence_cross_check(args.kmax))
-        elif suite == "expansion":
-            for k, u in _EXPANSION_CASES:
-                reports.append(
-                    identity_check_expansion(
-                        k, u, args.jmax, args.digits, tolerance=args.tolerance
-                    )
-                )
-        elif suite == "abel":
-            for k in (1, 2):
-                reports.append(abel_limit_check(k, list(_ABEL_DELTAS), args.digits))
-        else:
-            reports.extend(_phi_suite(args.digits, args.terms, args.tolerance))
+    knobs = {name: getattr(args, name) for name in _SUITE_KNOBS if name in args}
+    names = SUITES if args.suite == "all" else (args.suite,)
+    reports = [report for name in names for report in run_suite(name, **knobs)]
     records = [_report_record(r) for r in reports]
     lines = [_report_plain(r) for r in reports]
     _emit(records, lines, args.format, sys.stdout)
@@ -405,6 +282,15 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return value
+
+
+def _series_terms(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_SERIES_TERMS:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {MAX_SERIES_TERMS}, the series work budget: {text!r}"
+        )
     return value
 
 
@@ -464,19 +350,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--digits", type=int, default=50)
     p_phi.set_defaults(func=_cmd_phi)
 
-    p_verify = sub.add_parser("verify", parents=[shared], help="run identity-check suites")
-    p_verify.add_argument(
-        "--suite",
-        choices=("recurrence", "expansion", "abel", "phi", "all"),
-        default="all",
+    # flags left out are left out of the namespace, so run_suite's
+    # defaults apply
+    p_verify = sub.add_parser(
+        "verify",
+        parents=[shared],
+        help="run identity-check suites",
+        argument_default=argparse.SUPPRESS,
     )
-    p_verify.add_argument("--kmax", type=int, default=50, help="recurrence cross-check depth")
-    p_verify.add_argument("--digits", type=int, default=50, help="working precision")
-    p_verify.add_argument("--jmax", type=int, default=25, help="expansion truncation order")
+    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    p_verify.add_argument("--kmax", type=int, help="recurrence cross-check depth")
+    p_verify.add_argument("--digits", type=int, help="working precision")
+    p_verify.add_argument("--jmax", type=int, help="expansion truncation order")
     p_verify.add_argument(
         "--terms",
-        type=int,
-        default=100000,
+        type=_series_terms,
         help="alternating-sum length for odd-index limit targets "
         f"(at most {MAX_SERIES_TERMS}, the series work budget)",
     )
@@ -494,9 +382,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """'--at -3/2' as '--at=-3/2', and so for --u and --tolerance: argparse
+    takes a value starting with '-' only if it looks like '-3' or '-1.5'."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--at", "--u", "--tolerance") and token.startswith("-"):
+            token = joined.pop() + "=" + token
+        joined.append(token)
+    return joined
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, parser)
     except ValueError as exc:

@@ -19,10 +19,11 @@ consume |B_2k|, so the B_1 sign convention never reaches them.
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
-from .numeric_core import FrozenRecord, binomial, factorial
+from .numeric_core import FrozenRecord, binomial
 
 __all__ = [
     "BernoulliTable",
@@ -161,4 +162,4 @@ def zeta_even_via_euler(k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     b = bernoulli(2 * k)
-    return Fraction(2 ** (2 * k - 1) * abs(b.numerator), b.denominator * factorial(2 * k))
+    return Fraction(2 ** (2 * k - 1) * abs(b.numerator), b.denominator * math.factorial(2 * k))

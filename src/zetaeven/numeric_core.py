@@ -19,15 +19,12 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
-from fractions import Fraction
 
 __all__ = [
     "HighPrecisionReal",
     "PiAgreementError",
-    "factorial",
     "binomial",
     "compute_pi",
-    "fraction_to_decimal",
     "round_significant",
     "positional_str",
 ]
@@ -35,13 +32,6 @@ __all__ = [
 
 class PiAgreementError(ArithmeticError):
     """Two independent pi formulae disagreed at the requested precision."""
-
-
-def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial requires n >= 0")
-    return math.factorial(n)
 
 
 def binomial(n: int, j: int) -> int:
@@ -65,14 +55,6 @@ def round_significant(value: Decimal, digits: int) -> Decimal:
         ctx.prec = digits
         ctx.rounding = ROUND_HALF_EVEN
         return +value
-
-
-def fraction_to_decimal(value: Fraction, digits: int) -> Decimal:
-    """Decimal image of an exact rational, correct to ``digits`` significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        return Decimal(value.numerator) / Decimal(value.denominator)
 
 
 def positional_str(value: Decimal) -> str:
@@ -106,10 +88,6 @@ class HighPrecisionReal:
         raise AttributeError(f"HighPrecisionReal is immutable ({name})")
 
     @classmethod
-    def from_fraction(cls, value: Fraction, precision_digits: int) -> "HighPrecisionReal":
-        return cls(fraction_to_decimal(value, precision_digits), precision_digits)
-
-    @classmethod
     def from_int(cls, value: int, precision_digits: int = 50) -> "HighPrecisionReal":
         return cls(Decimal(value), precision_digits)
 
@@ -128,10 +106,8 @@ class HighPrecisionReal:
                 out = self.value + other.value
             elif op == "sub":
                 out = self.value - other.value
-            elif op == "mul":
-                out = self.value * other.value
             else:
-                out = self.value / other.value
+                out = self.value * other.value
         return HighPrecisionReal(out, prec)
 
     def __neg__(self):
@@ -148,9 +124,6 @@ class HighPrecisionReal:
 
     def __mul__(self, other):
         return self._binary(other, "mul")
-
-    def __truediv__(self, other):
-        return self._binary(other, "div")
 
     def _cmp(self, other: "HighPrecisionReal") -> int:
         if not isinstance(other, HighPrecisionReal):

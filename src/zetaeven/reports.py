@@ -21,16 +21,16 @@ they can be logged, diffed, and re-read without loss.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Mapping
 
 from .numeric_core import FrozenRecord, HighPrecisionReal
 
 __all__ = ["VerificationReport", "render_value"]
 
 
-def render_value(value: Any) -> Any:
+def render_value(value: object) -> object:
     """Canonical rendering of payload values for reports and records.
 
     Fractions render as 'p/q' (or a bare integer string), decimals and
@@ -64,9 +64,9 @@ class VerificationReport(FrozenRecord):
     def __init__(
         self,
         identity_name: str,
-        parameters: Mapping[str, Any],
-        lhs: Any,
-        rhs: Any,
+        parameters: Mapping[str, object],
+        lhs: object,
+        rhs: object,
         residual: HighPrecisionReal,
         tolerance: HighPrecisionReal,
     ):

@@ -24,33 +24,31 @@ integers, not about rounded floats.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
 
-from .numeric_core import (
-    FrozenRecord,
-    HighPrecisionReal,
-    factorial,
-    round_significant,
-)
+from .numeric_core import FrozenRecord, HighPrecisionReal, round_significant
 from .reports import VerificationReport
-from .zeta_recurrence import _pi, zeta_even_decimal
+from .zeta_recurrence import _pi, recurrence_cross_check, zeta_even_decimal
 
 __all__ = [
     "MAX_SERIES_TERMS",
     "PhiEvaluation",
     "SeriesBudgetError",
-    "EtaPartial",
-    "ZetaPartial",
+    "SUITES",
+    "EXPANSION_CASES",
+    "ABEL_DELTAS",
+    "PHI_SAMPLE_US",
+    "PHI_LIMIT_MS",
     "phi_series",
     "phi_coefficients",
     "phi_taylor_coeff",
-    "phi_at_one",
     "eta_partial",
     "direct_zeta_partial",
     "abel_limit_check",
     "identity_check_expansion",
+    "run_suite",
 ]
 
 
@@ -63,7 +61,7 @@ class PhiEvaluation(FrozenRecord):
         self,
         m: int,
         u: Fraction,
-        value: Union[HighPrecisionReal, Fraction],
+        value: HighPrecisionReal | Fraction,
         terms_used: int,
         error_bound: HighPrecisionReal,
     ):
@@ -96,17 +94,6 @@ def _check_budget(what: str, terms: int) -> None:
             f"{what} {terms} terms, over the budget of "
             f"{MAX_SERIES_TERMS} terms"
         )
-
-
-class EtaPartial(NamedTuple):
-    value: HighPrecisionReal
-    error_bound: HighPrecisionReal
-
-
-class ZetaPartial(NamedTuple):
-    value: HighPrecisionReal
-    tail_low: int  # the partial sum never overshoots, so 0
-    tail_high: HighPrecisionReal
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -230,47 +217,26 @@ def phi_coefficients(u, m_max: int) -> list[Fraction]:
     return [Fraction(n, s_pow[m + 1]) for m, n in enumerate(scaled)]
 
 
-def phi_taylor_coeff(m: int, u, order: int = 0) -> Fraction:
+def phi_taylor_coeff(m: int, u) -> Fraction:
     """Exact phi_m(u) as a Taylor coefficient of 2e^t/(e^t + u).
 
-    The entry m of ``phi_coefficients(u, m)``. ``order`` has no effect;
-    it is accepted for compatibility with callers that pass a
-    truncation length.
+    The entry m of ``phi_coefficients(u, m)``.
     """
     if m < 0:
         raise ValueError("coefficient extraction needs m >= 0")
     return phi_coefficients(u, m)[m]
 
 
-def phi_at_one(m: int) -> PhiEvaluation:
-    """The exact boundary value phi_m(1).
-
-    At u = 1 the generating function is the Euler-polynomial one at
-    x = 1, so phi_m(1) = E_m(1): 1 for m = 0 and 0 for even m > 0. Odd m
-    give the coefficients of 1 + tanh(t/2) = 2e^t/(e^t + 1), which do
-    not vanish: E_1(1) = 1/2, E_3(1) = -1/4.
-    """
-    if m < 0:
-        raise ValueError("boundary values need m >= 0")
-    return PhiEvaluation(
-        m=m,
-        u=Fraction(1),
-        value=phi_coefficients(1, m)[m],
-        terms_used=m + 1,
-        error_bound=HighPrecisionReal(Decimal(0), 10),
-    )
-
-
-def eta_partial(m: int, N: int) -> EtaPartial:
+def eta_partial(m: int, N: int) -> tuple[HighPrecisionReal, HighPrecisionReal]:
     """Partial alternating sum sum_{n=1}^{N} (-1)^n / n^m, m >= 2.
 
-    Terms alternate and decrease in magnitude, so the truncation error
-    is below the first omitted term: error_bound is exactly 1/(N+1)^m
-    (rounded up only when it does not fit 15 significant digits). The
-    returned value additionally carries summation/representation dust
-    below 10^{-52}, invisible at its 50-digit precision and negligible
-    against any truncation bound. N above MAX_SERIES_TERMS raises
-    SeriesBudgetError.
+    Returns ``(value, error_bound)``. Terms alternate and decrease in
+    magnitude, so the truncation error is below the first omitted term:
+    error_bound is exactly 1/(N+1)^m (rounded up only when it does not
+    fit 15 significant digits). The returned value additionally carries
+    summation/representation dust below 10^{-52}, invisible at its
+    50-digit precision and negligible against any truncation bound. N
+    above MAX_SERIES_TERMS raises SeriesBudgetError.
     """
     if m < 2:
         raise ValueError("alternating zeta sum needs m >= 2")
@@ -286,17 +252,19 @@ def eta_partial(m: int, N: int) -> EtaPartial:
         ctx.prec = 70
         value = Decimal(total) / scale
     bound = Fraction(1, (N + 1) ** m)
-    return EtaPartial(
+    return (
         HighPrecisionReal(value, 50),
         HighPrecisionReal(_dec_ceiling(bound, 15), 15),
     )
 
 
-def direct_zeta_partial(k: int, N: int) -> ZetaPartial:
+def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, int, HighPrecisionReal]:
     """Partial sum of zeta(2k) with its integral-test tail bracket.
 
-    value underestimates the true partial sum by floor dust only, and
-    the integral comparison gives a strict tail bound, so
+    Returns ``(value, tail_low, tail_high)``. The partial sum never
+    overshoots, so tail_low is 0. value underestimates the true partial
+    sum by floor dust only, and the integral comparison gives a strict
+    tail bound, so
 
         value < zeta(2k) < value + tail_high
 
@@ -320,7 +288,7 @@ def direct_zeta_partial(k: int, N: int) -> ZetaPartial:
         ctx.prec = 70
         value = Decimal(total) / scale
     tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
-    return ZetaPartial(
+    return (
         HighPrecisionReal(value, 50),
         0,
         HighPrecisionReal(_dec_ceiling(tail, 50), 50),
@@ -427,7 +395,7 @@ def identity_check_expansion(
     u,
     J_max: int,
     precision: int = 50,
-    tolerance: Optional[Union[Decimal, str, Fraction, HighPrecisionReal]] = None,
+    tolerance: Decimal | str | Fraction | HighPrecisionReal | None = None,
 ) -> VerificationReport:
     """Check f_k(u) against its rearrangement into pi-power phi terms.
 
@@ -441,8 +409,8 @@ def identity_check_expansion(
     nearest poles sit at ln(u) +/- i*pi), which cancels the 1/(2j)! and
     leaves geometric decay at rate (pi/R)^2 -- slow for u near 1. The
     default tolerance is therefore a certified envelope for the dropped
-    tail: |phi_M(u)| <= 8 * M!/R^(M+1) for the M >= 2 reached here
-    (desk-measured envelope constant under 5; 8 leaves margin), summed
+    tail: |phi_M(u)| <= C * M!/R^(M+1) for the M >= 2 reached here, with
+    C proven from the pole expansion of phi (``_pole_constant``), summed
     geometrically with directed rounding. Passing the check means the
     residual is inside what the truncation provably allows; pass an
     explicit ``tolerance`` to demand more than the bound can promise.
@@ -479,7 +447,7 @@ def identity_check_expansion(
         phi_bound = Decimal(0)
         for j in range(J_max + 1):
             mi = 2 * j - 2 * k
-            coeff = pi.value ** (2 * j) / (2 * factorial(2 * j))
+            coeff = pi.value ** (2 * j) / (2 * math.factorial(2 * j))
             if mi >= 0:
                 exact = exact_phi[mi]
                 phi_dec = Decimal(exact.numerator) / Decimal(exact.denominator)
@@ -513,7 +481,7 @@ def identity_check_expansion(
         ctx.prec = 30
         first_omitted = (
             pi.value ** (2 * (J_max + 1))
-            / (2 * factorial(2 * (J_max + 1)))
+            / (2 * math.factorial(2 * (J_max + 1)))
             * abs(Decimal(exact_next.numerator) / Decimal(exact_next.denominator))
         )
 
@@ -534,47 +502,211 @@ def identity_check_expansion(
     )
 
 
+def _pole_constant(b_up: Decimal, inv_b_up: Decimal, pi_up: Decimal, M: int) -> Decimal:
+    """Upper bound on C_M = 4 sum_{n>=0} (R_0/R_n)^(M+1), M >= 2.
+
+    2e^t/(e^t + u) has simple poles of residue 2 at
+    z_n = ln u + (2n+1) i pi, n in Z, so for M >= 1
+    phi_M(u) = -2 M! sum_n z_n^-(M+1). Poles n and -1-n are conjugate,
+    |z_n| = R_n with R_n^2 = ln(u)^2 + (2n+1)^2 pi^2, so
+    |phi_M(u)| <= C_M M!/R_0^(M+1). No ratio R_0/R_n exceeds 1, so C_M
+    does not grow with M.
+
+    An integral closes the n-sum. With b = ln(u)/pi the terms are
+    h(2n+1) for the decreasing h(x) = ((b^2+1)/(b^2+x^2))^((M+1)/2), and
+    h(2n+1) is at most the mean of h over [2n-1, 2n+1], so the sum is at
+    most 1 + (1/2) int_1^oo h. Substituting x = b tan(t),
+    t_1 = arctan(1/b), gives
+    int_1^oo h = (b + 1/b) int_{t_1}^{pi/2} (cos t/cos t_1)^(M-1) dt.
+    As cos t <= cos t_1 cos(t - t_1), that integral is at most its
+    interval length arctan(b) <= min(b, pi/2), and at most the Wallis
+    integral int_0^{pi/2} cos^(M-1) <= sqrt(pi/(2(M-1))). Hence
+
+        C_M <= 4 + 2 (b + 1/b) min(b, pi/2, sqrt(pi/(2(M-1)))),
+
+    rounded up here from upper bounds on b, 1/b and pi; the 1e-20 slop
+    covers the half-even sqrt.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ctx.rounding = ROUND_CEILING
+        wallis_up = (pi_up / (2 * (M - 1))).sqrt() * (1 + Decimal("1e-20"))
+        return 4 + 2 * (b_up + inv_b_up) * min(b_up, pi_up / 2, wallis_up)
+
+
 def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, pi_value: Decimal) -> Decimal:
     """Certified bound on the dropped j > J_max tail of the rearrangement.
 
-    Per-term envelope 4 * (2j-2k)! * pi^(2j) / (R^(2j-2k+1) * (2j)!)
-    (the 8/2 constant folded in), whose term ratio is below
+    The j-term is pi^(2j)/(2j)! * |phi_M(u)|/2 with M = 2j - 2k, and
+    |phi_M(u)| <= C M!/R^(M+1), R = R_0, with C the bound of
+    ``_pole_constant`` at the first omitted M (it covers every later M),
+    or 8 wherever that bound is at most 8. The per-term envelope
+    (C/2) * M! * pi^(2j) / (R^(M+1) * (2j)!) has a term ratio below
     q = (pi/R)^2 < 1; the tail is the first envelope term over (1 - q).
     Directed rounding keeps every intermediate on the safe side; the
     1e-20 slop absorbs the rounding of the supplied pi (correct to at
     least 24 digits) and the half-even ln/sqrt results, which ignore
     the context rounding mode.
     """
+    slop = Decimal("1e-20")
     with localcontext() as ctx:
         ctx.prec = 40
         ctx.rounding = ROUND_FLOOR
-        slop = Decimal("1e-20")
         pi_low = round_significant(pi_value, 35) * (1 - slop)
         ln_low = (Decimal(u.numerator) / Decimal(u.denominator)).ln() * (1 - slop)
         r2_low = ln_low * ln_low + pi_low * pi_low
         r_low = r2_low.sqrt()
-    with localcontext() as ctx:
-        ctx.prec = 40
         ctx.rounding = ROUND_CEILING
         pi_up = round_significant(pi_value, 35) * (1 + slop)
+        ln_up = (Decimal(u.numerator) / Decimal(u.denominator)).ln() * (1 + slop)
         q_up = pi_up * pi_up / r2_low
-    with localcontext() as ctx:
-        ctx.prec = 40
         ctx.rounding = ROUND_FLOOR
         one_minus_q = 1 - q_up
-    if one_minus_q <= 0:
-        # u so close to 1 that 40 digits cannot separate R from pi; no
-        # finite certified bound is available at this working precision,
-        # and a report judged against it fails.
-        return Decimal("Infinity")
-    with localcontext() as ctx:
-        ctx.prec = 40
+        if one_minus_q <= 0:
+            # u so close to 1 that 40 digits cannot separate R from pi;
+            # no finite certified bound is available at this working
+            # precision, and a report judged against it fails.
+            return Decimal("Infinity")
         ctx.rounding = ROUND_CEILING
         m_next = 2 * (J_max + 1) - 2 * k
-        ratio = Fraction(4 * factorial(m_next), factorial(2 * (J_max + 1)))
+        c_up = _pole_constant(ln_up / pi_low, pi_up / ln_low, pi_up, m_next)
+        half_c = 4 if c_up <= 8 else Fraction(c_up) / 2
+        ratio = Fraction(math.factorial(m_next), math.factorial(2 * (J_max + 1))) * half_c
         envelope = (
             _dec_ceiling(ratio, 40)
             * pi_up ** (2 * (J_max + 1))
             / r_low ** (m_next + 1)
         )
         return envelope / one_minus_q
+
+
+# The verify suites, in the order ``verify --suite all`` runs them, and
+# the cases they check.
+SUITES = ("recurrence", "expansion", "abel", "phi")
+EXPANSION_CASES = ((1, Fraction(3, 2)), (2, Fraction(2)), (3, Fraction(3, 2)))
+ABEL_DELTAS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+PHI_SAMPLE_US = (Fraction(3, 2), Fraction(2), Fraction(3))
+PHI_LIMIT_MS = (2, 3, 4, 6)
+
+
+def run_suite(
+    name: str,
+    kmax: int = 50,
+    digits: int = 50,
+    jmax: int = 25,
+    terms: int = 100_000,
+    tolerance: Decimal | None = None,
+) -> list[VerificationReport]:
+    """The reports of one verify suite; ``name`` is one of SUITES.
+
+    kmax is the depth of the recurrence cross-check, jmax the truncation
+    of the expansion suite, digits the working precision of the others,
+    and terms the length of the alternating sums behind the phi suite's
+    odd-m limits. tolerance overrides the derived tolerances of the
+    expansion and phi suites; recurrence and abel keep their own.
+    """
+    if name == "recurrence":
+        return [recurrence_cross_check(kmax)]
+    if name == "expansion":
+        return [
+            identity_check_expansion(k, u, jmax, digits, tolerance=tolerance)
+            for k, u in EXPANSION_CASES
+        ]
+    if name == "abel":
+        return [abel_limit_check(k, ABEL_DELTAS, digits) for k in (1, 2)]
+    if name == "phi":
+        return _phi_suite(digits, terms, tolerance)
+    raise ValueError(f"unknown suite {name!r}, expected one of {', '.join(SUITES)}")
+
+
+def _phi_limit_tolerance(m: int, delta: Fraction) -> Decimal:
+    """Proven bound on |2(1-2^(1-m)) zeta(m) - phi_{-m}(1+delta)|.
+
+    The difference is 2 sum (1-x^n)/n^m with x = 1/(1+delta); splitting
+    at n ~ 1/eps gives 2*delta*(2 + delta + ln(1/delta)) for m = 2, and
+    termwise 1-x^n <= n*eps gives 2*delta*(1 + 1/(m-2)) for m >= 3.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(delta.numerator) / Decimal(delta.denominator)
+        if m == 2:
+            return 2 * d * (2 + d + (1 / d).ln())
+        return 2 * d * (1 + Decimal(1) / (m - 2))
+
+
+def _phi_suite(
+    digits: int, eta_terms: int, tolerance: Decimal | None
+) -> list[VerificationReport]:
+    reports: list[VerificationReport] = []
+    for u in PHI_SAMPLE_US:
+        for m, exact in enumerate(phi_coefficients(u, 20)):
+            evaluation = phi_series(m, u, digits)
+            # the exact side must not be quantized: these values reach
+            # ~1e8, where even 55 significant digits would inject more
+            # absolute error than the series' own bound
+            with localcontext() as ctx:
+                ctx.prec = digits + 30
+                exact_dec = Decimal(exact.numerator) / Decimal(exact.denominator)
+                residual_dec = evaluation.value.value - exact_dec
+            residual = HighPrecisionReal(residual_dec, digits)
+            tol = (
+                HighPrecisionReal(tolerance, 15)
+                if tolerance is not None
+                else evaluation.error_bound
+            )
+            reports.append(
+                VerificationReport(
+                    identity_name="phi_series_vs_coefficients",
+                    parameters={
+                        "m": m,
+                        "u": u,
+                        "precision": digits,
+                        "terms": evaluation.terms_used,
+                    },
+                    lhs=evaluation.value,
+                    rhs=exact,
+                    residual=residual,
+                    tolerance=tol,
+                )
+            )
+    for m in PHI_LIMIT_MS:
+        factor = Fraction(2) * (1 - Fraction(1, 2 ** (m - 1)))
+        if m % 2 == 0:
+            zeta_m = Decimal(zeta_even_decimal(m // 2, digits + 5))
+            with localcontext() as ctx:
+                ctx.prec = digits + 5
+                target_dec = (
+                    Decimal(factor.numerator) / Decimal(factor.denominator) * zeta_m
+                )
+            target = HighPrecisionReal(target_dec, digits)
+            target_bound = Decimal(10) ** (-digits)
+        else:
+            eta_value, eta_bound = eta_partial(m, eta_terms)
+            target = HighPrecisionReal.from_int(-2) * eta_value
+            target_bound = 2 * eta_bound.value
+        for delta in ABEL_DELTAS:
+            evaluation = phi_series(-m, 1 + delta, digits)
+            residual = evaluation.value - target
+            tol_dec = (
+                tolerance
+                if tolerance is not None
+                else _phi_limit_tolerance(m, delta)
+                + evaluation.error_bound.value
+                + target_bound
+            )
+            reports.append(
+                VerificationReport(
+                    identity_name="phi_negative_index_limit",
+                    parameters={
+                        "m": m,
+                        "u": 1 + delta,
+                        "precision": digits,
+                        "terms": evaluation.terms_used,
+                    },
+                    lhs=evaluation.value,
+                    rhs=target,
+                    residual=residual,
+                    tolerance=HighPrecisionReal(tol_dec, 15),
+                )
+            )
+    return reports

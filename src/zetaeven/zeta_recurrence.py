@@ -28,7 +28,6 @@ import threading
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .euler_bernoulli import zeta_even_via_euler
 from .numeric_core import HighPrecisionReal, compute_pi, positional_str, round_significant
@@ -124,7 +123,7 @@ class ZetaEvenTable:
 _shared_table = ZetaEvenTable()
 
 
-def zeta_even_ratio(k: int, table: Optional[ZetaEvenTable] = None) -> Fraction:
+def zeta_even_ratio(k: int, table: ZetaEvenTable | None = None) -> Fraction:
     """Exact zeta(2k)/pi^(2k) by the recurrence.
 
     >>> zeta_even_ratio(1)

@@ -3,9 +3,11 @@ import io
 import json
 from decimal import Decimal
 
-from zetaeven import cli
+import pytest
+
+from zetaeven import cli, series_verifier
 from zetaeven.reports import VerificationReport
-from zetaeven.series_verifier import MAX_SERIES_TERMS
+from zetaeven.series_verifier import MAX_SERIES_TERMS, SUITES, run_suite
 
 FIELDS = list(cli.FIELD_ORDER)
 
@@ -104,6 +106,16 @@ class TestSmallSubcommands:
         _, out, _ = run_cli(capsys, "euler-poly", "--m", "3")
         assert out == "E_3(x) = x^3 - 3/2*x^2 + 1/4\n"
 
+    def test_euler_poly_negative_point_with_a_space(self, capsys):
+        for fmt in ("plain", "json-lines", "csv"):
+            spaced = run_cli(capsys, "euler-poly", "--m", "3", "--at", "-3/2", "--format", fmt)
+            joined = run_cli(capsys, "euler-poly", "--m", "3", "--at=-3/2", "--format", fmt)
+            assert spaced == joined
+        assert spaced[0] == 0
+        assert run_cli(capsys, "euler-poly", "--m", "3", "--at", "-3/2")[1] == (
+            "E_3(-3/2) = -13/2\n"
+        )
+
     def test_euler_poly_evaluated(self, capsys):
         code, out, _ = run_cli(
             capsys, "euler-poly", "--m", "3", "--at", "1", "--format", "json-lines"
@@ -181,6 +193,25 @@ class TestVerify:
         assert len(records) == 63 + 12
         assert all(r["passed"] for r in records)
 
+    def test_all_is_run_suite_over_every_suite(self, capsys):
+        knobs = {"kmax": 10, "digits": 15, "jmax": 8, "terms": 2000}
+        flags = [f"--{name}={value}" for name, value in knobs.items()]
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", *flags)
+        assert code == 0
+        expected = []
+        for name in SUITES:
+            for report in run_suite(name, **knobs):
+                params = " ".join(f"{k}={v}" for k, v in report.parameters.items())
+                expected.append(
+                    f"[{'PASS' if report.passed else 'FAIL'}] {report.identity_name} "
+                    f"({params}) residual={report.residual.rounded()} "
+                    f"tolerance={report.tolerance.rounded()}"
+                )
+        assert out.splitlines() == expected
+        # "all" is the CLI's loop over SUITES, not a suite
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite("all")
+
     def test_tolerance_override_fails_and_reports(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "--suite", "expansion", "--jmax", "6",
@@ -236,6 +267,8 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "phi", "--m", "2", "--u", "1/2")
         assert code == 2
         assert "error:" in err
+        # a spaced negative fraction reaches the domain check too
+        assert run_cli(capsys, "phi", "--m", "2", "--u", "-3/2")[2] == "error: series needs u > 1\n"
 
     def test_bad_inputs_exit_two_with_one_stderr_line(self, capsys):
         cases = (
@@ -254,6 +287,7 @@ class TestExitCodes:
             # past the series work budget
             ("phi", "--m", "-2", "--u", "1.000000001", "--digits", "50"),
             ("verify", "--suite", "phi", "--digits", "12", "--terms", str(MAX_SERIES_TERMS + 1)),
+            ("verify", "--suite", "phi", "--terms", "0"),
         )
         for case in cases:
             code, out, err = run_cli(capsys, *case)
@@ -261,15 +295,26 @@ class TestExitCodes:
             assert out == "", case
             assert len(err.splitlines()) == 1 and "error:" in err, case
 
+    def test_terms_checked_before_any_series(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a series ran before --terms was checked")
+
+        monkeypatch.setattr(series_verifier, "phi_series", refuse)
+        monkeypatch.setattr(series_verifier, "eta_partial", refuse)
+        for terms in ("0", str(MAX_SERIES_TERMS + 1)):
+            code, out, err = run_cli(capsys, "verify", "--suite", "phi", "--terms", terms)
+            assert code == 2 and out == ""
+            assert "argument --terms:" in err and len(err.splitlines()) == 1
+
     def test_negative_finite_tolerance_fails_every_overridden_check(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "expansion", "--jmax", "6",
-            "--digits", "15", "--tolerance=-1e-5", "--format", "json-lines",
-        )
+        argv = ("verify", "--suite", "expansion", "--jmax", "6", "--digits", "15")
+        code, out, err = run_cli(capsys, *argv, "--tolerance=-1e-5", "--format", "json-lines")
         assert code == 1
         records = json_records(out)
         assert len(records) == 3
         assert all(r["passed"] is False for r in records)
+        spaced = run_cli(capsys, *argv, "--tolerance", "-1e-5", "--format", "json-lines")
+        assert spaced == (code, out, err)
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,7 @@ from zetaeven.euler_bernoulli import (
     euler_polynomial_eval,
     zeta_even_via_euler,
 )
-from zetaeven.numeric_core import binomial, factorial
+from zetaeven.numeric_core import binomial
 from zetaeven.powerseries import exp_series, scaled_exp_series, series_div
 
 F = Fraction

@@ -1,5 +1,4 @@
 from decimal import Decimal
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +7,6 @@ from zetaeven.numeric_core import (
     HighPrecisionReal,
     binomial,
     compute_pi,
-    factorial,
-    fraction_to_decimal,
     positional_str,
     round_significant,
 )
@@ -20,12 +17,6 @@ PI_50 = "3.1415926535897932384626433832795028841971693993751"
 
 
 class TestCombinatorics:
-    def test_factorial(self):
-        assert factorial(0) == 1
-        assert factorial(10) == 3628800
-        with pytest.raises(ValueError):
-            factorial(-1)
-
     def test_binomial_values(self):
         assert binomial(10, 3) == 120
         assert binomial(7, 0) == 1
@@ -56,10 +47,6 @@ class TestRounding:
     def test_round_significant_rejects_bad_digits(self):
         with pytest.raises(ValueError):
             round_significant(Decimal(1), 0)
-
-    def test_fraction_to_decimal(self):
-        assert fraction_to_decimal(Fraction(1, 3), 10) == Decimal("0.3333333333")
-        assert fraction_to_decimal(Fraction(-7, 4), 10) == Decimal("-1.75")
 
     def test_positional_str_never_uses_exponent(self):
         assert positional_str(Decimal("1.6449E+0")) == "1.6449"
@@ -108,9 +95,7 @@ class TestHighPrecisionReal:
         with pytest.raises(TypeError):
             HighPrecisionReal(Decimal(1), 12) < 2  # noqa: B015
 
-    def test_from_fraction_and_from_int(self):
-        x = HighPrecisionReal.from_fraction(Fraction(1, 6), 20)
-        assert x.value == Decimal("0.16666666666666666667")
+    def test_from_int(self):
         assert HighPrecisionReal.from_int(-3).value == Decimal(-3)
 
     def test_repr_mentions_digits(self):

@@ -4,24 +4,26 @@ import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 import zetaeven
 from zetaeven.euler_bernoulli import euler_polynomial, euler_polynomial_eval
-from zetaeven.numeric_core import HighPrecisionReal, factorial
+from zetaeven.numeric_core import HighPrecisionReal
 from zetaeven.powerseries import exp_series, series_div
 from zetaeven.reports import VerificationReport
 from zetaeven.series_verifier import (
+    EXPANSION_CASES,
     MAX_SERIES_TERMS,
     PhiEvaluation,
     SeriesBudgetError,
+    _pole_constant,
     abel_limit_check,
     direct_zeta_partial,
     eta_partial,
     identity_check_expansion,
-    phi_at_one,
     phi_coefficients,
     phi_series,
     phi_taylor_coeff,
@@ -29,6 +31,8 @@ from zetaeven.series_verifier import (
 from zetaeven.zeta_recurrence import zeta_even_decimal
 
 F = Fraction
+# pi to 60 decimals, kept apart from numeric_core.compute_pi
+PI_60 = Decimal("3.141592653589793238462643383279502884197169399375105820974945")
 
 
 def abs_error(evaluation, exact):
@@ -84,7 +88,7 @@ class TestPhiSeries:
         for u in (F(3, 2), F(2), F(3)):
             for m in range(0, 21):
                 evaluation = phi_series(m, u, 40)
-                exact = phi_taylor_coeff(m, u, m)
+                exact = phi_taylor_coeff(m, u)
                 assert abs_error(evaluation, exact) <= evaluation.error_bound.value
 
     def test_negative_index_approaches_zeta_two(self):
@@ -137,10 +141,7 @@ class TestPhiTaylor:
     def test_at_one_equals_euler_polynomial_values(self):
         for m in range(0, 13):
             expected = euler_polynomial_eval(euler_polynomial(m), F(1))
-            assert phi_taylor_coeff(m, F(1), m) == expected
-
-    def test_order_must_cover_m(self):
-        assert phi_taylor_coeff(3, F(2), 10) == phi_taylor_coeff(3, F(2))
+            assert phi_taylor_coeff(m, F(1)) == expected
 
     def test_rejects_negative_m_and_u_below_one(self):
         with pytest.raises(ValueError):
@@ -177,7 +178,7 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
     # a fresh interpreter, pointed at the same package these tests import;
     # -S keeps site hooks from preloading any of these and masking an import
     src = Path(zetaeven.__file__).resolve().parents[1]
-    absent = ("zetaeven.powerseries", "dataclasses", "inspect", "csv")
+    absent = ("zetaeven.powerseries", "dataclasses", "inspect", "csv", "typing")
     code = f"import sys, zetaeven.cli; print([m for m in {absent!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -190,18 +191,9 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
 
 
 class TestPhiAtOne:
-    def test_matches_polynomial_evaluation(self):
-        for m in range(0, 21):
-            evaluation = phi_at_one(m)
-            assert evaluation.value == euler_polynomial_eval(
-                euler_polynomial(m), F(1)
-            )
-            assert evaluation.error_bound.value == 0
-
     def test_known_values(self):
-        assert phi_at_one(0).value == 1
-        assert phi_at_one(2).value == 0
-        assert phi_at_one(3).value == F(-1, 4)
+        # 2e^t/(e^t + 1) = 1 + tanh(t/2): odd values do not vanish
+        assert phi_coefficients(1, 3) == [1, F(1, 2), 0, F(-1, 4)]
 
 
 class TestEtaPartial:
@@ -311,6 +303,15 @@ class TestExpansionIdentity:
         second = identity_check_expansion(2, F(2), 10, 25)
         assert first.to_line() == second.to_line()
 
+    @pytest.mark.parametrize("exponent, J_max", [(40, 46), (60, 66), (60, 68), (60, 70)])
+    def test_far_from_one_passes_with_proven_constant(self, exponent, J_max):
+        # the pole constant tops 8 at u = 10^exponent (8.08 at 10^40,
+        # M = 92), so an envelope with the constant 8 failed these true
+        # identities
+        report = identity_check_expansion(1, 10**exponent, J_max, 300)
+        assert report.passed
+        assert report.tolerance.value < 2 * abs(report.residual.value)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             identity_check_expansion(0, F(3, 2), 10, 30)
@@ -320,6 +321,38 @@ class TestExpansionIdentity:
             identity_check_expansion(3, F(3, 2), 2, 30)
         with pytest.raises(ValueError):
             identity_check_expansion(1, F(3, 2), 10, 9)
+
+
+def pole_constant(u, m):
+    """_pole_constant at u, from b = ln(u)/pi rounded up and down."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b = (Decimal(u.numerator).ln() - Decimal(u.denominator).ln()) / PI_60
+        slop = Decimal("1e-50")
+        return _pole_constant(b * (1 + slop), (1 + slop) / b, PI_60 * (1 + slop), m)
+
+
+class TestPoleConstant:
+    def test_bounds_every_later_coefficient(self):
+        # |phi_M| R_0^(M+1)/M! for M >= M0, from the exact coefficients,
+        # never exceeds the constant proven at M0
+        for u, m_max in ((F(3, 2), 60), (F(2), 60), (F(10**40), 100), (F(10**60), 140)):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                ln_u = Decimal(u.numerator).ln() - Decimal(u.denominator).ln()
+                r0 = (ln_u * ln_u + PI_60 * PI_60).sqrt()
+                sizes = [
+                    abs(Decimal(p.numerator) / Decimal(p.denominator))
+                    * r0 ** (m + 1) / factorial(m)
+                    for m, p in enumerate(phi_coefficients(u, m_max))
+                ]
+            for m0 in range(2, m_max + 1):
+                assert max(sizes[m0:]) <= pole_constant(u, m0), (u, m0)
+
+    def test_cli_cases_keep_the_constant_eight(self):
+        # the bound falls with M, so M = 2 covers every truncation
+        for _, u in EXPANSION_CASES:
+            assert pole_constant(u, 2) <= 8
 
 
 class TestReports:

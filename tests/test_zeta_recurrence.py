@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 import zetaeven.zeta_recurrence as zr
-from zetaeven.cli import _EXPANSION_CASES
 from zetaeven.euler_bernoulli import BernoulliTable, zeta_even_via_euler
 from zetaeven.numeric_core import compute_pi
 from zetaeven.reports import VerificationReport
-from zetaeven.series_verifier import identity_check_expansion
+from zetaeven.series_verifier import EXPANSION_CASES, identity_check_expansion
 from zetaeven.zeta_recurrence import (
     ZetaEvenTable,
     recurrence_cross_check,
@@ -127,7 +126,7 @@ class TestDecimal:
         assert first == again
 
     def test_expansion_suite_computes_pi_once(self, pi_precisions):
-        for k, u in _EXPANSION_CASES:
+        for k, u in EXPANSION_CASES:
             identity_check_expansion(k, u, 4, 20)
         # one working precision, digits + 15, shared by the three cases
         assert pi_precisions == [35]

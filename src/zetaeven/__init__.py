@@ -4,76 +4,22 @@ The recurrence route (zeta_even_ratio) and the Bernoulli-number route
 (zeta_even_via_euler) are computed independently and must agree exactly;
 series_verifier checks the analytic identities behind the recurrence
 numerically with explicit error bounds.
+
+The package exports exactly what its runtime modules declare in their
+``__all__``; ``powerseries`` (a test oracle) and ``cli`` stay out.
 """
 
-from .euler_bernoulli import (
-    BernoulliTable,
-    EulerPolynomial,
-    bernoulli,
-    euler_polynomial,
-    euler_polynomial_eval,
-    zeta_even_via_euler,
-)
-from .numeric_core import (
-    HighPrecisionReal,
-    PiAgreementError,
-    binomial,
-    compute_pi,
-    positional_str,
-    round_significant,
-)
-from .reports import VerificationReport
-from .series_verifier import (
-    SUITES,
-    PhiEvaluation,
-    SeriesBudgetError,
-    abel_limit_check,
-    direct_zeta_partial,
-    eta_partial,
-    identity_check_expansion,
-    phi_coefficients,
-    phi_series,
-    phi_taylor_coeff,
-    run_suite,
-)
-from .zeta_recurrence import (
-    ZetaEvenTable,
-    recurrence_cross_check,
-    zeta_even_decimal,
-    zeta_even_ratio,
-    zeta_even_table,
-)
+from . import euler_bernoulli, numeric_core, reports, series_verifier, zeta_recurrence
+from .euler_bernoulli import *  # noqa: F403
+from .numeric_core import *  # noqa: F403
+from .reports import *  # noqa: F403
+from .series_verifier import *  # noqa: F403
+from .zeta_recurrence import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliTable",
-    "EulerPolynomial",
-    "HighPrecisionReal",
-    "PhiEvaluation",
-    "PiAgreementError",
-    "SUITES",
-    "SeriesBudgetError",
-    "VerificationReport",
-    "ZetaEvenTable",
-    "abel_limit_check",
-    "bernoulli",
-    "binomial",
-    "compute_pi",
-    "direct_zeta_partial",
-    "eta_partial",
-    "euler_polynomial",
-    "euler_polynomial_eval",
-    "identity_check_expansion",
-    "phi_coefficients",
-    "phi_series",
-    "phi_taylor_coeff",
-    "positional_str",
-    "recurrence_cross_check",
-    "round_significant",
-    "run_suite",
-    "zeta_even_decimal",
-    "zeta_even_ratio",
-    "zeta_even_table",
-    "zeta_even_via_euler",
+    name
+    for module in (euler_bernoulli, numeric_core, reports, series_verifier, zeta_recurrence)
+    for name in module.__all__
 ]

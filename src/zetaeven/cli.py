@@ -33,7 +33,6 @@ identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from decimal import Decimal, InvalidOperation
@@ -78,6 +77,8 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
             out.write(line + "\n")
         return
     if fmt == "json-lines":
+        import json  # deferred: only json output pays for this import
+
         for rec in records:
             ordered = {key: rec[key] for key in FIELD_ORDER if key in rec}
             out.write(json.dumps(ordered) + "\n")
@@ -394,6 +395,9 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact values print at any size: lift the int <-> str digit limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:

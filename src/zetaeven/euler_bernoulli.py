@@ -23,7 +23,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .numeric_core import FrozenRecord, binomial
+from .numeric_core import FrozenRecord
 
 __all__ = [
     "BernoulliTable",
@@ -123,8 +123,7 @@ class EulerPolynomial(FrozenRecord):
     def __init__(self, degree: int, coefficients: tuple[Fraction, ...]):
         if len(coefficients) != degree + 1:
             raise ValueError("coefficient count must be degree + 1")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coefficients", coefficients)
+        super().__init__(degree, coefficients)
 
     def __hash__(self):
         return hash(self._values())
@@ -142,10 +141,10 @@ def euler_polynomial(m: int) -> EulerPolynomial:
         with _euler_lock:
             while len(_euler_at_zero) <= m:
                 n = len(_euler_at_zero)
-                acc = sum(binomial(n, j) * e for j, e in enumerate(_euler_at_zero))
+                acc = sum(math.comb(n, j) * e for j, e in enumerate(_euler_at_zero))
                 _euler_at_zero.append(-acc / 2)
     return EulerPolynomial(
-        m, tuple(binomial(m, i) * _euler_at_zero[m - i] for i in range(m + 1))
+        m, tuple(math.comb(m, i) * _euler_at_zero[m - i] for i in range(m + 1))
     )
 
 

@@ -12,18 +12,17 @@ must agree before a value is released, so no precomputed constant enters
 the trust base.
 
 ``FrozenRecord`` is the base of the package's immutable value records
-(Euler polynomials, phi evaluations, verification reports).
+(high-precision reals, Euler polynomials, phi evaluations, verification
+reports).
 """
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 
 __all__ = [
     "HighPrecisionReal",
     "PiAgreementError",
-    "binomial",
     "compute_pi",
     "round_significant",
     "positional_str",
@@ -32,19 +31,6 @@ __all__ = [
 
 class PiAgreementError(ArithmeticError):
     """Two independent pi formulae disagreed at the requested precision."""
-
-
-def binomial(n: int, j: int) -> int:
-    """Exact C(n, j) for 0 <= j <= n.
-
-    Unlike math.comb, out-of-range j is an error rather than 0: callers
-    here always mean a genuine coefficient.
-    """
-    if n < 0 or j < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    if j > n:
-        raise ValueError(f"binomial requires j <= n, got j={j} > n={n}")
-    return math.comb(n, j)
 
 
 def round_significant(value: Decimal, digits: int) -> Decimal:
@@ -62,7 +48,43 @@ def positional_str(value: Decimal) -> str:
     return format(value, "f")
 
 
-class HighPrecisionReal:
+class FrozenRecord:
+    """Immutable record whose fields are the subclass's ``__slots__``.
+
+    ``FrozenRecord.__init__(self, *values)`` sets the slots in order; a
+    subclass checks its arguments first, then calls it. Instances
+    compare field-wise (only with instances of the same class), print as
+    ``Name(field=value, ...)`` and refuse assignment. They are
+    unhashable unless the subclass defines ``__hash__``. This gives what
+    a frozen dataclass gives, without importing ``dataclasses`` (and with
+    it ``inspect`` and ``ast``) into every process that runs the CLI.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"{type(self).__name__} is immutable ({name})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class HighPrecisionReal(FrozenRecord):
     """A decimal value carrying the significant digits it is guaranteed to.
 
     Arithmetic and comparisons between two instances happen at the minimum
@@ -81,11 +103,7 @@ class HighPrecisionReal:
             raise ValueError("precision_digits must be >= 10")
         if not isinstance(value, Decimal):
             raise TypeError("value must be a Decimal")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "precision_digits", precision_digits)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"HighPrecisionReal is immutable ({name})")
+        super().__init__(value, precision_digits)
 
     @classmethod
     def from_int(cls, value: int, precision_digits: int = 50) -> "HighPrecisionReal":
@@ -109,12 +127,6 @@ class HighPrecisionReal:
             else:
                 out = self.value * other.value
         return HighPrecisionReal(out, prec)
-
-    def __neg__(self):
-        return HighPrecisionReal(-self.value, self.precision_digits)
-
-    def __abs__(self):
-        return HighPrecisionReal(abs(self.value), self.precision_digits)
 
     def __add__(self, other):
         return self._binary(other, "add")
@@ -150,41 +162,8 @@ class HighPrecisionReal:
     def __gt__(self, other):
         return self._cmp(other) > 0
 
-    __hash__ = None
-
     def __repr__(self):
         return f"HighPrecisionReal({str(self.rounded())!r}, digits={self.precision_digits})"
-
-
-class FrozenRecord:
-    """Immutable record whose fields are the subclass's ``__slots__``.
-
-    A subclass sets its fields with ``object.__setattr__`` in ``__init__``.
-    Instances compare field-wise (only with instances of the same class),
-    print as ``Name(field=value, ...)`` and refuse assignment. They are
-    unhashable unless the subclass defines ``__hash__``. This gives what
-    a frozen dataclass gives, without importing ``dataclasses`` (and with
-    it ``inspect`` and ``ast``) into every process that runs the CLI.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"{type(self).__name__} is immutable ({name})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 def _arctan_inverse_fixed(m: int, scale: int) -> int:

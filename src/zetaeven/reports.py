@@ -20,7 +20,6 @@ they can be logged, diffed, and re-read without loss.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
@@ -70,12 +69,7 @@ class VerificationReport(FrozenRecord):
         residual: HighPrecisionReal,
         tolerance: HighPrecisionReal,
     ):
-        object.__setattr__(self, "identity_name", identity_name)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "tolerance", tolerance)
+        super().__init__(identity_name, parameters, lhs, rhs, residual, tolerance)
         self.__post_init__()
 
     def __post_init__(self):
@@ -94,6 +88,8 @@ class VerificationReport(FrozenRecord):
 
     def to_line(self) -> str:
         """One-line JSON form, stable key order, lossless for residuals."""
+        import json  # deferred: only JSON callers pay for this import
+
         record = {
             "identity": self.identity_name,
             "parameters": self.parameters,
@@ -109,6 +105,8 @@ class VerificationReport(FrozenRecord):
 
     @classmethod
     def from_line(cls, line: str) -> "VerificationReport":
+        import json
+
         record = json.loads(line)
         report = cls(
             identity_name=record["identity"],

@@ -71,11 +71,7 @@ class PhiEvaluation(FrozenRecord):
             raise ValueError("terms_used must be positive")
         if error_bound.value < 0:
             raise ValueError("error_bound must be nonnegative")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "terms_used", terms_used)
-        object.__setattr__(self, "error_bound", error_bound)
+        super().__init__(m, u, value, terms_used, error_bound)
 
 
 # Work budget of one series evaluation, in terms. The verify suites and
@@ -295,13 +291,26 @@ def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, int, HighPre
     )
 
 
+def _check_reciprocal_budget(k: int, u: Fraction, scale: int) -> None:
+    """SeriesBudgetError if f_k(u) at ``scale`` could need too many terms.
+
+    The scaled power scale * u^-n floors to 0, and with it every later
+    term, once n exceeds ln(scale)/ln(u); that count, plus 2 for the
+    float logarithms, bounds the terms ``_reciprocal_power_sum`` sums.
+    """
+    ln_u = math.log(u.numerator) - math.log(u.denominator)
+    _check_budget(f"f_{k}({u}) needs up to", int(math.log(scale) / ln_u) + 2)
+
+
 def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int]:
     """Fixed-point f_k(u) = sum_{n>=1} u^(-n)/n^(2k), in ulps of 1/scale.
 
     Floor divisions only lose mass: at most u/(u-1)+1 ulps per retained
     term, plus a sub-ulp-per-term geometric tail once terms hit zero.
     Callers receive a lower bound and budget the dust themselves.
+    Raises SeriesBudgetError, before summing, past the work budget.
     """
+    _check_reciprocal_budget(k, u, scale)
     p, q = u.numerator, u.denominator
     e = 2 * k
     total = 0
@@ -356,8 +365,10 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must decrease strictly")
 
-    target = Decimal(zeta_even_decimal(k, precision + 5))
     scale = 10 ** (precision + 10)
+    # the smallest delta costs the most terms: refuse it before any sum
+    _check_reciprocal_budget(k, 1 + deltas[-1], scale)
+    target = Decimal(zeta_even_decimal(k, precision + 5))
     residuals: list[Decimal] = []
     term_counts: list[int] = []
     value = Decimal(0)
@@ -395,7 +406,7 @@ def identity_check_expansion(
     u,
     J_max: int,
     precision: int = 50,
-    tolerance: Decimal | str | Fraction | HighPrecisionReal | None = None,
+    tolerance: Decimal | str | None = None,
 ) -> VerificationReport:
     """Check f_k(u) against its rearrangement into pi-power phi terms.
 
@@ -413,7 +424,8 @@ def identity_check_expansion(
     C proven from the pole expansion of phi (``_pole_constant``), summed
     geometrically with directed rounding. Passing the check means the
     residual is inside what the truncation provably allows; pass an
-    explicit ``tolerance`` to demand more than the bound can promise.
+    explicit ``tolerance`` (a Decimal or a decimal string) to demand
+    more than the bound can promise.
 
     The first omitted term (exact phi route) is recorded in the report
     parameters so deliberate under-truncation can be judged against it.
@@ -466,14 +478,7 @@ def identity_check_expansion(
     default_tol += rhs_dust + phi_bound
     default_tol += Decimal(lhs_dust_ulps) * Decimal(10) ** (-work) * 10
 
-    if tolerance is None:
-        tol = HighPrecisionReal(default_tol, 15)
-    elif isinstance(tolerance, HighPrecisionReal):
-        tol = tolerance
-    elif isinstance(tolerance, Fraction):
-        tol = HighPrecisionReal(_dec_ceiling(tolerance, 15), 15)
-    else:
-        tol = HighPrecisionReal(Decimal(tolerance), 15)
+    tol = HighPrecisionReal(default_tol if tolerance is None else Decimal(tolerance), 15)
 
     # actual first omitted term, from the exact phi route (2(J+1) >= 2k)
     exact_next = exact_phi[m_next]
@@ -604,7 +609,20 @@ def run_suite(
     and terms the length of the alternating sums behind the phi suite's
     odd-m limits. tolerance overrides the derived tolerances of the
     expansion and phi suites; recurrence and abel keep their own.
+
+    Every knob is checked before any suite runs, whether or not this
+    suite uses it, and a ValueError names the knob that is out of range.
     """
+    for knob, value, low in (
+        ("kmax", kmax, 1),
+        ("digits", digits, 10),
+        ("jmax", jmax, max(k for k, _ in EXPANSION_CASES)),
+        ("terms", terms, 1),
+    ):
+        if value < low:
+            raise ValueError(f"{knob} must be >= {low}")
+    if terms > MAX_SERIES_TERMS:
+        raise ValueError(f"terms must be <= {MAX_SERIES_TERMS}, the series work budget")
     if name == "recurrence":
         return [recurrence_cross_check(kmax)]
     if name == "expansion":

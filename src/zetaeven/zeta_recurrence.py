@@ -123,7 +123,7 @@ class ZetaEvenTable:
 _shared_table = ZetaEvenTable()
 
 
-def zeta_even_ratio(k: int, table: ZetaEvenTable | None = None) -> Fraction:
+def zeta_even_ratio(k: int) -> Fraction:
     """Exact zeta(2k)/pi^(2k) by the recurrence.
 
     >>> zeta_even_ratio(1)
@@ -131,7 +131,7 @@ def zeta_even_ratio(k: int, table: ZetaEvenTable | None = None) -> Fraction:
     >>> zeta_even_ratio(2)
     Fraction(1, 90)
     """
-    return (table or _shared_table).ratio(k)
+    return _shared_table.ratio(k)
 
 
 def zeta_even_table(k_max: int) -> ZetaEvenTable:

@@ -116,6 +116,27 @@ class TestSmallSubcommands:
             "E_3(-3/2) = -13/2\n"
         )
 
+    def test_exact_output_at_any_size(self, capsys):
+        # past the interpreter's default limit of 4300 digits for int <-> str
+        big = "1" + "0" * 5000
+        # E_1(x) = x - 1/2, so E_1(10^-5000) = -(5 * 10^4999 - 1)/10^5000
+        numerator = "-4" + "9" * 4999
+        cases = (
+            (("euler-poly", "--m", "1", "--at", "1/" + big),
+             f"E_1(1/{big}) = {numerator}/{big}",
+             {"kind": "euler_poly", "m": 1, "u": "1/" + big,
+              "numerator": numerator, "denominator": big}),
+            (("phi", "--route", "taylor", "--m", "0", "--u", big),
+             f"phi_0({big}) = 2/{big[:-1]}1",
+             {"kind": "phi", "m": 0, "u": big, "numerator": "2",
+              "denominator": big[:-1] + "1"}),
+        )
+        for argv, line, record in cases:
+            assert run_cli(capsys, *argv) == (0, line + "\n", "")
+            code, out, err = run_cli(capsys, *argv, "--format", "json-lines")
+            assert (code, err) == (0, "")
+            assert json_records(out) == [record]
+
     def test_euler_poly_evaluated(self, capsys):
         code, out, _ = run_cli(
             capsys, "euler-poly", "--m", "3", "--at", "1", "--format", "json-lines"
@@ -305,6 +326,31 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, "verify", "--suite", "phi", "--terms", terms)
             assert code == 2 and out == ""
             assert "argument --terms:" in err and len(err.splitlines()) == 1
+
+    def test_every_knob_checked_before_any_suite(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a suite ran before its knobs were checked")
+
+        for name in ("recurrence_cross_check", "identity_check_expansion",
+                     "abel_limit_check", "_phi_suite"):
+            monkeypatch.setattr(series_verifier, name, refuse)
+        cases = (
+            (("--kmax", "300", "--digits", "5"), "error: digits must be >= 10\n"),
+            (("--suite", "recurrence", "--digits", "9"), "error: digits must be >= 10\n"),
+            (("--suite", "expansion", "--jmax", "0"), "error: jmax must be >= 3\n"),
+            (("--suite", "abel", "--kmax", "0"), "error: kmax must be >= 1\n"),
+        )
+        for flags, message in cases:
+            assert run_cli(capsys, "verify", *flags) == (2, "", message), flags
+
+    def test_abel_past_the_budget_exits_two_before_any_sum(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("f_k was summed before the budget check")
+
+        monkeypatch.setattr(series_verifier, "_reciprocal_power_sum", refuse)
+        code, out, err = run_cli(capsys, "verify", "--suite", "abel", "--digits", "5000")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "over the budget" in err
 
     def test_negative_finite_tolerance_fails_every_overridden_check(self, capsys):
         argv = ("verify", "--suite", "expansion", "--jmax", "6", "--digits", "15")

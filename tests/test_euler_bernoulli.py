@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +13,6 @@ from zetaeven.euler_bernoulli import (
     euler_polynomial_eval,
     zeta_even_via_euler,
 )
-from zetaeven.numeric_core import binomial
 from zetaeven.powerseries import exp_series, scaled_exp_series, series_div
 
 F = Fraction
@@ -127,7 +126,7 @@ class TestEulerPolynomials:
             coeffs = [F(0)] * m + [F(1)]
             for j, prev in enumerate(polys):
                 for i, c in enumerate(prev):
-                    coeffs[i] -= F(binomial(m, j), 2) * c
+                    coeffs[i] -= F(comb(m, j), 2) * c
             polys.append(coeffs)
             assert euler_polynomial(m).coefficients == tuple(coeffs)
 
@@ -153,7 +152,7 @@ class TestEulerPolynomials:
             for j, c in enumerate(coeffs):
                 # c * (1-x)^j
                 for i in range(j + 1):
-                    reflected[i] += c * binomial(j, i) * (-1) ** i
+                    reflected[i] += c * comb(j, i) * (-1) ** i
             expected = [(-1) ** m * c for c in coeffs]
             assert reflected == expected
 

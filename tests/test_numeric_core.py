@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from zetaeven.numeric_core import (
     HighPrecisionReal,
-    binomial,
     compute_pi,
     positional_str,
     round_significant,
@@ -14,28 +13,6 @@ from zetaeven.numeric_core import (
 # Reference digits of pi (oracle: widely published value, far more digits
 # than any internal formula shares code with).
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
-
-
-class TestCombinatorics:
-    def test_binomial_values(self):
-        assert binomial(10, 3) == 120
-        assert binomial(7, 0) == 1
-        assert binomial(7, 7) == 1
-
-    def test_binomial_rejects_out_of_range(self):
-        # deliberate: out-of-range j means a caller bug, not a zero
-        with pytest.raises(ValueError):
-            binomial(3, 4)
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -1)
-
-    @given(st.integers(0, 60), st.integers(0, 60))
-    def test_binomial_symmetry(self, n, j):
-        if j > n:
-            return
-        assert binomial(n, j) == binomial(n, n - j)
 
 
 class TestRounding:
@@ -76,7 +53,6 @@ class TestHighPrecisionReal:
         assert s.rounded() == round_significant(a.value + 2, 12)
         assert (b - b).value == 0
         assert (a * b).precision_digits == 12
-        assert abs(-a).rounded() == a.rounded()
 
     def test_comparisons_round_to_shared_precision(self):
         # differ only beyond 12 significant digits: equal at 12 digits,

@@ -4,12 +4,13 @@ import subprocess
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import factorial
+from math import factorial, log
 from pathlib import Path
 
 import pytest
 
 import zetaeven
+from zetaeven import series_verifier
 from zetaeven.euler_bernoulli import euler_polynomial, euler_polynomial_eval
 from zetaeven.numeric_core import HighPrecisionReal
 from zetaeven.powerseries import exp_series, series_div
@@ -20,6 +21,7 @@ from zetaeven.series_verifier import (
     PhiEvaluation,
     SeriesBudgetError,
     _pole_constant,
+    _reciprocal_power_sum,
     abel_limit_check,
     direct_zeta_partial,
     eta_partial,
@@ -178,7 +180,7 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
     # a fresh interpreter, pointed at the same package these tests import;
     # -S keeps site hooks from preloading any of these and masking an import
     src = Path(zetaeven.__file__).resolve().parents[1]
-    absent = ("zetaeven.powerseries", "dataclasses", "inspect", "csv", "typing")
+    absent = ("zetaeven.powerseries", "dataclasses", "inspect", "csv", "typing", "json")
     code = f"import sys, zetaeven.cli; print([m for m in {absent!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -188,6 +190,23 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_package_exports_the_runtime_modules_all():
+    from zetaeven import (
+        cli, euler_bernoulli, numeric_core, powerseries, reports, zeta_recurrence,
+    )
+
+    runtime = (euler_bernoulli, numeric_core, reports, series_verifier, zeta_recurrence)
+    declared = [name for module in runtime for name in module.__all__]
+    assert len(set(declared)) == len(declared)
+    assert sorted(zetaeven.__all__) == sorted(declared)
+    for module in runtime:
+        for name in module.__all__:
+            assert getattr(zetaeven, name) is getattr(module, name)
+    # the oracle-only power series and the command line stay out
+    for module in (cli, powerseries):
+        assert not set(module.__all__) & set(zetaeven.__all__)
 
 
 class TestPhiAtOne:
@@ -272,7 +291,27 @@ class TestAbelLimit:
             abel_limit_check(1, self.DELTAS, 9)
 
 
+    def test_past_the_budget_refused_before_any_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("f_k was summed before the budget check")
+
+        # 5000 digits at delta = 1/1000 need about 1.15e7 terms
+        monkeypatch.setattr(series_verifier, "_reciprocal_power_sum", refuse)
+        with pytest.raises(SeriesBudgetError, match="over the budget"):
+            abel_limit_check(1, self.DELTAS, 5000)
+
+    def test_budget_estimate_bounds_the_terms_summed(self):
+        for k, u, digits in ((1, F(1001, 1000), 30), (2, F(11, 10), 60), (3, F(3, 2), 65)):
+            scale = 10**digits
+            _, terms = _reciprocal_power_sum(k, u, scale)
+            assert terms <= log(scale) / log(u) + 2
+
+
 class TestExpansionIdentity:
+    def test_lhs_past_the_budget_refused(self):
+        with pytest.raises(SeriesBudgetError, match="over the budget"):
+            identity_check_expansion(1, 1 + F(1, 10**6), 3, 50)
+
     def test_passes_with_derived_tolerance(self):
         report = identity_check_expansion(1, F(3, 2), 12, 30)
         assert report.passed
@@ -294,7 +333,7 @@ class TestExpansionIdentity:
         assert Decimal("0.1") <= ratio <= Decimal("10")
 
     def test_explicit_rational_tolerance(self):
-        report = identity_check_expansion(1, F(3, 2), 12, 30, tolerance=F(1, 10))
+        report = identity_check_expansion(1, F(3, 2), 12, 30, tolerance="0.1")
         assert report.passed
         assert report.tolerance.value == Decimal("0.1")
 

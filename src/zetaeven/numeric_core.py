@@ -5,7 +5,8 @@ Two value kinds underpin everything else here:
 * exact rationals -- stdlib ``fractions.Fraction``, which keeps every value
   in canonical reduced form (positive denominator, gcd 1, zero as 0/1);
 * ``HighPrecisionReal`` -- a decimal value paired with the number of
-  significant digits it is guaranteed to.
+  significant digits it is guaranteed to; arithmetic and comparisons
+  happen on its ``Decimal`` value, exactly or in an explicit context.
 
 Pi is generated internally from two independent arctangent formulae that
 must agree before a value is released, so no precomputed constant enters
@@ -87,13 +88,12 @@ class FrozenRecord:
 class HighPrecisionReal(FrozenRecord):
     """A decimal value carrying the significant digits it is guaranteed to.
 
-    Arithmetic and comparisons between two instances happen at the minimum
-    of the two precisions: the result of ``a + b`` carries
-    ``min(a.precision_digits, b.precision_digits)`` digits, and ``a <= b``
-    compares both sides rounded (half-even) to that shared precision.
-    The rounding comparison is deliberate: a value printed to d digits is
-    only meaningful to d digits, so interval endpoints must be judged at
-    the same resolution.
+    A tag, not a number type: it defines no arithmetic and no ordering,
+    so ``a + b`` and ``a < b`` raise TypeError, and ``==`` is the exact
+    field-wise equality of ``FrozenRecord`` (same value, same digits).
+    Callers compute on ``.value`` in a context they choose and compare
+    with exact ``Decimal`` operations; rounding both sides first could
+    turn a value just outside a bound into one inside it.
     """
 
     __slots__ = ("value", "precision_digits")
@@ -112,55 +112,6 @@ class HighPrecisionReal(FrozenRecord):
     def rounded(self) -> Decimal:
         """The value rounded to its own guaranteed precision."""
         return round_significant(self.value, self.precision_digits)
-
-    def _binary(self, other: "HighPrecisionReal", op: str) -> "HighPrecisionReal":
-        if not isinstance(other, HighPrecisionReal):
-            return NotImplemented
-        prec = min(self.precision_digits, other.precision_digits)
-        with localcontext() as ctx:
-            ctx.prec = prec
-            ctx.rounding = ROUND_HALF_EVEN
-            if op == "add":
-                out = self.value + other.value
-            elif op == "sub":
-                out = self.value - other.value
-            else:
-                out = self.value * other.value
-        return HighPrecisionReal(out, prec)
-
-    def __add__(self, other):
-        return self._binary(other, "add")
-
-    def __sub__(self, other):
-        return self._binary(other, "sub")
-
-    def __mul__(self, other):
-        return self._binary(other, "mul")
-
-    def _cmp(self, other: "HighPrecisionReal") -> int:
-        if not isinstance(other, HighPrecisionReal):
-            raise TypeError("can only compare HighPrecisionReal with HighPrecisionReal")
-        prec = min(self.precision_digits, other.precision_digits)
-        a = round_significant(self.value, prec)
-        b = round_significant(other.value, prec)
-        return (a > b) - (a < b)
-
-    def __eq__(self, other):
-        if not isinstance(other, HighPrecisionReal):
-            return NotImplemented
-        return self._cmp(other) == 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
 
     def __repr__(self):
         return f"HighPrecisionReal({str(self.rounded())!r}, digits={self.precision_digits})"

@@ -254,39 +254,39 @@ def eta_partial(m: int, N: int) -> tuple[HighPrecisionReal, HighPrecisionReal]:
     )
 
 
-def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, int, HighPrecisionReal]:
-    """Partial sum of zeta(2k) with its integral-test tail bracket.
+def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, HighPrecisionReal]:
+    """Partial sum of zeta(2k) with its integral-test tail bound.
 
-    Returns ``(value, tail_low, tail_high)``. The partial sum never
-    overshoots, so tail_low is 0. value underestimates the true partial
-    sum by floor dust only, and the integral comparison gives a strict
-    tail bound, so
+    Returns ``(value, tail_high)``, and
 
         value < zeta(2k) < value + tail_high
 
-    holds with room to spare: the bound N^(1-2k)/(2k-1) exceeds the true
-    tail by about N^(-2k)/2, which dwarfs the dust at every scale used
-    here.
+    holds exactly. value floors each of the N terms at the working scale
+    and is converted to a Decimal exactly, so it sits below the true
+    partial sum S_N, and so below zeta(2k), by less than N ulps.
+    tail_high is the integral of x^-2k over [N, oo), N^(1-2k)/(2k-1),
+    rounded up. The terms are convex, so n^-2k is at most the integral
+    over [n - 1/2, n + 1/2], the true tail is at most the integral over
+    [N + 1/2, oo), and tail_high exceeds it by more than (N+1)^-2k / 2.
+    The scale exceeds 4N(N+1)^2k, which keeps the floor loss below half
+    of that slack; it is also at least 10^(60 + digits of N), so value
+    carries its 50 digits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if N < 1:
         raise ValueError("N must be >= 1")
-    scale = 10 ** (60 + len(str(N)))
     e = 2 * k
+    scale = 10 ** max(60 + len(str(N)), len(str(4 * N * (N + 1) ** e)))
     total = 0
     for n in range(1, N + 1):
-        npow = n**e
-        if npow > scale:
-            break  # every further term floors to zero
-        total += scale // npow
+        total += scale // n**e
     with localcontext() as ctx:
-        ctx.prec = 70
+        ctx.prec = len(str(total)) + 2
         value = Decimal(total) / scale
     tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
     return (
         HighPrecisionReal(value, 50),
-        0,
         HighPrecisionReal(_dec_ceiling(tail, 50), 50),
     )
 
@@ -700,11 +700,18 @@ def _phi_suite(
             target_bound = Decimal(10) ** (-digits)
         else:
             eta_value, eta_bound = eta_partial(m, eta_terms)
-            target = HighPrecisionReal.from_int(-2) * eta_value
+            with localcontext() as ctx:
+                ctx.prec = eta_value.precision_digits
+                target = HighPrecisionReal(-2 * eta_value.value, ctx.prec)
             target_bound = 2 * eta_bound.value
+        # the residual keeps only the digits both of its sides carry
+        residual_digits = min(digits, target.precision_digits)
         for delta in ABEL_DELTAS:
             evaluation = phi_series(-m, 1 + delta, digits)
-            residual = evaluation.value - target
+            with localcontext() as ctx:
+                ctx.prec = residual_digits
+                residual_dec = evaluation.value.value - target.value
+            residual = HighPrecisionReal(residual_dec, residual_digits)
             tol_dec = (
                 tolerance
                 if tolerance is not None

@@ -1,19 +1,21 @@
 """Acceptance gate: every release-level claim, one verdict line each.
 
 Each test prints a single [PASS]/[FAIL] line (written to the real
-stdout so it shows up in plain pytest runs) and then asserts. Three
+stdout so it shows up in plain pytest runs) and then asserts. Four
 clauses of the original claim sheet named numbers the mathematics rules
 out: E_m(1) = 0 at odd m, a 1e-30 rearrangement residual at J_max = 25,
-and a final Abel residual below 1e-3 at k = 1, delta = 1e-4. Their tests
-(the "as promised" ones) assert the true, sharp form of each claim
-instead, derived without the code under test: the power-series
+a final Abel residual below 1e-3 at k = 1, delta = 1e-4, and a 1e-6-wide
+bracket of zeta(2) that pins its 12-digit rendering. Their tests (the
+"as promised" ones and criterion 7) assert the true, sharp form of each
+claim instead, derived without the code under test: the power-series
 generating function for E_m(1), the pole expansion of the omitted
-rearrangement tail, and a two-sided integral bracket for the Abel gap.
-The README's "Tests" section carries the analysis.
+rearrangement tail, a two-sided integral bracket for the Abel gap, and
+the asymptotic tail 1/N - 1/(2N^2) of zeta(2). The README's "Tests"
+section carries the analysis.
 """
 
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial
 
@@ -25,7 +27,6 @@ from zetaeven.euler_bernoulli import (
     euler_polynomial_eval,
     zeta_even_via_euler,
 )
-from zetaeven.numeric_core import HighPrecisionReal
 from zetaeven.powerseries import exp_series, series_div
 from zetaeven.series_verifier import (
     EXPANSION_CASES,
@@ -270,21 +271,46 @@ def test_criterion_6_abel_k2():
     )
 
 
+def _exact_sum(a, b):
+    """a + b as a Decimal, refusing to round."""
+    with localcontext() as ctx:
+        ctx.prec = 300
+        ctx.traps[Inexact] = True
+        return a + b
+
+
 def test_criterion_7_bracketing():
-    ok = True
+    # zeta(2k) to 120 digits is within 1e-119 of the true value, far
+    # inside the narrowest margin of the grid (about 4.5e-81 at k = 10,
+    # N = 10^4), so exact comparison against it decides each bracket
+    outside = []
     for k in range(1, 11):
-        target = HighPrecisionReal(Decimal(zeta_even_decimal(k, 50)), 50)
+        target = Decimal(zeta_even_decimal(k, 120))
         for n in (100, 1000, 10000):
-            value, _, tail_high = direct_zeta_partial(k, n)
-            if not (value <= target <= value + tail_high):
-                ok = False
-    # the advertised showcase: a 1e-6-wide bracket at N = 10^6 pins the
-    # 12-digit rendering of zeta(2)
-    value, _, tail_high = direct_zeta_partial(1, 10**6)
-    twelve = HighPrecisionReal(Decimal(zeta_even_decimal(1, 12)), 12)
-    ok = ok and tail_high.value == Decimal("0.000001")
-    ok = ok and value <= twelve <= value + tail_high
-    assert verdict("criterion 7 (integral-test brackets contain decimals)", ok)
+            value, tail_high = direct_zeta_partial(k, n)
+            if not value.value < target < _exact_sum(value.value, tail_high.value):
+                outside.append((k, n))
+    # the showcase: the N = 10^6 bracket is exactly 1e-6 wide. The tail
+    # of zeta(2) past N is 1/N - 1/(2N^2) + O(N^-3), so the bracket is
+    # [zeta(2) - 1e-6, zeta(2)] + 5e-13 = [1.64493306685, 1.64493406685]
+    # to 12 digits: both ends round to 1.64493 at 6 digits, but to
+    # 1.644933 and 1.644934 at 7. It pins 6 digits of zeta(2), not 12.
+    value, tail_high = direct_zeta_partial(1, 10**6)
+    low, high = value.value, _exact_sum(value.value, tail_high.value)
+    zeta2 = Decimal(zeta_even_decimal(1, 120))
+    six, seven = Decimal("1e-5"), Decimal("1e-6")
+    showcase = (
+        tail_high.value == Decimal("0.000001")
+        and low < zeta2 < high
+        and low.quantize(six) == high.quantize(six) == Decimal("1.64493")
+        and low.quantize(seven) != high.quantize(seven)
+    )
+    assert verdict(
+        "criterion 7 (integral-test brackets contain zeta(2k) exactly; "
+        "the N = 10^6 bracket pins 6 digits of zeta(2))",
+        not outside and showcase,
+        f"outside: {outside}" if outside else "",
+    )
 
 
 def test_criterion_8_phi_machinery():

@@ -309,6 +309,7 @@ class TestExitCodes:
             ("phi", "--m", "-2", "--u", "1.000000001", "--digits", "50"),
             ("verify", "--suite", "phi", "--digits", "12", "--terms", str(MAX_SERIES_TERMS + 1)),
             ("verify", "--suite", "phi", "--terms", "0"),
+            ("phi", "--route", "taylor", "--m", "-1", "--u", "2"),
         )
         for case in cases:
             code, out, err = run_cli(capsys, *case)
@@ -322,10 +323,12 @@ class TestExitCodes:
 
         monkeypatch.setattr(series_verifier, "phi_series", refuse)
         monkeypatch.setattr(series_verifier, "eta_partial", refuse)
-        for terms in ("0", str(MAX_SERIES_TERMS + 1)):
-            code, out, err = run_cli(capsys, "verify", "--suite", "phi", "--terms", terms)
-            assert code == 2 and out == ""
-            assert "argument --terms:" in err and len(err.splitlines()) == 1
+        for terms, message in (
+            ("0", "error: terms must be >= 1\n"),
+            (str(MAX_SERIES_TERMS + 1),
+             f"error: terms must be <= {MAX_SERIES_TERMS}, the series work budget\n"),
+        ):
+            assert run_cli(capsys, "verify", "--suite", "phi", "--terms", terms) == (2, "", message)
 
     def test_every_knob_checked_before_any_suite(self, capsys, monkeypatch):
         def refuse(*args):

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial, log
 from pathlib import Path
@@ -20,6 +20,8 @@ from zetaeven.series_verifier import (
     MAX_SERIES_TERMS,
     PhiEvaluation,
     SeriesBudgetError,
+    _abel_tolerance,
+    _phi_limit_tolerance,
     _pole_constant,
     _reciprocal_power_sum,
     abel_limit_check,
@@ -240,22 +242,33 @@ class TestEtaPartial:
             eta_partial(3, MAX_SERIES_TERMS + 1)
 
 
+def exact_sum(a, b):
+    """a + b as a Decimal, refusing to round."""
+    with localcontext() as ctx:
+        ctx.prec = 300
+        ctx.traps[Inexact] = True
+        return a + b
+
+
 class TestDirectZetaPartial:
     def test_single_term(self):
-        value, tail_low, tail_high = direct_zeta_partial(1, 1)
+        value, tail_high = direct_zeta_partial(1, 1)
         assert value == HighPrecisionReal.from_int(1)
-        assert tail_low == 0
         assert tail_high.value == 1
 
     def test_brackets_contain_decimal_values(self):
+        # zeta(2k) to 120 digits is within 1e-119 of the true value, far
+        # inside the narrowest margin of the grid (about 4.5e-81 at k = 10,
+        # N = 10^4), so exact comparison against it decides each bracket
         for k in range(1, 11):
-            target = HighPrecisionReal(Decimal(zeta_even_decimal(k, 50)), 50)
+            target = Decimal(zeta_even_decimal(k, 120))
             for n in (100, 1000, 10000):
-                value, _, tail_high = direct_zeta_partial(k, n)
-                assert value <= target <= value + tail_high
+                value, tail_high = direct_zeta_partial(k, n)
+                high = exact_sum(value.value, tail_high.value)
+                assert value.value < target < high, (k, n)
 
     def test_tail_formula(self):
-        _, _, tail_high = direct_zeta_partial(2, 100)
+        _, tail_high = direct_zeta_partial(2, 100)
         # 100^(1-4)/(4-1) = 1/3e6
         assert tail_high.value == Decimal(
             "3.3333333333333333333333333333333333333333333333334E-7"
@@ -392,6 +405,38 @@ class TestPoleConstant:
         # the bound falls with M, so M = 2 covers every truncation
         for _, u in EXPANSION_CASES:
             assert pole_constant(u, 2) <= 8
+
+
+
+class TestAbelTypeTolerances:
+    """The Abel-type bounds against mpmath's zeta and polylog at 40 digits.
+
+    The k = 1 bound is the tightest: its excess over the gap is about
+    delta/2 of the bound (5e-13 at delta = 1e-12), so halving either
+    bound fails here.
+    """
+
+    DELTAS = [F(1, 10**e) for e in range(1, 13)]
+
+    def test_abel_tolerance_bounds_zeta_minus_polylog(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k in (1, 2, 3, 5):
+                for delta in self.DELTAS:
+                    x = mpmath.mpf(delta.denominator) / (delta.numerator + delta.denominator)
+                    gap = mpmath.zeta(2 * k) - mpmath.polylog(2 * k, x)
+                    assert gap <= mpmath.mpf(str(_abel_tolerance(k, delta))), (k, delta)
+
+    def test_phi_limit_tolerance_bounds_eta_plus_polylog(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for m in (2, 3, 4, 6, 10):
+                eta2 = 2 * (1 - mpmath.mpf(2) ** (1 - m)) * mpmath.zeta(m)
+                for delta in self.DELTAS:
+                    x = mpmath.mpf(delta.denominator) / (delta.numerator + delta.denominator)
+                    gap = abs(eta2 + 2 * mpmath.polylog(m, -x))
+                    bound = mpmath.mpf(str(_phi_limit_tolerance(m, delta)))
+                    assert gap <= bound, (m, delta)
 
 
 class TestReports:

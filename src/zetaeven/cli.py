@@ -367,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser("bench", parents=[shared], help="time the recurrence table")
-    p_bench.add_argument("--kmax", type=int, default=100)
+    p_bench.add_argument("--kmax", type=_positive_int, default=100)
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

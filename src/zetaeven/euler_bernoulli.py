@@ -5,11 +5,13 @@ z/(e^z - 1), so B_1 = -1/2. The even-index values are built from integer
 tangent numbers (see ``BernoulliTable``) and validated independently by
 a truncated series-division oracle in the test suite. Euler polynomials
 come from 2 e^(x t)/(e^t + 1) = sum E_m(x) t^m/m!. Setting x = 0 and
-matching coefficients of (e^t + 1) * (that series) = 2 gives
+writing 2/(e^t + 1) = 2/(e^t - 1) - 4/(e^(2t) - 1) reads the values at
+zero off the same Bernoulli table (DLMF 24.4),
 
-    E_n(0) = -(1/2) * sum_{j=0}^{n-1} C(n, j) * E_j(0),    E_0(0) = 1,
+    E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n+1),    n >= 0,
 
-and the factor e^(x t) makes the family an Appell sequence,
+where n = 0 gives E_0(0) = 1 through B_1 = -1/2; the factor e^(x t)
+makes the family an Appell sequence,
 
     E_m(x) = sum_{i=0}^{m} C(m, i) * E_{m-i}(0) * x^i,
 
@@ -129,23 +131,17 @@ class EulerPolynomial(FrozenRecord):
         return hash(self._values())
 
 
-_euler_lock = threading.Lock()
-_euler_at_zero: list[Fraction] = [Fraction(1)]  # position n holds E_n(0)
-
-
 def euler_polynomial(m: int) -> EulerPolynomial:
     """Exact E_m(x); E_0 = 1, E_1 = x - 1/2, E_2 = x^2 - x, ..."""
     if m < 0:
         raise ValueError("degree must be >= 0")
-    if m >= len(_euler_at_zero):
-        with _euler_lock:
-            while len(_euler_at_zero) <= m:
-                n = len(_euler_at_zero)
-                acc = sum(math.comb(n, j) * e for j, e in enumerate(_euler_at_zero))
-                _euler_at_zero.append(-acc / 2)
-    return EulerPolynomial(
-        m, tuple(math.comb(m, i) * _euler_at_zero[m - i] for i in range(m + 1))
-    )
+    coefficients = []
+    for n in range(m, -1, -1):  # E_n(0) x^(m-n), largest n first: the table grows once
+        b = bernoulli(n + 1)
+        coefficients.append(Fraction(
+            -2 * math.comb(m, n) * (2 ** (n + 1) - 1) * b.numerator, (n + 1) * b.denominator
+        ))
+    return EulerPolynomial(m, tuple(coefficients))
 
 
 def euler_polynomial_eval(p: EulerPolynomial, x: Fraction) -> Fraction:

@@ -19,6 +19,10 @@ bounds, and reports the residual against a tolerance that the bounds
 justify. Internals use fixed-point integer arithmetic (floor divisions
 whose loss is tracked in ulps) so every bound is a statement about
 integers, not about rounded floats.
+
+Every verify suite is built here (``run_suite``), the recurrence suite
+included: the one place in the library that compares the recurrence
+route with the classical Bernoulli formula.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from collections.abc import Sequence
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
 
+from .euler_bernoulli import zeta_even_via_euler
 from .numeric_core import FrozenRecord, HighPrecisionReal, round_significant
 from .reports import VerificationReport
-from .zeta_recurrence import _pi, recurrence_cross_check, zeta_even_decimal
+from .zeta_recurrence import _pi, zeta_even_decimal, zeta_even_ratio
 
 __all__ = [
     "MAX_SERIES_TERMS",
@@ -48,6 +53,7 @@ __all__ = [
     "direct_zeta_partial",
     "abel_limit_check",
     "identity_check_expansion",
+    "recurrence_cross_check",
     "run_suite",
 ]
 
@@ -583,6 +589,33 @@ def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, pi_value: Decimal)
             / r_low ** (m_next + 1)
         )
         return envelope / one_minus_q
+
+
+def recurrence_cross_check(k_max: int) -> VerificationReport:
+    """Compare the recurrence against the classical formula for k <= k_max.
+
+    Both routes are exact, so the comparison is exact rational equality;
+    the report's residual is the number of mismatching indices and the
+    tolerance is zero. Expected: zero mismatches for every k.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    mismatches = []
+    for k in range(1, k_max + 1):
+        if zeta_even_ratio(k) != zeta_even_via_euler(k):
+            mismatches.append(k)
+    first_bad = mismatches[0] if mismatches else k_max
+    return VerificationReport(
+        identity_name="zeta_even_recurrence_vs_euler_formula",
+        parameters={
+            "k_max": k_max,
+            "mismatch_indices": ",".join(map(str, mismatches)),
+        },
+        lhs=zeta_even_ratio(first_bad),
+        rhs=zeta_even_via_euler(first_bad),
+        residual=HighPrecisionReal.from_int(len(mismatches)),
+        tolerance=HighPrecisionReal.from_int(0),
+    )
 
 
 # The verify suites, in the order ``verify --suite all`` runs them, and

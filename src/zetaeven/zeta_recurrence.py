@@ -12,8 +12,10 @@ with the empty sum at k = 1 giving r_1 = 1/6 directly. The recurrence
 drops out of rearranging the cosine power series inside the alternating
 double sum sum_n sum_j (-1)^(n+j) (n pi)^(2j) / ((2j)! n^(2k) u^n) and
 letting u -> 1+; the series-identity checks that justify each of those
-steps live in the verifier module, and the classical Bernoulli-based
-formula serves as a fully independent oracle in the test suite.
+steps live in the verifier module. The classical Bernoulli-based formula
+is checked against this route by the verify recurrence suite in
+``series_verifier``; this module imports nothing from the package but
+``numeric_core``, so nothing from the Bernoulli route reaches it.
 
 All table arithmetic is exact (big integers and Fraction; see
 ``ZetaEvenTable`` for the integer form the recurrence runs in); decimals
@@ -29,16 +31,13 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-from .euler_bernoulli import zeta_even_via_euler
 from .numeric_core import HighPrecisionReal, compute_pi, positional_str, round_significant
-from .reports import VerificationReport
 
 __all__ = [
     "ZetaEvenTable",
     "zeta_even_ratio",
     "zeta_even_table",
     "zeta_even_decimal",
-    "recurrence_cross_check",
 ]
 
 
@@ -176,36 +175,3 @@ def zeta_even_decimal(k: int, digits: int) -> str:
         value = Decimal(ratio.numerator) / Decimal(ratio.denominator)
         value *= pi.value ** (2 * k)
     return positional_str(round_significant(value, digits))
-
-
-def recurrence_cross_check(k_max: int) -> VerificationReport:
-    """Compare the recurrence against the classical formula for k <= k_max.
-
-    Both routes are exact, so the comparison is exact rational equality;
-    the report's residual is the number of mismatching indices and the
-    tolerance is zero. Expected: zero mismatches for every k.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    mismatches = []
-    for k in range(1, k_max + 1):
-        if zeta_even_ratio(k) != zeta_even_via_euler(k):
-            mismatches.append(k)
-    first_bad = mismatches[0] if mismatches else k_max
-    return VerificationReport(
-        identity_name="zeta_even_recurrence_vs_euler_formula",
-        parameters={
-            "k_max": k_max,
-            "mismatch_indices": ",".join(map(str, mismatches)),
-        },
-        lhs=zeta_even_ratio(first_bad),
-        rhs=zeta_even_via_euler(first_bad),
-        residual=HighPrecisionReal.from_int(len(mismatches)),
-        tolerance=HighPrecisionReal.from_int(0),
-    )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

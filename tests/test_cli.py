@@ -300,6 +300,8 @@ class TestExitCodes:
             ("zeta", "--kmax", "-3"),
             ("zeta", "--k", "0", "--exact"),
             ("zeta", "--k", "abc", "--exact"),
+            ("bench", "--kmax", "0"),
+            ("bench", "--kmax", "-3"),
             ("verify", "--suite", "phi", "--tolerance", "nan"),
             ("verify", "--suite", "expansion", "--tolerance", "abc"),
             ("verify", "--suite", "expansion", "--tolerance", "inf"),

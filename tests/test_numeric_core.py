@@ -2,8 +2,10 @@ from decimal import Decimal
 
 import pytest
 
+from zetaeven import numeric_core
 from zetaeven.numeric_core import (
     HighPrecisionReal,
+    PiAgreementError,
     compute_pi,
     positional_str,
     round_significant,
@@ -81,3 +83,22 @@ class TestComputePi:
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):
             compute_pi(9)
+
+    @pytest.mark.parametrize(
+        "digits_21, offsets, message",
+        [
+            # pi itself, and a second value 10^6 + 1 ulps away: past the raw bound
+            (314159265358979323846, (0, 10**6 + 1), "disagree"),
+            # one ulp either side of the tie between the 20-digit values
+            # ...384 and ...385: within the raw bound, but rounded apart
+            (314159265358979323845, (-1, 1), "round differently"),
+        ],
+    )
+    def test_formulae_that_disagree_raise(self, monkeypatch, digits_21, offsets, message):
+        scale = 10 ** (20 + numeric_core._PI_GUARD)  # the working scale of compute_pi(20)
+        value = digits_21 * scale // 10**20
+        monkeypatch.setattr(
+            numeric_core, "_pi_fixed", lambda s: tuple(value + d for d in offsets)
+        )
+        with pytest.raises(PiAgreementError, match=message):
+            compute_pi(20)

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -167,8 +168,9 @@ class TestPhiTaylor:
                 assert phi_taylor_coeff(m, u) == value, (u, m)
 
     def test_recurrence_at_one_is_euler_polynomial_values(self):
-        for m, value in enumerate(phi_coefficients(1, 40)):
-            assert value == euler_polynomial_eval(euler_polynomial(m), F(1))
+        # the phi recurrence and the tangent-number route share no code
+        for m, value in enumerate(phi_coefficients(1, 300)):
+            assert value == euler_polynomial_eval(euler_polynomial(m), F(1)), m
 
     def test_coefficient_list_validation(self):
         assert phi_coefficients(F(3), 0) == [F(1, 2)]
@@ -192,6 +194,25 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_exact_routes_import_only_numeric_core_from_the_package():
+    # the recurrence and the Bernoulli route are independent by their
+    # import graphs: each may use numeric_core and no other package module
+    src = Path(zetaeven.__file__).resolve().parent
+    for name in ("zeta_recurrence.py", "euler_bernoulli.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = ("zetaeven" if node.level else "", node.module)
+                imported.update(
+                    ".".join(filter(None, (*base, alias.name))) for alias in node.names
+                )
+        package = [n.split(".")[:2] for n in imported if n.split(".")[0] == "zetaeven"]
+        assert package, name
+        assert all(parts == ["zetaeven", "numeric_core"] for parts in package), (name, imported)
 
 
 def test_package_exports_the_runtime_modules_all():

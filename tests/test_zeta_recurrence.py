@@ -8,10 +8,13 @@ import zetaeven.zeta_recurrence as zr
 from zetaeven.euler_bernoulli import BernoulliTable, zeta_even_via_euler
 from zetaeven.numeric_core import compute_pi
 from zetaeven.reports import VerificationReport
-from zetaeven.series_verifier import EXPANSION_CASES, identity_check_expansion
+from zetaeven.series_verifier import (
+    EXPANSION_CASES,
+    identity_check_expansion,
+    recurrence_cross_check,
+)
 from zetaeven.zeta_recurrence import (
     ZetaEvenTable,
-    recurrence_cross_check,
     zeta_even_decimal,
     zeta_even_ratio,
     zeta_even_table,

@@ -216,6 +216,8 @@ def _cmd_phi(args, parser) -> int:
         records = [{"kind": "phi", "m": args.m, "u": str(u), **_rational_fields(value)}]
         lines = [f"phi_{args.m}({u}) = {value}"]
     else:
+        if args.digits < 10:
+            raise ValueError("digits must be >= 10")
         evaluation = phi_series(args.m, u, args.digits)
         records = [
             {

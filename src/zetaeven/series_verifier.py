@@ -31,6 +31,7 @@ import math
 from collections.abc import Sequence
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
+from itertools import takewhile
 
 from .euler_bernoulli import zeta_even_via_euler
 from .numeric_core import FrozenRecord, HighPrecisionReal, round_significant
@@ -118,9 +119,17 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     Summation stops once the term magnitude 2 n^m/u^n is below
     10^-precision *and* the terms are provably inside their final
     geometric decay (past n = m/ln u, checked exactly via the term
-    ratio). The error bound covers the geometric tail from that point
-    plus every ulp the integer arithmetic could have dropped, so
-    |true - value| <= error_bound unconditionally.
+    ratio). For m = -e < 0 the terms 2 pow // n^e never increase (pow,
+    the floored u^-n, never grows; n^e always does), so the first term
+    below 10^-precision is the last one summed.
+
+    The error bound covers the geometric tail from that point plus every
+    ulp the integer arithmetic could have dropped, so |true - value| <=
+    error_bound unconditionally. Term n drops at most 2 c_u n^m + 1 ulps
+    (m >= 0) or 2 + 2 c_u // n^e (m = -e), where c_u bounds the ulps by
+    which pow misses u^-n. The loop does not add these up: they are
+    summed after it in closed form, 2 c_u sum n^m + n, or 2n plus the
+    floors 2 c_u // i^e up to the first zero (i^e > 2 c_u).
 
     Raises SeriesBudgetError, before summing, when the estimated term
     count exceeds MAX_SERIES_TERMS (u too close to 1 for the precision).
@@ -147,25 +156,36 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
 
     scale = 10 ** (precision + guard)
     threshold = 10**guard  # 10^-precision in ulps
+    # total = term - total: the alternating sum, signed as the last term
     pow_ = scale * q // p
     total = 0
-    err_ulps = 0
     n = 1
-    while True:
-        if m >= 0:
+    if m < 0:
+        e = -m
+        while True:
+            term = 2 * pow_ // n**e
+            total = term - total
+            if term < threshold:
+                break
+            n += 1
+            pow_ = pow_ * q // p
+        term_err = 2 * c_u // n**e + 2
+        err_ulps = 2 * n + sum(takewhile(bool, (2 * c_u // i**e for i in range(1, n + 1))))
+    else:
+        weights = 0
+        while True:
             weight = n**m
+            weights += weight
             term = 2 * weight * pow_
-            term_err = 2 * weight * c_u + 1
-        else:
-            weight = n**-m
-            term = 2 * pow_ // weight
-            term_err = 2 * c_u // weight + 2
-        total += term if n % 2 else -term
-        err_ulps += term_err
-        if n >= n_min and term < threshold and (m < 0 or Fraction(n + 1, n) ** m < u):
-            break
-        n += 1
-        pow_ = pow_ * q // p
+            total = term - total
+            if term < threshold and n >= n_min and Fraction(n + 1, n) ** m < u:
+                break
+            n += 1
+            pow_ = pow_ * q // p
+        term_err = 2 * weight * c_u + 1
+        err_ulps = 2 * c_u * weights + n
+    if n % 2 == 0:
+        total = -total
 
     # Past n the term ratio never exceeds rho < 1, so the dropped tail
     # is below (last true term) * rho/(1 - rho).
@@ -248,8 +268,9 @@ def eta_partial(m: int, N: int) -> tuple[HighPrecisionReal, HighPrecisionReal]:
     scale = 10 ** (60 + len(str(N)))
     total = 0
     for n in range(1, N + 1):
-        term = scale // n**m
-        total += term if n % 2 == 0 else -term
+        total = scale // n**m - total
+    if N % 2:
+        total = -total
     with localcontext() as ctx:
         ctx.prec = 70
         value = Decimal(total) / scale
@@ -435,6 +456,17 @@ def identity_check_expansion(
 
     The first omitted term (exact phi route) is recorded in the report
     parameters so deliberate under-truncation can be judged against it.
+
+    The rhs dust (A + 1) 10^(8-w), w = precision + 15, A = sum_j |term_j|,
+    bounds the Decimal arithmetic at w + 5 digits, where one rounding
+    costs a relative eps = 5 10^-(w+5). pi, rounded to w digits, is off
+    by a relative d < 5 10^-w/pi < 1.6 10^-w, and pi^(2j) by 2j d. Each
+    term adds at most 5 eps: the power (one ulp), the division by
+    2 (2j)!, an exact phi's conversion and the product; a series phi's
+    error is in phi_bound. The J_max + 1 additions and lhs - rhs each
+    round by eps times at most A or |lhs| < 2. In all, the residual
+    loses under A (2 J_max d + (J_max + 8) eps) + 2 eps
+    < (A + 1) 4 J_max 10^-w: inside the dust while J_max < 2.5e7.
     """
     u = Fraction(u)
     if k < 1:
@@ -477,7 +509,7 @@ def identity_check_expansion(
             rhs += term if j % 2 else -term
             abs_acc += abs(term)
         residual = lhs - rhs
-        # machine dust of the Decimal accumulation, generously rounded up
+        # machine dust of the Decimal accumulation (derived in the docstring)
         rhs_dust = (abs_acc + 1) * Decimal(10) ** (8 - work)
 
     default_tol = _expansion_tail_envelope(k, u, J_max, pi.value)

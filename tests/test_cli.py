@@ -312,12 +312,17 @@ class TestExitCodes:
             ("verify", "--suite", "phi", "--digits", "12", "--terms", str(MAX_SERIES_TERMS + 1)),
             ("verify", "--suite", "phi", "--terms", "0"),
             ("phi", "--route", "taylor", "--m", "-1", "--u", "2"),
+            ("phi", "--route", "series", "--m", "1", "--u", "3", "--digits", "9"),
         )
         for case in cases:
             code, out, err = run_cli(capsys, *case)
             assert code == 2, case
             assert out == "", case
             assert len(err.splitlines()) == 1 and "error:" in err, case
+        # phi names the flag, as zeta and verify do
+        for command in (("phi", "--m", "1", "--u", "3"), ("zeta", "--k", "1"), ("verify",)):
+            digits = run_cli(capsys, *command, "--digits", "9")
+            assert digits == (2, "", "error: digits must be >= 10\n"), command
 
     def test_terms_checked_before_any_series(self, capsys, monkeypatch):
         def refuse(*args):

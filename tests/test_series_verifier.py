@@ -341,6 +341,22 @@ class TestAbelLimit:
             assert terms <= log(scale) / log(u) + 2
 
 
+def phi_mpmath(mpmath, M, u):
+    """phi_M(u) from mpmath alone, at its working precision.
+
+    M <= 0: -2 Li_(-M)(-1/u) (DLMF 25.12). M >= 1: the pole expansion
+    -2 M! sum_(n in Z) z_n^-(M+1), z_n = ln u + (2n+1) i pi. Poles n and
+    -1-n are conjugate, and z_n = 2 pi i (n + a) with a = 1/2 - i ln(u)/(2 pi),
+    so the sum is 2 Re((2 pi i)^-(M+1) zeta(M+1, a)), a Hurwitz zeta.
+    """
+    x = mpmath.mpf(u.denominator) / u.numerator
+    if M <= 0:
+        return -2 * mpmath.polylog(-M, -x)
+    a = mpmath.mpf(1) / 2 + 1j * mpmath.log(x) / (2 * mpmath.pi)
+    pairs = (2j * mpmath.pi) ** -(M + 1) * mpmath.zeta(M + 1, a)
+    return -4 * mpmath.factorial(M) * mpmath.re(pairs)
+
+
 class TestExpansionIdentity:
     def test_lhs_past_the_budget_refused(self):
         with pytest.raises(SeriesBudgetError, match="over the budget"):
@@ -384,6 +400,34 @@ class TestExpansionIdentity:
         report = identity_check_expansion(1, 10**exponent, J_max, 300)
         assert report.passed
         assert report.tolerance.value < 2 * abs(report.residual.value)
+
+    @pytest.mark.parametrize("u", (F(3, 2), F(2)), ids=str)
+    def test_dust_bounds_the_arithmetic_at_j_max_200(self, u):
+        # 201 rounded pi powers and products at 80 digits; the actual
+        # Decimal error of the rhs is below 2e-12 of rhs_dust here
+        mpmath = pytest.importorskip("mpmath")
+        k, J_max, precision = 1, 200, 80
+        work = precision + 15
+        report = identity_check_expansion(k, u, J_max, precision)
+        c_u = -(-u.numerator // (u.numerator - u.denominator))
+        with mpmath.workdps(work + 15):
+            lhs = mpmath.polylog(2 * k, mpmath.mpf(u.denominator) / u.numerator)
+            rhs = abs_terms = mpmath.mpf(0)
+            for j in range(J_max + 1):
+                if j < k:
+                    # the check takes phi_(2j-2k) from phi_series, whose
+                    # own bound covers its error: the true sum uses it as is
+                    phi = mpmath.mpf(str(phi_series(2 * j - 2 * k, u, precision + 5).value.value))
+                else:
+                    phi = phi_mpmath(mpmath, 2 * j - 2 * k, u)
+                term = mpmath.pi ** (2 * j) / (2 * mpmath.factorial(2 * j)) * phi
+                rhs += term if j % 2 else -term
+                abs_terms += abs(term)
+            ten = mpmath.mpf(10)
+            lhs_dust = (c_u + 1) * (int(report.parameters["lhs_terms"]) + c_u + 2) * ten ** (1 - work)
+            rhs_dust = (abs_terms + 1) * ten ** (8 - work)
+            error = abs(mpmath.mpf(str(report.residual.value)) - (lhs - rhs))
+            assert error <= lhs_dust + rhs_dust
 
     def test_validation(self):
         with pytest.raises(ValueError):

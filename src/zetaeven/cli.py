@@ -24,8 +24,8 @@ including full JSON report lines, with identity names and parameters,
 for every failed check -- go to stderr.
 
 Exit status: 0 success, 1 if any emitted report failed, 2 usage or
-input error (one line on stderr, no traceback), including a series that
-would need more than MAX_SERIES_TERMS terms.
+input error (one line on stderr, no traceback), including a series over
+the work budget of series_verifier.
 Every subcommand except bench (which prints timings) is deterministic:
 identical invocations produce byte-identical stdout.
 """
@@ -40,13 +40,7 @@ from fractions import Fraction
 
 from .euler_bernoulli import bernoulli, euler_polynomial, euler_polynomial_eval
 from .reports import VerificationReport
-from .series_verifier import (
-    MAX_SERIES_TERMS,
-    SUITES,
-    phi_series,
-    phi_taylor_coeff,
-    run_suite,
-)
+from .series_verifier import SUITES, phi_series, phi_taylor_coeff, run_suite
 from .zeta_recurrence import ZetaEvenTable, zeta_even_decimal, zeta_even_ratio
 
 __all__ = ["main"]
@@ -68,7 +62,7 @@ FIELD_ORDER = (
     "jmax",
 )
 
-_SUITE_KNOBS = ("kmax", "digits", "jmax", "terms", "tolerance")
+_SUITE_KNOBS = ("kmax", "digits", "jmax", "tolerance")
 
 
 def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
@@ -354,12 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--kmax", type=int, help="recurrence cross-check depth")
     p_verify.add_argument("--digits", type=int, help="working precision")
     p_verify.add_argument("--jmax", type=int, help="expansion truncation order")
-    p_verify.add_argument(
-        "--terms",
-        type=int,
-        help="alternating-sum length for odd-index limit targets "
-        f"(at most {MAX_SERIES_TERMS}, the series work budget)",
-    )
     p_verify.add_argument(
         "--tolerance",
         type=_finite_decimal,

@@ -47,6 +47,7 @@ __all__ = [
     "ABEL_DELTAS",
     "PHI_SAMPLE_US",
     "PHI_LIMIT_MS",
+    "ETA_TERMS",
     "phi_series",
     "phi_coefficients",
     "phi_taylor_coeff",
@@ -657,6 +658,9 @@ EXPANSION_CASES = ((1, Fraction(3, 2)), (2, Fraction(2)), (3, Fraction(3, 2)))
 ABEL_DELTAS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
 PHI_SAMPLE_US = (Fraction(3, 2), Fraction(2), Fraction(3))
 PHI_LIMIT_MS = (2, 3, 4, 6)
+# The phi suite's limit target 2(1 - 2^(1-m)) zeta(m) has no closed form
+# at odd m; there it is -2 eta_partial(m, ETA_TERMS).
+ETA_TERMS = 100_000
 
 
 def run_suite(
@@ -664,16 +668,14 @@ def run_suite(
     kmax: int = 50,
     digits: int = 50,
     jmax: int = 25,
-    terms: int = 100_000,
     tolerance: Decimal | None = None,
 ) -> list[VerificationReport]:
     """The reports of one verify suite; ``name`` is one of SUITES.
 
     kmax is the depth of the recurrence cross-check, jmax the truncation
-    of the expansion suite, digits the working precision of the others,
-    and terms the length of the alternating sums behind the phi suite's
-    odd-m limits. tolerance overrides the derived tolerances of the
-    expansion and phi suites; recurrence and abel keep their own.
+    of the expansion suite and digits the working precision of the
+    others. tolerance overrides the derived tolerances of the expansion
+    and phi suites; recurrence and abel keep their own.
 
     Every knob is checked before any suite runs, whether or not this
     suite uses it, and a ValueError names the knob that is out of range.
@@ -682,12 +684,9 @@ def run_suite(
         ("kmax", kmax, 1),
         ("digits", digits, 10),
         ("jmax", jmax, max(k for k, _ in EXPANSION_CASES)),
-        ("terms", terms, 1),
     ):
         if value < low:
             raise ValueError(f"{knob} must be >= {low}")
-    if terms > MAX_SERIES_TERMS:
-        raise ValueError(f"terms must be <= {MAX_SERIES_TERMS}, the series work budget")
     if name == "recurrence":
         return [recurrence_cross_check(kmax)]
     if name == "expansion":
@@ -698,7 +697,7 @@ def run_suite(
     if name == "abel":
         return [abel_limit_check(k, ABEL_DELTAS, digits) for k in (1, 2)]
     if name == "phi":
-        return _phi_suite(digits, terms, tolerance)
+        return _phi_suite(digits, tolerance)
     raise ValueError(f"unknown suite {name!r}, expected one of {', '.join(SUITES)}")
 
 
@@ -717,9 +716,7 @@ def _phi_limit_tolerance(m: int, delta: Fraction) -> Decimal:
         return 2 * d * (1 + Decimal(1) / (m - 2))
 
 
-def _phi_suite(
-    digits: int, eta_terms: int, tolerance: Decimal | None
-) -> list[VerificationReport]:
+def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for u in PHI_SAMPLE_US:
         for m, exact in enumerate(phi_coefficients(u, 20)):
@@ -764,7 +761,7 @@ def _phi_suite(
             target = HighPrecisionReal(target_dec, digits)
             target_bound = Decimal(10) ** (-digits)
         else:
-            eta_value, eta_bound = eta_partial(m, eta_terms)
+            eta_value, eta_bound = eta_partial(m, ETA_TERMS)
             with localcontext() as ctx:
                 ctx.prec = eta_value.precision_digits
                 target = HighPrecisionReal(-2 * eta_value.value, ctx.prec)

@@ -207,7 +207,7 @@ class TestVerify:
     def test_phi_suite(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "phi", "--digits", "30",
-            "--terms", "2000", "--format", "json-lines",
+            "--format", "json-lines",
         )
         assert code == 0
         records = json_records(out)
@@ -215,7 +215,7 @@ class TestVerify:
         assert all(r["passed"] for r in records)
 
     def test_all_is_run_suite_over_every_suite(self, capsys):
-        knobs = {"kmax": 10, "digits": 15, "jmax": 8, "terms": 2000}
+        knobs = {"kmax": 10, "digits": 15, "jmax": 8}
         flags = [f"--{name}={value}" for name, value in knobs.items()]
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", *flags)
         assert code == 0
@@ -309,8 +309,10 @@ class TestExitCodes:
             ("verify", "--suite", "expansion", "--tolerance", "sNaN"),
             # past the series work budget
             ("phi", "--m", "-2", "--u", "1.000000001", "--digits", "50"),
+            # the alternating-sum length is a suite constant, not a flag
             ("verify", "--suite", "phi", "--digits", "12", "--terms", str(MAX_SERIES_TERMS + 1)),
             ("verify", "--suite", "phi", "--terms", "0"),
+            ("verify", "--terms=7"),
             ("phi", "--route", "taylor", "--m", "-1", "--u", "2"),
             ("phi", "--route", "series", "--m", "1", "--u", "3", "--digits", "9"),
         )
@@ -323,19 +325,6 @@ class TestExitCodes:
         for command in (("phi", "--m", "1", "--u", "3"), ("zeta", "--k", "1"), ("verify",)):
             digits = run_cli(capsys, *command, "--digits", "9")
             assert digits == (2, "", "error: digits must be >= 10\n"), command
-
-    def test_terms_checked_before_any_series(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a series ran before --terms was checked")
-
-        monkeypatch.setattr(series_verifier, "phi_series", refuse)
-        monkeypatch.setattr(series_verifier, "eta_partial", refuse)
-        for terms, message in (
-            ("0", "error: terms must be >= 1\n"),
-            (str(MAX_SERIES_TERMS + 1),
-             f"error: terms must be <= {MAX_SERIES_TERMS}, the series work budget\n"),
-        ):
-            assert run_cli(capsys, "verify", "--suite", "phi", "--terms", terms) == (2, "", message)
 
     def test_every_knob_checked_before_any_suite(self, capsys, monkeypatch):
         def refuse(*args):

@@ -3,7 +3,9 @@
 The references below are the straightforward one-term-per-step loops the
 library used before its loops were tightened. The phi-suite residuals
 print the last ulps of these sums, so the library must reproduce their
-integers exactly: same value, same term count, same error bound.
+integers exactly: same value, same term count, same error bound. The
+printed bound keeps 15 digits, which for m < 0 round the arithmetic dust
+away under the tail term, so the exact rational bound is compared too.
 """
 
 import math
@@ -13,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetaeven import series_verifier
 from zetaeven.numeric_core import HighPrecisionReal
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
@@ -30,8 +33,8 @@ F = Fraction
 def reference_phi_series(m, u, precision, max_terms=None):
     """phi_series summed one term per step, each term's dust added as it goes.
 
-    Returns None, before summing, when phi_series estimates more than
-    ``max_terms`` terms.
+    Returns the evaluation and its exact rational error bound, or None,
+    before summing, when phi_series estimates more than ``max_terms`` terms.
     """
     u = Fraction(u)
     p, q = u.numerator, u.denominator
@@ -80,7 +83,7 @@ def reference_phi_series(m, u, precision, max_terms=None):
         value=HighPrecisionReal(value, precision),
         terms_used=n,
         error_bound=HighPrecisionReal(_dec_ceiling(bound, 15), 15),
-    )
+    ), bound
 
 
 def reference_eta_partial(m, N):
@@ -103,10 +106,20 @@ def assert_same(m, u, precision, max_terms=None):
     expected = reference_phi_series(m, u, precision, max_terms)
     if expected is None:
         return
-    actual = phi_series(m, u, precision)
+    expected, expected_bound = expected
+    bounds = []
+
+    def capture(x, digits):
+        bounds.append(x)
+        return _dec_ceiling(x, digits)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_verifier, "_dec_ceiling", capture)
+        actual = phi_series(m, u, precision)
     assert actual == expected, (m, u, precision)
     # equal Decimals may still differ in their digits; the printed ones may not
     assert str(actual.value.value) == str(expected.value.value), (m, u, precision)
+    assert bounds == [expected_bound], (m, u, precision)
 
 
 PRECISIONS = (10, 24, 50, 80)

@@ -31,7 +31,8 @@ import math
 from collections.abc import Sequence
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
-from itertools import takewhile
+from functools import lru_cache
+from itertools import accumulate
 
 from .euler_bernoulli import zeta_even_via_euler
 from .numeric_core import FrozenRecord, HighPrecisionReal, round_significant
@@ -40,6 +41,7 @@ from .zeta_recurrence import _pi, zeta_even_decimal, zeta_even_ratio
 
 __all__ = [
     "MAX_SERIES_TERMS",
+    "MAX_SERIES_WORK",
     "PhiEvaluation",
     "SeriesBudgetError",
     "SUITES",
@@ -47,11 +49,9 @@ __all__ = [
     "ABEL_DELTAS",
     "PHI_SAMPLE_US",
     "PHI_LIMIT_MS",
-    "ETA_TERMS",
     "phi_series",
     "phi_coefficients",
     "phi_taylor_coeff",
-    "eta_partial",
     "direct_zeta_partial",
     "abel_limit_check",
     "identity_check_expansion",
@@ -82,14 +82,23 @@ class PhiEvaluation(FrozenRecord):
         super().__init__(m, u, value, terms_used, error_bound)
 
 
-# Work budget of one series evaluation, in terms. The verify suites and
-# the benchmark workloads ask for at most about 1.8e5 terms (phi_3 at
-# u = 1 + 1/1200, 50 digits); u = 1 + 1e-9 at 50 digits would need ~1e11.
+# Work budget of one plain series evaluation (the m >= 0 loop of
+# phi_series), in terms. The verify suites and the benchmark workloads ask
+# for at most about 1.8e5 terms (phi_3 at u = 1 + 1/1200, 50 digits);
+# u = 1 + 1e-9 at 50 digits would need ~1e11.
 MAX_SERIES_TERMS = 3_000_000
+
+# Work budget of the accelerated alternating sums (phi_m for m < 0, the
+# phi suite's 2 eta(m) targets and f_k(u)), in term-digits: the terms of
+# every level summed, each weighted by its digit size, the decimal digits
+# of the fixed-point numbers times the 64-bit words of y's denominator
+# (``_term_digits``). The verify suites ask for at most about 5e5 (the
+# abel suite at --digits 80); 5e7 takes about half a second.
+MAX_SERIES_WORK = 50_000_000
 
 
 class SeriesBudgetError(ValueError):
-    """A series would need more than MAX_SERIES_TERMS terms."""
+    """A series would need more work than its budget allows."""
 
 
 def _check_budget(what: str, terms: int) -> None:
@@ -97,6 +106,25 @@ def _check_budget(what: str, terms: int) -> None:
         raise SeriesBudgetError(
             f"{what} {terms} terms, over the budget of "
             f"{MAX_SERIES_TERMS} terms"
+        )
+
+
+_LOG10_2 = math.log10(2)
+
+
+def _term_digits(bits: int, y_bits: int) -> int:
+    """Digit size of one kernel term at the binary scale 2^bits: each
+    multiplies and divides a number of that many digits by y's numerator
+    and denominator, y_bits long."""
+    return math.ceil(bits * _LOG10_2) * _ceil_div(max(y_bits, 1), 64)
+
+
+def _check_work(what: str, work: int) -> None:
+    """SeriesBudgetError, before any sum, past MAX_SERIES_WORK."""
+    if work > MAX_SERIES_WORK:
+        raise SeriesBudgetError(
+            f"{what} about {work} term-digits, over the budget of "
+            f"{MAX_SERIES_WORK} term-digits"
         )
 
 
@@ -112,34 +140,202 @@ def _dec_ceiling(x: Fraction, digits: int) -> Decimal:
         return Decimal(x.numerator) / Decimal(x.denominator)
 
 
+def _fixed_decimal(total: int, digits: int) -> Decimal:
+    """total / 10^digits as a Decimal, exactly."""
+    with localcontext() as ctx:
+        # dividing by a power of ten is exact once the context holds
+        # every digit of the numerator
+        ctx.prec = math.ceil(total.bit_length() * _LOG10_2) + 10
+        return Decimal(total) / 10**digits
+
+
+_LN_CVZ = math.log(3 + math.sqrt(8))
+
+
+def _cvz_terms(bits: int) -> int:
+    """Terms n with 2^(bits+2) <= (3+sqrt 8)^n, so 2 * 2^bits / d_n <= 1."""
+    return math.ceil((bits + 2) * math.log(2) / _LN_CVZ)
+
+
+def _terms_before_floor(bits: int, ln_y: float, n: int) -> int:
+    """Estimated count of the k with 2^bits y^(k+1) >= 1, ln_y = ln(1/y),
+    capped at n: where ``_cvz_sum`` stops, and what the budgets count."""
+    if ln_y <= 0:
+        return n
+    return min(n, int(bits * math.log(2) / ln_y) + 1)
+
+
+@lru_cache(maxsize=8)
+def _cvz_weights(n: int) -> tuple[tuple[int, ...], int]:
+    """The integer weights c_0..c_(n-1) of ``_cvz_sum`` and their d = T_n(3).
+
+    P(x) = T_n(1 - 2x) = sum_j (-1)^j q_j x^j with q_0 = 1 and
+    q_(j+1) = q_j * 2(n+j)(n-j)/((j+1)(2j+1)), so q_j = n/(n+j) C(n+j, 2j) 4^j
+    and every q_j is a positive integer. c_k = q_(k+1) + ... + q_n and
+    d = P(-1) = q_0 + ... + q_n = c_0 + 1. The last few calls are kept:
+    the verify suites ask for the same n again and again.
+    """
+    q, qs = 1, []
+    for j in range(n):
+        q = q * 2 * (n + j) * (n - j) // ((j + 1) * (2 * j + 1))
+        qs.append(q)
+    c = tuple(accumulate(reversed(qs)))[::-1]
+    return c, c[0] + 1
+
+
+def _cvz_sum(e: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, int]:
+    """2 sum_{k>=0} (-1)^k y^(k+1)/(k+1)^e for y = num/den in (0, 1], e >= 1.
+
+    Returns ``(value, radius, terms)`` in ulps of 2^-bits: the true sum
+    lies within radius ulps of value, and terms is how many weighted
+    terms were summed. This is Algorithm 1 of Cohen, Rodriguez Villegas
+    and Zagier ("Convergence acceleration of alternating series",
+    Experimental Math. 9, 2000) with the integer weights of
+    ``_cvz_weights``; n sets the accuracy whatever y is.
+
+    Moments. a_k = y^(k+1)/(k+1)^e = int_0^1 x^k dmu(x) for a positive
+    measure mu on [0, 1]: y^(k+1) is y times the moments of a point mass
+    at y, 1/(k+1)^e are the moments of (ln 1/t)^(e-1)/(e-1)! dt, and a
+    product of moment sequences is the moment sequence of the image of
+    the product measure under (s, t) -> st. So S = sum (-1)^k a_k =
+    int dmu/(1+x), and 0 < S <= a_0 = y.
+
+    Weights. With P(x) = sum_j (-1)^j q_j x^j and d = P(-1),
+    d - P(x) = sum_j q_j (1 - (-x)^j) and (1 - (-x)^j)/(1 + x) =
+    sum_{k<j} (-x)^k, so (d - P(x))/(1 + x) = sum_{k<n} c_k (-x)^k with
+    c_k = q_(k+1) + ... + q_n. All q_j are positive and q_0 = 1, so
+    0 < c_k <= d - 1 < d, that is 0 <= c_k/d <= 1.
+
+    Truncation. S - S_n = int P(x)/((1+x) d) dmu with
+    S_n = sum_{k<n} (-1)^k (c_k/d) a_k, and |P(x)| = |T_n(1 - 2x)| <= 1
+    on [0, 1], so |S - S_n| <= S/d <= y/d. As
+    d = T_n(3) = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2 >= (3+sqrt 8)^n/2, the
+    error of 2 S_n is at most 4y/(3+sqrt 8)^n, under one ulp for
+    n = ``_cvz_terms(bits)``; the radius uses 2y/d itself.
+
+    Early stop. Past the first K with 2^bits y^(K+1) < 1 every term is
+    below one ulp, and the terms there are left out: with weights in
+    [0, 1] they add at most 2 sum_{k>=K} y^(k+1) < 2/(1 - y) ulps.
+
+    Floor dust. The sum runs as a Horner scheme from the last term down,
+    H_k = floor(c_k 2^bits/(k+1)^e) - floor(H_(k+1) y), with H_0 close
+    to 2^bits sum_{k<K} (-1)^k c_k y^k/(k+1)^e. Each step adds less
+    than 1 to the error of the step before, times y <= 1, so H_0 is off
+    by less than K. value = floor(2 y H_0/d) is then off by less than
+    1 + 2K/d < 2 ulps. (Summed forward, y^(k+1) would be off by up to
+    k+1 ulps and each weight would multiply a full-size term; from the
+    back, the weights carry d-fold precision and every product is by a
+    small integer when y is a small fraction.)
+    """
+    c, d = _cvz_weights(n)
+    terms = n
+    estimate = _terms_before_floor(bits, math.log(den) - math.log(num), n)
+    if estimate < n:
+        # the K past which the terms floor to 0, checked exactly
+        for k in (estimate - 1, estimate):
+            if num ** (k + 1) << bits < den ** (k + 1):
+                terms = k
+                break
+    h = 0
+    for k in range(terms - 1, -1, -1):
+        h = (c[k] << bits) // (k + 1) ** e - h * num // den
+    value = 2 * num * h // (den * d)
+    radius = 2 + _ceil_div(2 * num << bits, den * d)
+    if terms < n:
+        radius += _ceil_div(2 * den, den - num)
+    return value, radius, terms
+
+
+def _cvz_decimal(e: int, num: int, den: int, digits: int, what: str) -> tuple[int, int, int]:
+    """``_cvz_sum`` in ulps of 10^-digits, with one more ulp for the conversion.
+
+    Raises SeriesBudgetError past MAX_SERIES_WORK, before summing; its
+    message starts with ``what``.
+    """
+    bits = math.ceil(digits / _LOG10_2) + 1
+    n = _cvz_terms(bits)
+    terms = _terms_before_floor(bits, math.log(den) - math.log(num), n)
+    _check_work(what, terms * _term_digits(bits, den.bit_length()))
+    value, radius, terms = _cvz_sum(e, num, den, bits, n)
+    ten = 10**digits
+    return value * ten >> bits, _ceil_div(radius * ten, 1 << bits) + 1, terms
+
+
+# Guard digits of phi_series for m < 0, doubled while the rounding of the
+# result to its precision is not yet decided.
+_PHI_GUARD = 10
+
+
+def _phi_negative(m: int, u: Fraction, precision: int) -> PhiEvaluation:
+    """phi_m(u), m < 0, through ``_cvz_sum``: rounded correctly to precision digits.
+
+    phi_-e(u) = 2 sum_{k>=0} (-1)^k u^-(k+1)/(k+1)^e is the kernel's sum
+    at y = 1/u. It exceeds 1/u >= 10^-lead, so ``precision + guard``
+    significant digits need ``precision + guard + lead`` decimals. The
+    result is the value with its radius; while the two ends of that
+    ball round to different ``precision``-digit decimals the guard is
+    doubled (Ziv's strategy), up to 8 times its start. terms counts
+    every term summed, retries included.
+    """
+    p, q = u.numerator, u.denominator
+    lead = math.ceil(_ceil_div(p, q).bit_length() * _LOG10_2)
+    guard = _PHI_GUARD
+    terms = 0
+    while True:
+        digits = precision + guard + lead
+        value, radius, used = _cvz_decimal(
+            -m, q, p, digits, f"phi_{m}({u}) to {precision} digits needs"
+        )
+        terms += used
+        low, high = (
+            round_significant(_fixed_decimal(v, digits), precision)
+            for v in (value - radius, value + radius)
+        )
+        if low == high or guard >= 8 * _PHI_GUARD:
+            break
+        guard *= 2
+    return PhiEvaluation(
+        m=m,
+        u=u,
+        value=HighPrecisionReal(_fixed_decimal(value, digits), precision),
+        terms_used=terms,
+        error_bound=HighPrecisionReal(_dec_ceiling(Fraction(radius, 10**digits), 15), 15),
+    )
+
+
 def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     """phi_m(u) = 2 sum_{n>=1} (-1)^(n+1) n^m / u^n for u > 1.
 
-    Fixed-point evaluation: u^-n is maintained incrementally at a scale
-    with enough guard digits that every floor division is accounted for.
-    Summation stops once the term magnitude 2 n^m/u^n is below
-    10^-precision *and* the terms are provably inside their final
+    For m < 0 the sum is accelerated (``_phi_negative``): about 1.31
+    terms per digit at any u > 1, and the value rounds correctly to
+    ``precision`` significant digits. For m >= 0 the terms first rise,
+    so the series is summed as it stands, to an absolute 10^-precision.
+
+    Fixed-point evaluation (m >= 0): u^-n is maintained incrementally at
+    a scale with enough guard digits that every floor division is
+    accounted for. Summation stops once the term magnitude 2 n^m/u^n is
+    below 10^-precision *and* the terms are provably inside their final
     geometric decay (past n = m/ln u, checked exactly via the term
-    ratio). For m = -e < 0 the terms 2 pow // n^e never increase (pow,
-    the floored u^-n, never grows; n^e always does), so the first term
-    below 10^-precision is the last one summed.
+    ratio).
 
     The error bound covers the geometric tail from that point plus every
     ulp the integer arithmetic could have dropped, so |true - value| <=
-    error_bound unconditionally. Term n drops at most 2 c_u n^m + 1 ulps
-    (m >= 0) or 2 + 2 c_u // n^e (m = -e), where c_u bounds the ulps by
-    which pow misses u^-n. The loop does not add these up: they are
-    summed after it in closed form, 2 c_u sum n^m + n, or 2n plus the
-    floors 2 c_u // i^e up to the first zero (i^e > 2 c_u).
+    error_bound unconditionally. Term n drops at most 2 c_u n^m + 1
+    ulps, where c_u bounds the ulps by which pow misses u^-n. The loop
+    does not add these up: they are summed after it in closed form,
+    2 c_u sum n^m + n.
 
-    Raises SeriesBudgetError, before summing, when the estimated term
-    count exceeds MAX_SERIES_TERMS (u too close to 1 for the precision).
+    Raises SeriesBudgetError, before summing, when the estimated work
+    exceeds MAX_SERIES_TERMS terms (m >= 0, u too close to 1 for the
+    precision) or MAX_SERIES_WORK term-digits (m < 0).
     """
     u = Fraction(u)
     if u <= 1:
         raise ValueError("series needs u > 1")
     if precision < 10:
         raise ValueError("precision must be >= 10")
+    if m < 0:
+        return _phi_negative(m, u, precision)
     p, q = u.numerator, u.denominator
     c_u = _ceil_div(p, p - q)  # stationary bound, in ulps, on the u^-n error
 
@@ -147,13 +343,13 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     # guard-digit choice; the bound below is computed from what actually
     # happened, so a bad estimate can waste digits but never soundness.
     ln_u = math.log(p) - math.log(q)
-    n_min = 1 if m <= 0 else math.floor(m / ln_u) + 1
+    n_min = math.floor(m / ln_u) + 1
     target = precision * math.log(10) + math.log(2.0)
     n_est = max(n_min, int(target / ln_u) + 2)
     for _ in range(4):
-        n_est = max(n_min, int((target + max(m, 0) * math.log(n_est)) / ln_u) + 2)
+        n_est = max(n_min, int((target + m * math.log(n_est)) / ln_u) + 2)
     _check_budget(f"phi_{m}({u}) to {precision} digits needs about", n_est)
-    guard = 18 + math.ceil(max(m, 0) * math.log10(n_est + 1)) + len(str(c_u * (n_est + 1)))
+    guard = 18 + math.ceil(m * math.log10(n_est + 1)) + len(str(c_u * (n_est + 1)))
 
     scale = 10 ** (precision + guard)
     threshold = 10**guard  # 10^-precision in ulps
@@ -161,47 +357,30 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     pow_ = scale * q // p
     total = 0
     n = 1
-    if m < 0:
-        e = -m
-        while True:
-            term = 2 * pow_ // n**e
-            total = term - total
-            if term < threshold:
-                break
-            n += 1
-            pow_ = pow_ * q // p
-        term_err = 2 * c_u // n**e + 2
-        err_ulps = 2 * n + sum(takewhile(bool, (2 * c_u // i**e for i in range(1, n + 1))))
-    else:
-        weights = 0
-        while True:
-            weight = n**m
-            weights += weight
-            term = 2 * weight * pow_
-            total = term - total
-            if term < threshold and n >= n_min and Fraction(n + 1, n) ** m < u:
-                break
-            n += 1
-            pow_ = pow_ * q // p
-        term_err = 2 * weight * c_u + 1
-        err_ulps = 2 * c_u * weights + n
+    weights = 0
+    while True:
+        weight = n**m
+        weights += weight
+        term = 2 * weight * pow_
+        total = term - total
+        if term < threshold and n >= n_min and Fraction(n + 1, n) ** m < u:
+            break
+        n += 1
+        pow_ = pow_ * q // p
+    term_err = 2 * weight * c_u + 1
+    err_ulps = 2 * c_u * weights + n
     if n % 2 == 0:
         total = -total
 
     # Past n the term ratio never exceeds rho < 1, so the dropped tail
     # is below (last true term) * rho/(1 - rho).
-    rho = Fraction(n + 1, n) ** m / u if m >= 0 else 1 / u
+    rho = Fraction(n + 1, n) ** m / u
     tail_ulps = Fraction(term + term_err) * rho / (1 - rho)
     bound = (tail_ulps + err_ulps + 1) / scale
-    with localcontext() as ctx:
-        # Dividing by a power of ten is exact once the context holds
-        # every digit of the numerator, so this step adds no error.
-        ctx.prec = max(len(str(abs(total))) + 2, 10)
-        value = Decimal(total) / scale
     return PhiEvaluation(
         m=m,
         u=u,
-        value=HighPrecisionReal(value, precision),
+        value=HighPrecisionReal(_fixed_decimal(total, precision + guard), precision),
         terms_used=n,
         error_bound=HighPrecisionReal(_dec_ceiling(bound, 15), 15),
     )
@@ -250,38 +429,6 @@ def phi_taylor_coeff(m: int, u) -> Fraction:
     return phi_coefficients(u, m)[m]
 
 
-def eta_partial(m: int, N: int) -> tuple[HighPrecisionReal, HighPrecisionReal]:
-    """Partial alternating sum sum_{n=1}^{N} (-1)^n / n^m, m >= 2.
-
-    Returns ``(value, error_bound)``. Terms alternate and decrease in
-    magnitude, so the truncation error is below the first omitted term:
-    error_bound is exactly 1/(N+1)^m (rounded up only when it does not
-    fit 15 significant digits). The returned value additionally carries
-    summation/representation dust below 10^{-52}, invisible at its
-    50-digit precision and negligible against any truncation bound. N
-    above MAX_SERIES_TERMS raises SeriesBudgetError.
-    """
-    if m < 2:
-        raise ValueError("alternating zeta sum needs m >= 2")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_budget(f"the alternating sum of 1/n^{m} asks for", N)
-    scale = 10 ** (60 + len(str(N)))
-    total = 0
-    for n in range(1, N + 1):
-        total = scale // n**m - total
-    if N % 2:
-        total = -total
-    with localcontext() as ctx:
-        ctx.prec = 70
-        value = Decimal(total) / scale
-    bound = Fraction(1, (N + 1) ** m)
-    return (
-        HighPrecisionReal(value, 50),
-        HighPrecisionReal(_dec_ceiling(bound, 15), 15),
-    )
-
-
 def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, HighPrecisionReal]:
     """Partial sum of zeta(2k) with its integral-test tail bound.
 
@@ -319,38 +466,84 @@ def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, HighPrecisio
     )
 
 
-def _check_reciprocal_budget(k: int, u: Fraction, scale: int) -> None:
-    """SeriesBudgetError if f_k(u) at ``scale`` could need too many terms.
+def _reciprocal_plan(k: int, u: Fraction, scale: int) -> tuple[int, int]:
+    """Binary scale and terms per level of ``_reciprocal_power_sum`` for f_k(u).
 
-    The scaled power scale * u^-n floors to 0, and with it every later
-    term, once n exceeds ln(scale)/ln(u); that count, plus 2 for the
-    float logarithms, bounds the terms ``_reciprocal_power_sum`` sums.
+    Raises SeriesBudgetError past MAX_SERIES_WORK. The work is estimated
+    level by level as ``_reciprocal_power_sum`` runs them: y = x^(2^i)
+    is kept as a fraction until its denominator outgrows the scale, the
+    kernel's terms floor to 0 once (k+1) 2^i ln u exceeds bits ln 2, and
+    the levels end when x^(2^i) itself does. The estimate feeds only the
+    budget and the guard bits. For u within a float's resolution of 1,
+    2 bits + 2 levels bound the count: 2^bits - z grows by at least half
+    per squaring until z <= 2^bits/2, and then z squares away.
     """
-    ln_u = math.log(u.numerator) - math.log(u.denominator)
-    _check_budget(f"f_{k}({u}) needs up to", int(math.log(scale) / ln_u) + 2)
-
-
-def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int]:
-    """Fixed-point f_k(u) = sum_{n>=1} u^(-n)/n^(2k), in ulps of 1/scale.
-
-    Floor divisions only lose mass: at most u/(u-1)+1 ulps per retained
-    term, plus a sub-ulp-per-term geometric tail once terms hit zero.
-    Callers receive a lower bound and budget the dust themselves.
-    Raises SeriesBudgetError, before summing, past the work budget.
-    """
-    _check_reciprocal_budget(k, u, scale)
     p, q = u.numerator, u.denominator
-    e = 2 * k
-    total = 0
-    pow_ = scale * q // p
-    n = 1
-    while True:
-        term = pow_ // n**e
-        if term == 0:
-            return total, n - 1
-        total += term
-        n += 1
-        pow_ = pow_ * q // p
+    ln_u = math.log(p) - math.log(q) if p >= 2 * q else math.log1p((p - q) / q)
+    levels = 2 * scale.bit_length() + 2
+    if ln_u > 0:
+        levels = min(levels, max(1, math.ceil(math.log2(scale.bit_length() / ln_u)) + 2))
+    # about 7 ulps of radius per level: enough guard bits to hide them
+    bits = scale.bit_length() + (8 * levels + 8).bit_length()
+    n = _cvz_terms(bits)
+    work = 0
+    for level in range(levels):
+        y_bits = min(2**level * p.bit_length(), bits + 1)
+        work += _terms_before_floor(bits, 2**level * ln_u, n) * _term_digits(bits, y_bits)
+    _check_work(f"f_{k}({u}) needs", work)
+    return bits, n
+
+
+def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int, int]:
+    """Fixed-point f_k(u) = Li_2k(x), x = 1/u: ``(value, radius, terms)``.
+
+    value and radius are in ulps of 1/scale, and f_k(u) lies within
+    radius of value; terms counts the weighted terms summed.
+
+    Lewin's duplication formula (L. Lewin, "Polylogarithms and
+    Associated Functions", 1981; DLMF 25.12),
+    Li_s(x) = 2^(1-s) Li_s(x^2) - Li_s(-x), applied J times gives
+
+        Li_s(x) = sum_{i<J} 2^(-i(s-1)) A(x^(2^i)) + 2^(-J(s-1)) Li_s(x^(2^J)),
+
+    s = 2k, where A(y) = -Li_s(-y) is half the alternating sum of
+    ``_cvz_sum``. Level i hands the kernel y = x^(2^i) as an exact
+    fraction while its denominator fits the binary scale 2^bits; from
+    there on y is z/2^bits, squared as an integer,
+    z_(i+1) = floor(z_i^2/2^bits), until it floors to 0. Each level's
+    kernel stops once its own terms floor to 0.
+
+    Radius, per level: the kernel's radius, shifted down with the level
+    weight, plus 1 for that shift's floor, plus the squaring error. z_i
+    misses 2^bits x^(2^i) by e_i < 2^(i+1) ulps (e_(i+1) <= 2 e_i + 1;
+    0 while y is exact, below 1 where it turns into z), and A is
+    1-Lipschitz on [0, 1] (A'(y) is an alternating sum with decreasing
+    terms and first term 1), so level i is off by at most
+    2^(-i(s-1)) e_i < 2 ulps: the level weight cancels the doubling, and
+    a few guard bits for the level count suffice. The remainder, at the
+    level J where z_J = 0, is at most 2^(-J(s-1)) zeta(s) e_J < 4 ulps
+    (Li_s(t) <= zeta(s) t <= 2t). Converting to the caller's scale adds 1.
+    """
+    s = 2 * k
+    bits, n = _reciprocal_plan(k, u, scale)
+    one = 1 << bits
+    num, den = u.denominator, u.numerator
+    total = radius = terms = level = 0
+    while num:
+        value, r, used = _cvz_sum(s, num, den, bits, n)
+        shift = level * (s - 1) + 1
+        total += value >> shift
+        radius += _ceil_div(r, 1 << shift) + 3
+        terms += used
+        level += 1
+        if den == one:
+            num = num * num >> bits
+        else:
+            num, den = num * num, den * den
+            if den > one:
+                num, den = (num << bits) // den, one
+    radius += 4
+    return total * scale >> bits, _ceil_div(radius * scale, one) + 1, terms
 
 
 def _abel_tolerance(k: int, delta: Fraction) -> Decimal:
@@ -378,8 +571,13 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
     Evaluates the series at u = 1 + delta for each delta, requires the
     residuals against the decimal zeta value to be positive and strictly
     decreasing, and judges the final residual against the proven
-    delta-dependent bound from ``_abel_tolerance``. A broken residual
-    ordering is reported with tolerance -1 (failed by construction).
+    delta-dependent bound from ``_abel_tolerance``. Each residual is a
+    ball: the sum's radius plus one ulp of the zeta value at
+    precision + 5 digits. Positive means the whole ball lies above 0,
+    and decreasing means each ball lies wholly below the one before. A
+    broken residual ordering is reported with tolerance -1 (failed by
+    construction). The tolerance adds the last ball's radius to the
+    bound on the true gap.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -394,24 +592,32 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
         raise ValueError("deltas must decrease strictly")
 
     scale = 10 ** (precision + 10)
-    # the smallest delta costs the most terms: refuse it before any sum
-    _check_reciprocal_budget(k, 1 + deltas[-1], scale)
+    # the smallest delta costs the most work: refuse it before any sum
+    _reciprocal_plan(k, 1 + deltas[-1], scale)
     target = Decimal(zeta_even_decimal(k, precision + 5))
-    residuals: list[Decimal] = []
+    # in ulps of 1/scale; zeta(2k) < 2 carries at most precision + 4
+    # decimals, so this is exact, and it is off by at most one ulp of
+    # its digits, 10^6 ulps here
+    target_ulps = int(Fraction(target) * scale)
+    balls: list[tuple[int, int]] = []
     term_counts: list[int] = []
-    value = Decimal(0)
+    for d in deltas:
+        total, radius, terms = _reciprocal_power_sum(k, 1 + d, scale)
+        balls.append((target_ulps - total, radius + 10**6))
+        term_counts.append(terms)
+
+    decreasing = all(b + rb < a - ra for (a, ra), (b, rb) in zip(balls, balls[1:]))
+    from_below = all(r > rr for r, rr in balls)
+    monotone = decreasing and from_below
     with localcontext() as ctx:
         ctx.prec = precision + 12
-        for d in deltas:
-            total, terms = _reciprocal_power_sum(k, 1 + d, scale)
-            value = Decimal(total) / scale
-            residuals.append(target - value)
-            term_counts.append(terms)
-
-    decreasing = all(b < a for a, b in zip(residuals, residuals[1:]))
-    from_below = all(r > 0 for r in residuals)
-    monotone = decreasing and from_below
-    tolerance = _abel_tolerance(k, deltas[-1]) if monotone else Decimal(-1)
+        value = Decimal(total) / scale
+        residuals = [Decimal(r) / scale for r, _ in balls]
+        tolerance = (
+            _abel_tolerance(k, deltas[-1]) + Decimal(balls[-1][1]) / scale
+            if monotone
+            else Decimal(-1)
+        )
     return VerificationReport(
         identity_name="zeta_even_abel_limit",
         parameters={
@@ -438,7 +644,7 @@ def identity_check_expansion(
 ) -> VerificationReport:
     """Check f_k(u) against its rearrangement into pi-power phi terms.
 
-    lhs: f_k(u) summed directly in fixed point (own truncation dust).
+    lhs: f_k(u) from ``_reciprocal_power_sum``, within its own radius.
     rhs: sum_{j=0}^{J_max} (-1)^(j+1) * (pi^(2j)/(2j)!) * phi_(2j-2k)(u)/2,
     with exact Taylor-route phi for 2j >= 2k and bounded series phi
     below that.
@@ -483,12 +689,10 @@ def identity_check_expansion(
     scale = 10**work
     pi = _pi(work)
 
-    total, lhs_terms = _reciprocal_power_sum(k, u, scale)
+    total, lhs_radius, lhs_terms = _reciprocal_power_sum(k, u, scale)
     # exact phi_0..phi_{m_next}; m_next indexes the first omitted term
     m_next = 2 * (J_max + 1) - 2 * k
     exact_phi = phi_coefficients(u, m_next)
-    c_u = _ceil_div(u.numerator, u.numerator - u.denominator)
-    lhs_dust_ulps = (c_u + 1) * (lhs_terms + c_u + 2)
 
     with localcontext() as ctx:
         ctx.prec = work + 5
@@ -515,7 +719,7 @@ def identity_check_expansion(
 
     default_tol = _expansion_tail_envelope(k, u, J_max, pi.value)
     default_tol += rhs_dust + phi_bound
-    default_tol += Decimal(lhs_dust_ulps) * Decimal(10) ** (-work) * 10
+    default_tol += _fixed_decimal(lhs_radius, work)
 
     tol = HighPrecisionReal(default_tol if tolerance is None else Decimal(tolerance), 15)
 
@@ -658,9 +862,6 @@ EXPANSION_CASES = ((1, Fraction(3, 2)), (2, Fraction(2)), (3, Fraction(3, 2)))
 ABEL_DELTAS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
 PHI_SAMPLE_US = (Fraction(3, 2), Fraction(2), Fraction(3))
 PHI_LIMIT_MS = (2, 3, 4, 6)
-# The phi suite's limit target 2(1 - 2^(1-m)) zeta(m) has no closed form
-# at odd m; there it is -2 eta_partial(m, ETA_TERMS).
-ETA_TERMS = 100_000
 
 
 def run_suite(
@@ -716,6 +917,20 @@ def _phi_limit_tolerance(m: int, delta: Fraction) -> Decimal:
         return 2 * d * (1 + Decimal(1) / (m - 2))
 
 
+def _two_eta(m: int, digits: int) -> tuple[HighPrecisionReal, Decimal]:
+    """2 eta(m) = 2(1 - 2^(1-m)) zeta(m) = phi_-m(1) and its error bound.
+
+    The phi suite's limit target at odd m, where the recurrence gives no
+    closed form: ``_cvz_sum`` at y = 1, to ``digits + 10`` decimals.
+    Raises SeriesBudgetError, before summing, past MAX_SERIES_WORK.
+    """
+    if m < 1:
+        raise ValueError("eta(m) needs m >= 1")
+    work = digits + 10
+    value, radius, _ = _cvz_decimal(m, 1, 1, work, f"2 eta({m}) to {digits} digits needs")
+    return HighPrecisionReal(_fixed_decimal(value, work), digits), _fixed_decimal(radius, work)
+
+
 def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     for u in PHI_SAMPLE_US:
@@ -761,19 +976,13 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
             target = HighPrecisionReal(target_dec, digits)
             target_bound = Decimal(10) ** (-digits)
         else:
-            eta_value, eta_bound = eta_partial(m, ETA_TERMS)
-            with localcontext() as ctx:
-                ctx.prec = eta_value.precision_digits
-                target = HighPrecisionReal(-2 * eta_value.value, ctx.prec)
-            target_bound = 2 * eta_bound.value
-        # the residual keeps only the digits both of its sides carry
-        residual_digits = min(digits, target.precision_digits)
+            target, target_bound = _two_eta(m, digits)
         for delta in ABEL_DELTAS:
             evaluation = phi_series(-m, 1 + delta, digits)
             with localcontext() as ctx:
-                ctx.prec = residual_digits
+                ctx.prec = digits
                 residual_dec = evaluation.value.value - target.value
-            residual = HighPrecisionReal(residual_dec, residual_digits)
+            residual = HighPrecisionReal(residual_dec, digits)
             tol_dec = (
                 tolerance
                 if tolerance is not None

@@ -1,11 +1,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zetaeven
 from zetaeven import cli, series_verifier
+from zetaeven.numeric_core import round_significant
 from zetaeven.reports import VerificationReport
 from zetaeven.series_verifier import MAX_SERIES_TERMS, SUITES, run_suite
 
@@ -307,8 +315,9 @@ class TestExitCodes:
             ("verify", "--suite", "expansion", "--tolerance", "inf"),
             ("verify", "--suite", "phi", "--tolerance", "-Infinity"),
             ("verify", "--suite", "expansion", "--tolerance", "sNaN"),
-            # past the series work budget
-            ("phi", "--m", "-2", "--u", "1.000000001", "--digits", "50"),
+            # past the series work budgets
+            ("phi", "--m", "2", "--u", "1.000000001", "--digits", "50"),
+            ("phi", "--m", "-2", "--u", "1.000000001", "--digits", "10000"),
             # the alternating-sum length is a suite constant, not a flag
             ("verify", "--suite", "phi", "--digits", "12", "--terms", str(MAX_SERIES_TERMS + 1)),
             ("verify", "--suite", "phi", "--terms", "0"),
@@ -346,7 +355,7 @@ class TestExitCodes:
         def refuse(*args):
             raise AssertionError("f_k was summed before the budget check")
 
-        monkeypatch.setattr(series_verifier, "_reciprocal_power_sum", refuse)
+        monkeypatch.setattr(series_verifier, "_cvz_sum", refuse)
         code, out, err = run_cli(capsys, "verify", "--suite", "abel", "--digits", "5000")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "over the budget" in err
@@ -373,3 +382,80 @@ class TestBench:
         assert len(lines) == 4
         assert lines[0].startswith("k=1")
         assert lines[-1].startswith("total")
+
+
+def parse_phi_line(line):
+    """value, bound and terms of a plain ``phi --route series`` line."""
+    _, _, tail = line.partition(" = ")
+    value, _, rest = tail.partition("  (+/- ")
+    bound, _, terms = rest.rstrip(")").partition(", ")
+    return Decimal(value), Decimal(bound), int(terms.split()[0])
+
+
+class TestPhiNearOne:
+    def test_probe_answers_in_a_fresh_child_within_its_bound(self):
+        mpmath = pytest.importorskip("mpmath")
+        src = Path(zetaeven.__file__).resolve().parents[1]
+        argv = ("phi", "--m", "-2", "--u", "1.000000001", "--digits", "50")
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "zetaeven", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 0 and result.stderr == ""
+        assert elapsed < 1.0
+        value, bound, terms = parse_phi_line(result.stdout.strip())
+        assert terms < 100
+        with mpmath.workdps(90):
+            u = mpmath.mpf(1000000001) / 1000000000
+            true = -2 * mpmath.polylog(2, -1 / u)
+            # the printed bound plus half an ulp of the 50 printed digits
+            half_ulp = 5 * mpmath.mpf(10) ** (value.adjusted() - 50)
+            assert abs(mpmath.mpf(str(value)) - true) <= mpmath.mpf(str(bound)) + half_ulp
+
+
+ROUNDING_US = ("11/10", "3/2", "2", "3", "17/5", "1001/1000", "7")
+
+
+def correctly_rounded(mpmath, m, u, digits):
+    u = Fraction(u)
+    with mpmath.workdps(digits + 40):
+        true = -2 * mpmath.polylog(-m, -mpmath.mpf(u.denominator) / u.numerator)
+        closer = mpmath.nstr(true, digits + 30, min_fixed=-mpmath.inf, max_fixed=mpmath.inf)
+    return round_significant(Decimal(closer), digits)
+
+
+class TestPhiCorrectRounding:
+    """phi --route series for m < 0 prints the correctly rounded decimal."""
+
+    def test_grid(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        for m in range(-7, 0):
+            for u in ROUNDING_US:
+                for digits in ("10", "20", "50"):
+                    code, out, _ = run_cli(capsys, "phi", "--m", str(m), "--u", u, "--digits", digits)
+                    assert code == 0
+                    value, _, _ = parse_phi_line(out.strip())
+                    assert value == correctly_rounded(mpmath, m, u, int(digits)), (m, u, digits)
+
+    def test_open_rounding_is_retried_with_more_digits(self, capsys, monkeypatch):
+        # one guard digit leaves the rounding open in many cases: each is
+        # summed again with twice the guard digits until it is decided
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(series_verifier, "_PHI_GUARD", 1)
+        calls = []
+        kernel = series_verifier._cvz_decimal
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(series_verifier, "_cvz_decimal", counting)
+        cases = [(m, u) for m in range(-7, 0) for u in ROUNDING_US]
+        for m, u in cases:
+            code, out, _ = run_cli(capsys, "phi", "--m", str(m), "--u", u, "--digits", "20")
+            assert code == 0
+            assert parse_phi_line(out.strip())[0] == correctly_rounded(mpmath, m, u, 20), (m, u)
+        assert len(calls) > len(cases)

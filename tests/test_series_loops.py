@@ -1,11 +1,18 @@
-"""The summation loops of phi_series and eta_partial against reference copies.
+"""The series of the library against reference copies of older loops.
 
-The references below are the straightforward one-term-per-step loops the
-library used before its loops were tightened. The phi-suite residuals
-print the last ulps of these sums, so the library must reproduce their
+For m >= 0 the reference is the straightforward one-term-per-step loop
+phi_series used before its loop was tightened. The phi-suite residuals
+print the last ulps of that sum, so the library must reproduce its
 integers exactly: same value, same term count, same error bound. The
-printed bound keeps 15 digits, which for m < 0 round the arithmetic dust
-away under the tail term, so the exact rational bound is compared too.
+printed bound keeps 15 digits, so the exact rational bound is compared
+too.
+
+For m < 0, for the alternating eta sums and for f_k(u), the library now
+sums an accelerated series (``series_verifier._cvz_sum``), so it cannot
+reproduce the old integers. There the references are the plain loops it
+replaced, and the two must agree within the sum of their error bounds.
+Agreement with mpmath, where it is installed, covers u the old loops
+cannot reach.
 """
 
 import math
@@ -16,16 +23,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetaeven import series_verifier
-from zetaeven.numeric_core import HighPrecisionReal
+from zetaeven.numeric_core import HighPrecisionReal, round_significant
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
+    EXPANSION_CASES,
     PHI_LIMIT_MS,
     PhiEvaluation,
     _ceil_div,
     _dec_ceiling,
-    eta_partial,
+    _reciprocal_power_sum,
+    _two_eta,
     phi_series,
 )
+
+try:
+    import mpmath
+except ImportError:  # the comparisons with the old loops still run
+    mpmath = None
 
 F = Fraction
 
@@ -102,11 +116,38 @@ def reference_eta_partial(m, N):
     )
 
 
+def reference_reciprocal_power_sum(k, u, scale):
+    """f_k(u) summed term by term, in ulps of 1/scale, as the library once did.
+
+    Returns ``(total, terms)``: total is a lower bound, below f_k(u) by
+    at most (c_u + 1)(terms + c_u + 2) ulps, c_u = ceil(u/(u-1)).
+    """
+    p, q = u.numerator, u.denominator
+    e = 2 * k
+    total = 0
+    pow_ = scale * q // p
+    n = 1
+    while True:
+        term = pow_ // n**e
+        if term == 0:
+            return total, n - 1
+        total += term
+        n += 1
+        pow_ = pow_ * q // p
+
+
 def assert_same(m, u, precision, max_terms=None):
+    """phi_series against the reference loop: the same integers for m >= 0,
+    agreement within both error bounds for m < 0."""
     expected = reference_phi_series(m, u, precision, max_terms)
     if expected is None:
         return
     expected, expected_bound = expected
+    if m < 0:
+        actual = phi_series(m, u, precision)
+        gap = abs(F(actual.value.value) - F(expected.value.value))
+        assert gap <= F(actual.error_bound.value) + expected_bound, (m, u, precision)
+        return
     bounds = []
 
     def capture(x, digits):
@@ -120,6 +161,22 @@ def assert_same(m, u, precision, max_terms=None):
     # equal Decimals may still differ in their digits; the printed ones may not
     assert str(actual.value.value) == str(expected.value.value), (m, u, precision)
     assert bounds == [expected_bound], (m, u, precision)
+
+
+def phi_reference(m, u):
+    """phi_m(u) = -2 Li_(-m)(-1/u), at mpmath's working precision."""
+    return -2 * mpmath.polylog(-m, -mpmath.mpf(u.denominator) / u.numerator)
+
+
+def assert_near_mpmath(m, u, precision):
+    """phi_series(m < 0) within its bound of mpmath, and rounded correctly."""
+    evaluation = phi_series(m, u, precision)
+    with mpmath.workdps(precision + 40):
+        true = phi_reference(m, u)
+        error = abs(mpmath.mpf(str(evaluation.value.value)) - true)
+        assert error <= mpmath.mpf(str(evaluation.error_bound.value)), (m, u, precision)
+        closer = Decimal(mpmath.nstr(true, precision + 30, min_fixed=-mpmath.inf, max_fixed=mpmath.inf))
+    assert evaluation.value.rounded() == round_significant(closer, precision), (m, u, precision)
 
 
 PRECISIONS = (10, 24, 50, 80)
@@ -137,7 +194,7 @@ def test_phi_grid_away_from_one(u):
 @pytest.mark.slow
 @pytest.mark.parametrize("u", NEAR_US, ids=str)
 def test_phi_grid_near_one(u):
-    # 1e5 to 3e5 terms per series: 20 to 30 s per u for both loops
+    # 1e5 to 3e5 terms per reference series: 20 to 30 s per u
     for m in range(-7, 25):
         for precision in PRECISIONS:
             assert_same(m, u, precision)
@@ -152,18 +209,50 @@ def test_phi_near_one_cases_of_the_suite_and_benchmark():
         assert_same(m, u, precision)
 
 
+NEAR_ONE = st.builds(
+    lambda exponent, a: 1 + F(a, 10**exponent), st.integers(3, 12), st.integers(1, 999)
+)
+
+
 @settings(max_examples=300)
 @given(
-    st.fractions(min_value=F(1001, 1000), max_value=60, max_denominator=1000),
+    st.one_of(st.fractions(min_value=F(1001, 1000), max_value=60, max_denominator=1000), NEAR_ONE),
     st.integers(-9, 30),
     st.integers(10, 80),
 )
 def test_phi_property(u, m, precision):
-    # the cap keeps each example near 20 ms; the near-1 grid covers longer sums
+    # the cap keeps each example near 20 ms; the near-1 grid covers longer
+    # sums, and mpmath the m < 0 sums no plain loop can reach
     assert_same(m, u, precision, max_terms=20_000)
+    if m < 0 and mpmath is not None:
+        assert_near_mpmath(m, u, precision)
 
 
 @pytest.mark.parametrize("m", (2, 3, 4, 6))
 def test_eta_partial(m):
+    # 2 eta(m) from the kernel against the alternating partial sums of
+    # the old target: within the partial sum's truncation 2/(N+1)^m, its
+    # floor dust (N ulps at its scale, doubled) and the kernel's radius
+    target, radius = _two_eta(m, 50)
     for N in (1, 2, 999, 10**5):
-        assert eta_partial(m, N) == reference_eta_partial(m, N), (m, N)
+        value, _ = reference_eta_partial(m, N)
+        dust = Fraction(2 * N, 10 ** (60 + len(str(N))))
+        gap = abs(F(target.value) + 2 * F(value.value))
+        assert gap <= Fraction(2, (N + 1) ** m) + F(radius) + dust, (m, N)
+
+
+REFERENCE_F_CASES = (
+    *((k, 1 + delta, 60) for k in (1, 2) for delta in ABEL_DELTAS),
+    *((k, u, 65) for k, u in EXPANSION_CASES),
+)
+
+
+@pytest.mark.parametrize("k, u, digits", REFERENCE_F_CASES, ids=str)
+def test_reciprocal_power_sum_against_the_plain_loop(k, u, digits):
+    scale = 10**digits
+    value, radius, _ = _reciprocal_power_sum(k, u, scale)
+    low, terms = reference_reciprocal_power_sum(k, u, scale)
+    c_u = _ceil_div(u.numerator, u.numerator - u.denominator)
+    high = low + (c_u + 1) * (terms + c_u + 2)
+    # both balls hold f_k(u): they must overlap
+    assert value - radius <= high and low <= value + radius, (k, u)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import factorial, log
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -17,17 +17,22 @@ from zetaeven.numeric_core import HighPrecisionReal
 from zetaeven.powerseries import exp_series, series_div
 from zetaeven.reports import VerificationReport
 from zetaeven.series_verifier import (
+    ABEL_DELTAS,
     EXPANSION_CASES,
     MAX_SERIES_TERMS,
     PhiEvaluation,
     SeriesBudgetError,
     _abel_tolerance,
+    _cvz_sum,
+    _cvz_terms,
+    _cvz_weights,
     _phi_limit_tolerance,
     _pole_constant,
     _reciprocal_power_sum,
+    _term_digits,
+    _two_eta,
     abel_limit_check,
     direct_zeta_partial,
-    eta_partial,
     identity_check_expansion,
     phi_coefficients,
     phi_series,
@@ -120,10 +125,15 @@ class TestPhiSeries:
             phi_series(0, F(2), 9)
 
     def test_work_budget(self):
-        # u = 1 + 1e-9 at 50 digits needs ~1e11 terms: refused before summing
-        for m in (-2, 0, 3):
+        # u = 1 + 1e-9 at 50 digits needs ~1e11 plain terms: refused before
+        # summing for m >= 0; the accelerated m < 0 series needs 82
+        for m in (0, 3):
             with pytest.raises(SeriesBudgetError, match="over the budget"):
                 phi_series(m, F("1.000000001"), 50)
+        assert phi_series(-2, F("1.000000001"), 50).terms_used < 100
+        # past the work budget of the accelerated sums, refused before any sum
+        with pytest.raises(SeriesBudgetError, match="over the budget"):
+            phi_series(-2, F("1.000000001"), 10_000)
         # the longest series the suites and benchmark ask for keeps a 10x margin
         evaluation = phi_series(3, F(1201, 1200), 50)
         assert 10 * evaluation.terms_used <= MAX_SERIES_TERMS
@@ -239,28 +249,39 @@ class TestPhiAtOne:
 
 
 class TestEtaPartial:
+    """The alternating sums sum (-1)^(n+1)/n^m, now 2 eta(m) from the kernel at y = 1."""
+
     def test_single_term(self):
-        value, bound = eta_partial(2, 1)
-        assert value == HighPrecisionReal.from_int(-1)
-        assert bound.value == Decimal("0.25")
+        # one weighted term: c_0 = 2 over d = T_1(3) = 3, so 2 * (2/3) * a_0
+        assert _cvz_weights(1) == ((2,), 3)
+        value, radius, terms = _cvz_sum(2, 1, 1, 60, 1)
+        assert terms == 1
+        assert abs(value - F(4, 3) * 2**60) < 2
+        # the truncation bound 2y/d = 2/3 covers 2 eta(2) = zeta(2) = 1.6449...
+        assert abs(F(value, 2**60) - F(Decimal(zeta_even_decimal(1, 30)))) <= F(radius, 2**60)
 
     def test_converges_to_minus_half_zeta_two(self):
-        value, bound = eta_partial(2, 2000)
-        target = -Decimal(zeta_even_decimal(1, 30)) / 2
-        assert abs(value.value - target) <= bound.value + Decimal("1e-25")
+        # 2 eta(2) = zeta(2), the limit of -2 sum_{n<=N} (-1)^n/n^2
+        value, bound = _two_eta(2, 50)
+        target = Decimal(zeta_even_decimal(1, 80))
+        assert abs(F(value.value) - F(target)) <= F(bound) + F(1, 10**79)
+        assert bound < Decimal("1e-58")
 
     def test_m_four_against_zeta_four(self):
-        value, bound = eta_partial(4, 10**4)
-        target = -Decimal(zeta_even_decimal(2, 30)) * 7 / 8
-        assert abs(value.value - target) <= bound.value + Decimal("1e-20")
+        value, bound = _two_eta(4, 50)
+        target = F(Decimal(zeta_even_decimal(2, 80))) * 7 / 4
+        assert abs(F(value.value) - target) <= F(bound) + F(1, 10**79)
 
-    def test_domain_errors(self):
+    def test_domain_errors(self, monkeypatch):
         with pytest.raises(ValueError):
-            eta_partial(1, 10)
-        with pytest.raises(ValueError):
-            eta_partial(2, 0)
-        with pytest.raises(SeriesBudgetError):
-            eta_partial(3, MAX_SERIES_TERMS + 1)
+            _two_eta(0, 50)
+
+        def refuse(*args):
+            raise AssertionError("summed before the budget check")
+
+        monkeypatch.setattr(series_verifier, "_cvz_sum", refuse)
+        with pytest.raises(SeriesBudgetError, match="over the budget"):
+            _two_eta(3, 10**5)
 
 
 def exact_sum(a, b):
@@ -329,16 +350,70 @@ class TestAbelLimit:
         def refuse(*args):
             raise AssertionError("f_k was summed before the budget check")
 
-        # 5000 digits at delta = 1/1000 need about 1.15e7 terms
-        monkeypatch.setattr(series_verifier, "_reciprocal_power_sum", refuse)
+        # 5000 digits at delta = 1/1000: about 5e11 term-digits
+        monkeypatch.setattr(series_verifier, "_cvz_sum", refuse)
         with pytest.raises(SeriesBudgetError, match="over the budget"):
             abel_limit_check(1, self.DELTAS, 5000)
 
-    def test_budget_estimate_bounds_the_terms_summed(self):
-        for k, u, digits in ((1, F(1001, 1000), 30), (2, F(11, 10), 60), (3, F(3, 2), 65)):
+    def test_budget_estimate_bounds_the_terms_summed(self, monkeypatch):
+        # the work the kernel's pre-sum check estimates is at least the
+        # work then done: terms summed times their digit size
+        kernel, check = series_verifier._cvz_sum, series_verifier._check_work
+        estimates, done = [], []
+
+        def counting_kernel(e, num, den, bits, n):
+            value, radius, terms = kernel(e, num, den, bits, n)
+            done.append((terms, _term_digits(bits, den.bit_length())))
+            return value, radius, terms
+
+        def capture(what, work):
+            estimates.append(work)
+            check(what, work)
+
+        monkeypatch.setattr(series_verifier, "_cvz_sum", counting_kernel)
+        monkeypatch.setattr(series_verifier, "_check_work", capture)
+        cases = ((1, F(1001, 1000), 30), (2, F(11, 10), 60), (3, F(3, 2), 65),
+                 (1, 1 + F(1, 10**9), 40), (2, F(10**40), 300))
+        for k, u, digits in cases:
+            estimates.clear()
+            done.clear()
             scale = 10**digits
-            _, terms = _reciprocal_power_sum(k, u, scale)
-            assert terms <= log(scale) / log(u) + 2
+            _, _, terms = _reciprocal_power_sum(k, u, scale)
+            assert terms == sum(t for t, _ in done) and terms > 0
+            work = sum(t * size for t, size in done)
+            assert estimates == [estimates[0]] and work <= estimates[0], (k, u)
+
+    def test_residual_balls_must_clear_zero_and_each_other(self, monkeypatch):
+        # the check compares balls, not points: a residual moved to within
+        # its radius of 0, or a middle one moved below the next ball, fails
+        good = abel_limit_check(1, self.DELTAS, 20)
+        assert good.parameters["monotone_from_below"] is True
+        kernel_sum = series_verifier._reciprocal_power_sum
+        scale = 10**30
+        target = int(F(Decimal(zeta_even_decimal(1, 25))) * scale)
+
+        def planted(shift_for):
+            def shifted(k, u, s):
+                value, radius, terms = kernel_sum(k, u, s)
+                return value + shift_for(u, value, radius), radius, terms
+            return shifted
+
+        # the last residual left half a radius (plus the zeta ulp) above 0
+        def to_zero(u, value, radius):
+            return target - value - radius // 2 if u == 1 + self.DELTAS[-1] else 0
+
+        # the middle residual shifted below the last one by more than its radius
+        def past_next(u, value, radius):
+            if u != 1 + self.DELTAS[1]:
+                return 0
+            last, last_radius, _ = kernel_sum(1, 1 + self.DELTAS[-1], scale)
+            return last - value + 2 * radius
+
+        for fault in (to_zero, past_next):
+            monkeypatch.setattr(series_verifier, "_reciprocal_power_sum", planted(fault))
+            report = abel_limit_check(1, self.DELTAS, 20)
+            assert report.parameters["monotone_from_below"] is False, fault.__name__
+            assert not report.passed
 
 
 def phi_mpmath(mpmath, M, u):
@@ -358,9 +433,17 @@ def phi_mpmath(mpmath, M, u):
 
 
 class TestExpansionIdentity:
-    def test_lhs_past_the_budget_refused(self):
+    def test_lhs_past_the_budget_refused(self, monkeypatch):
+        # the accelerated f_k answers u = 1 + 1e-6 at 50 digits at once;
+        # at 2000 digits it is past the kernel's work budget
+        assert identity_check_expansion(1, 1 + F(1, 10**6), 3, 50).parameters["lhs_terms"] > 0
+
+        def refuse(*args):
+            raise AssertionError("f_k was summed before the budget check")
+
+        monkeypatch.setattr(series_verifier, "_cvz_sum", refuse)
         with pytest.raises(SeriesBudgetError, match="over the budget"):
-            identity_check_expansion(1, 1 + F(1, 10**6), 3, 50)
+            identity_check_expansion(1, 1 + F(1, 10**6), 3, 2000)
 
     def test_passes_with_derived_tolerance(self):
         report = identity_check_expansion(1, F(3, 2), 12, 30)
@@ -409,7 +492,7 @@ class TestExpansionIdentity:
         k, J_max, precision = 1, 200, 80
         work = precision + 15
         report = identity_check_expansion(k, u, J_max, precision)
-        c_u = -(-u.numerator // (u.numerator - u.denominator))
+        _, lhs_radius, _ = _reciprocal_power_sum(k, u, 10**work)
         with mpmath.workdps(work + 15):
             lhs = mpmath.polylog(2 * k, mpmath.mpf(u.denominator) / u.numerator)
             rhs = abs_terms = mpmath.mpf(0)
@@ -424,7 +507,7 @@ class TestExpansionIdentity:
                 rhs += term if j % 2 else -term
                 abs_terms += abs(term)
             ten = mpmath.mpf(10)
-            lhs_dust = (c_u + 1) * (int(report.parameters["lhs_terms"]) + c_u + 2) * ten ** (1 - work)
+            lhs_dust = lhs_radius * ten ** -work
             rhs_dust = (abs_terms + 1) * ten ** (8 - work)
             error = abs(mpmath.mpf(str(report.residual.value)) - (lhs - rhs))
             assert error <= lhs_dust + rhs_dust
@@ -631,3 +714,86 @@ class TestReports:
         tampered = line.replace('"passed": true', '"passed": false')
         with pytest.raises(ValueError):
             VerificationReport.from_line(tampered)
+
+
+def chebyshev_shifted(n, x):
+    """T_n(1 - 2x) at an integer x, by the three-term recurrence."""
+    previous, current = 1, 1 - 2 * x
+    if n == 0:
+        return previous
+    for _ in range(n - 1):
+        previous, current = current, 2 * (1 - 2 * x) * current - previous
+    return current
+
+
+def weights_fit_the_polynomial(c, d, n):
+    """d - T_n(1 - 2x) == (1 + x) sum_k c_k (-x)^k at several integers x.
+
+    Both sides are polynomials of degree n in x, so agreement at n + 1
+    points is the identity the kernel's truncation bound rests on.
+    """
+    return len(c) == n and all(
+        d - chebyshev_shifted(n, x) == (1 + x) * sum(ck * (-x) ** k for k, ck in enumerate(c))
+        for x in range(1, n + 2)
+    )
+
+
+class TestCvzKernel:
+    """The accelerated alternating sum ``_cvz_sum`` and the f_k built on it."""
+
+    US = (F(1), 1 + F(1, 10**9), F(1001, 1000), F(3, 2), F(7))
+
+    def test_weights_are_the_chebyshev_coefficients(self):
+        for n in (1, 2, 3, 10, 37, 90):
+            c, d = _cvz_weights(n)
+            assert d == chebyshev_shifted(n, -1)  # T_n(3)
+            assert all(0 < ck < d for ck in c)
+            assert weights_fit_the_polynomial(c, d, n), n
+
+    def test_planted_weight_faults_fail(self):
+        n = 40
+        c, d = _cvz_weights(n)
+        for k in (0, 17, n - 1):
+            off_by_one = c[:k] + (c[k] + 1,) + c[k + 1:]
+            assert not weights_fit_the_polynomial(off_by_one, d, n), k
+        previous_d = _cvz_weights(n - 1)[1]
+        assert not weights_fit_the_polynomial(c, previous_d, n)
+
+    def test_planted_denominator_fault_fails_against_mpmath(self, monkeypatch):
+        # d_(n-1) in place of d_n inflates every sum by d_n/d_(n-1) ~ 5.8
+        mpmath = pytest.importorskip("mpmath")
+        weights = series_verifier._cvz_weights
+
+        def faulty(n):
+            c, _ = weights(n)
+            return c, weights(n - 1)[1]
+
+        monkeypatch.setattr(series_verifier, "_cvz_weights", faulty)
+        evaluation = phi_series(-2, F(3, 2), 30)
+        with mpmath.workdps(60):
+            error = abs(mpmath.mpf(str(evaluation.value.value)) - phi_mpmath(mpmath, -2, F(3, 2)))
+        assert error > mpmath.mpf(str(evaluation.error_bound.value))
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        bits = 200
+        for u in self.US:
+            for e in range(1, 9):
+                value, radius, terms = _cvz_sum(e, u.denominator, u.numerator, bits, _cvz_terms(bits))
+                with mpmath.workdps(90):
+                    true = -2 * mpmath.polylog(e, -mpmath.mpf(u.denominator) / u.numerator)
+                    error = abs(mpmath.mpf(value) / 2**bits - true) * 2**bits
+                assert error <= radius, (u, e)
+                assert radius <= 8 and terms <= _cvz_terms(bits), (u, e, radius)
+
+    def test_reciprocal_sums_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        scale = 10**70
+        for k in (1, 2):
+            for delta in ABEL_DELTAS:
+                value, radius, _ = _reciprocal_power_sum(k, 1 + delta, scale)
+                with mpmath.workdps(100):
+                    true = mpmath.polylog(2 * k, 1 / (1 + mpmath.mpf(delta.numerator) / delta.denominator))
+                    error = abs(mpmath.mpf(value) / scale - true) * scale
+                assert error <= radius, (k, delta)
+                assert radius <= 4, (k, delta, radius)

@@ -222,10 +222,12 @@ def _cvz_sum(e: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
     to 2^bits sum_{k<K} (-1)^k c_k y^k/(k+1)^e. Each step adds less
     than 1 to the error of the step before, times y <= 1, so H_0 is off
     by less than K. value = floor(2 y H_0/d) is then off by less than
-    1 + 2K/d < 2 ulps. (Summed forward, y^(k+1) would be off by up to
-    k+1 ulps and each weight would multiply a full-size term; from the
-    back, the weights carry d-fold precision and every product is by a
-    small integer when y is a small fraction.)
+    1 + 2K/d < 2 ulps. (Summed forward, the incremental y^(k+1) would be
+    off by up to k+1 ulps, which near u = 1 is less than the stationary
+    bound c_u = u/(u-1) of the plain loop, and each weight would
+    multiply a full-size term; from the back, the weights carry d-fold
+    precision and every product is by a small integer when y is a small
+    fraction.)
     """
     c, d = _cvz_weights(n)
     terms = n
@@ -687,9 +689,9 @@ def identity_check_expansion(
 
     work = precision + 15
     scale = 10**work
-    pi = _pi(work)
-
+    # the lhs first: past its work budget it refuses before pi is computed
     total, lhs_radius, lhs_terms = _reciprocal_power_sum(k, u, scale)
+    pi = _pi(work)
     # exact phi_0..phi_{m_next}; m_next indexes the first omitted term
     m_next = 2 * (J_max + 1) - 2 * k
     exact_phi = phi_coefficients(u, m_next)

@@ -40,7 +40,6 @@ from .reports import VerificationReport
 from .zeta_recurrence import _pi, zeta_even_decimal, zeta_even_ratio
 
 __all__ = [
-    "MAX_SERIES_TERMS",
     "MAX_SERIES_WORK",
     "PhiEvaluation",
     "SeriesBudgetError",
@@ -82,14 +81,8 @@ class PhiEvaluation(FrozenRecord):
         super().__init__(m, u, value, terms_used, error_bound)
 
 
-# Work budget of one plain series evaluation (the m >= 0 loop of
-# phi_series), in terms. The verify suites and the benchmark workloads ask
-# for at most about 1.8e5 terms (phi_3 at u = 1 + 1/1200, 50 digits);
-# u = 1 + 1e-9 at 50 digits would need ~1e11.
-MAX_SERIES_TERMS = 3_000_000
-
-# Work budget of the accelerated alternating sums (phi_m for m < 0, the
-# phi suite's 2 eta(m) targets and f_k(u)), in term-digits: the terms of
+# Work budget of every series (phi_m(u), the phi suite's 2 eta(m) targets
+# and f_k(u), all summed by ``_cvz_sum``), in term-digits: the terms of
 # every level summed, each weighted by its digit size, the decimal digits
 # of the fixed-point numbers times the 64-bit words of y's denominator
 # (``_term_digits``). The verify suites ask for at most about 5e5 (the
@@ -99,14 +92,6 @@ MAX_SERIES_WORK = 50_000_000
 
 class SeriesBudgetError(ValueError):
     """A series would need more work than its budget allows."""
-
-
-def _check_budget(what: str, terms: int) -> None:
-    if terms > MAX_SERIES_TERMS:
-        raise SeriesBudgetError(
-            f"{what} {terms} terms, over the budget of "
-            f"{MAX_SERIES_TERMS} terms"
-        )
 
 
 _LOG10_2 = math.log10(2)
@@ -141,28 +126,65 @@ def _dec_ceiling(x: Fraction, digits: int) -> Decimal:
 
 
 def _fixed_decimal(total: int, digits: int) -> Decimal:
-    """total / 10^digits as a Decimal, exactly."""
+    """total / 10^digits as a Decimal, exactly, with its trailing zeros:
+    rounding it keeps as many significant digits as it is asked for."""
     with localcontext() as ctx:
-        # dividing by a power of ten is exact once the context holds
+        # scaling by a power of ten is exact once the context holds
         # every digit of the numerator
         ctx.prec = math.ceil(total.bit_length() * _LOG10_2) + 10
-        return Decimal(total) / 10**digits
+        return Decimal(total).scaleb(-digits)
 
 
 _LN_CVZ = math.log(3 + math.sqrt(8))
 
 
-def _cvz_terms(bits: int) -> int:
-    """Terms n with 2^(bits+2) <= (3+sqrt 8)^n, so 2 * 2^bits / d_n <= 1."""
-    return math.ceil((bits + 2) * math.log(2) / _LN_CVZ)
+def _cvz_growth(m: int, n: int) -> int:
+    """(2n^2 + 2m)^m, m >= 1: how much m applications of y d/dy can grow
+    the truncation error of n weighted terms (``_cvz_sum``)."""
+    return (2 * n * n + 2 * m) ** m
 
 
-def _terms_before_floor(bits: int, ln_y: float, n: int) -> int:
-    """Estimated count of the k with 2^bits y^(k+1) >= 1, ln_y = ln(1/y),
-    capped at n: where ``_cvz_sum`` stops, and what the budgets count."""
+def _cvz_terms(bits: int, m: int) -> int:
+    """Terms n of ``_cvz_sum`` whose truncation is at most one ulp of 2^-bits.
+
+    For m <= 0, the least n with 2^(bits+2) <= (3+sqrt 8)^n, so
+    2 * 2^bits / d_n <= 1. For m >= 1, the least n with
+    2^(bits+2) (2n^2+2m)^m <= (3+sqrt 8)^n, found by iterating the
+    increasing map n -> ceil(((bits+2) ln 2 + m ln(2n^2+2m))/ln(3+sqrt 8))
+    up from the first n. The floats here round, but the kernel's radius
+    uses the exact bound, so a short n costs accuracy, never soundness.
+    """
+    base = (bits + 2) * math.log(2)
+    n = math.ceil(base / _LN_CVZ)
+    while m > 0:
+        longer = math.ceil((base + m * math.log(2 * n * n + 2 * m)) / _LN_CVZ)
+        if longer <= n:
+            break
+        n = longer
+    return n
+
+
+def _terms_before_floor(bits: int, ln_y: float, n: int, m: int) -> int:
+    """Estimated count of the k with 2^bits (k+1)^m y^(k+1) >= 1, or
+    before the peak k+1 = m/ln_y of those terms, ln_y = ln(1/y), capped at
+    n: where ``_cvz_sum`` stops, and what the budgets count. For m <= 0 the
+    factor (k+1)^m is left out (it is at most 1).
+
+    For m >= 1 the count is the larger root of x ln_y = bits ln 2 + m ln x,
+    whose right side is increasing and concave in x: the fixed-point
+    iteration from max(1, bits ln 2/ln_y, m/ln_y) approaches it.
+    """
     if ln_y <= 0:
         return n
-    return min(n, int(bits * math.log(2) / ln_y) + 1)
+    target = bits * math.log(2)
+    x = target / ln_y
+    if m > 0:
+        x = max(1.0, x, m / ln_y)
+        for _ in range(100):
+            x, last = max(1.0, (target + m * math.log(x)) / ln_y), x
+            if abs(x - last) < 0.5:
+                break
+    return min(n, int(x) + 1)
 
 
 @lru_cache(maxsize=8)
@@ -183,22 +205,18 @@ def _cvz_weights(n: int) -> tuple[tuple[int, ...], int]:
     return c, c[0] + 1
 
 
-def _cvz_sum(e: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, int]:
-    """2 sum_{k>=0} (-1)^k y^(k+1)/(k+1)^e for y = num/den in (0, 1], e >= 1.
+def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, int]:
+    """2 sum_{k>=0} (-1)^k (k+1)^m y^(k+1) for y = num/den, any integer m.
 
-    Returns ``(value, radius, terms)`` in ulps of 2^-bits: the true sum
-    lies within radius ulps of value, and terms is how many weighted
-    terms were summed. This is Algorithm 1 of Cohen, Rodriguez Villegas
-    and Zagier ("Convergence acceleration of alternating series",
+    y lies in (0, 1] for m < 0 and in (0, 1) for m >= 0. Returns
+    ``(value, radius, terms)`` in ulps of 2^-bits: the true sum lies
+    within radius ulps of value, and terms is how many weighted terms
+    were summed. This is Algorithm 1 of Cohen, Rodriguez Villegas and
+    Zagier ("Convergence acceleration of alternating series",
     Experimental Math. 9, 2000) with the integer weights of
-    ``_cvz_weights``; n sets the accuracy whatever y is.
-
-    Moments. a_k = y^(k+1)/(k+1)^e = int_0^1 x^k dmu(x) for a positive
-    measure mu on [0, 1]: y^(k+1) is y times the moments of a point mass
-    at y, 1/(k+1)^e are the moments of (ln 1/t)^(e-1)/(e-1)! dt, and a
-    product of moment sequences is the moment sequence of the image of
-    the product measure under (s, t) -> st. So S = sum (-1)^k a_k =
-    int dmu/(1+x), and 0 < S <= a_0 = y.
+    ``_cvz_weights``; n sets the accuracy whatever y is
+    (``_cvz_terms(bits, m)``). Write a_k = (k+1)^m y^(k+1), S = sum
+    (-1)^k a_k and S_n = sum_{k<n} (-1)^k (c_k/d) a_k.
 
     Weights. With P(x) = sum_j (-1)^j q_j x^j and d = P(-1),
     d - P(x) = sum_j q_j (1 - (-x)^j) and (1 - (-x)^j)/(1 + x) =
@@ -206,79 +224,144 @@ def _cvz_sum(e: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
     c_k = q_(k+1) + ... + q_n. All q_j are positive and q_0 = 1, so
     0 < c_k <= d - 1 < d, that is 0 <= c_k/d <= 1.
 
-    Truncation. S - S_n = int P(x)/((1+x) d) dmu with
-    S_n = sum_{k<n} (-1)^k (c_k/d) a_k, and |P(x)| = |T_n(1 - 2x)| <= 1
-    on [0, 1], so |S - S_n| <= S/d <= y/d. As
+    Truncation, m <= 0. With e = -m, a_k = y^(k+1)/(k+1)^e =
+    int_0^1 x^k dmu(x) for a positive measure mu on [0, 1]: y^(k+1) is y
+    times the moments of a point mass at y, 1/(k+1)^e are the moments of
+    (ln 1/t)^(e-1)/(e-1)! dt (for e = 0 the point mass alone), and a
+    product of moment sequences is the moment sequence of the image of
+    the product measure under (s, t) -> st. So S = int dmu/(1+x),
+    0 < S <= a_0 = y, and S - S_n = int P(x)/((1+x) d) dmu. As
+    |P(x)| = |T_n(1 - 2x)| <= 1 on [0, 1], |S - S_n| <= S/d <= y/d. As
     d = T_n(3) = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2 >= (3+sqrt 8)^n/2, the
     error of 2 S_n is at most 4y/(3+sqrt 8)^n, under one ulp for
-    n = ``_cvz_terms(bits)``; the radius uses 2y/d itself.
+    n = ``_cvz_terms(bits, m)``; the radius uses 2y/d itself.
 
-    Early stop. Past the first K with 2^bits y^(K+1) < 1 every term is
-    below one ulp, and the terms there are left out: with weights in
-    [0, 1] they add at most 2 sum_{k>=K} y^(k+1) < 2/(1 - y) ulps.
+    Truncation, m >= 1. The a_k rise before they fall, so they are no
+    moment sequence, but the error is still linear in them. With
+    theta = y d/dy, a_k = theta^m y^(k+1), so for y < 1 S =
+    theta^m[y/(1+y)], S_n = theta^m[y (d - P(y))/((1+y) d)] by the
+    weights above, and S - S_n = theta^m[g]/d with g(y) = P(y) y/(1+y).
+    Expand theta^m = sum_{j<=m} S(m,j) y^j (d/dy)^j, with S(m,j) the
+    Stirling numbers of the second kind.
+    - Markov's inequality |p'| <= deg(p)^2 max|p| on [-1, 1], applied j
+      times to T_n and carried to [0, 1] by x -> 1 - 2x, which doubles
+      each derivative, gives |P^(i)| <= (2n^2)^i on [0, 1].
+    - The r-th derivative of y/(1+y) is y/(1+y) <= 1 for r = 0 and
+      +-r!/(1+y)^(r+1) past that, so at most r! <= j^r for r <= j.
+    - By Leibniz, |g^(j)| <= sum_i C(j,i) (2n^2)^i j^(j-i) = (2n^2 + j)^j.
+    - A partition of m things into j blocks is fixed by its j block
+      minima and the block of each other thing, so
+      S(m,j) <= C(m,j) j^(m-j) <= C(m,j) m^(m-j).
+    With y <= 1 and j <= m, |S - S_n| <= sum_j C(m,j) m^(m-j)
+    (2n^2 + m)^j / d = (2n^2 + 2m)^m/d (``_cvz_growth``). The radius uses
+    2 (2n^2 + 2m)^m/d, at most one ulp for n = ``_cvz_terms(bits, m)``,
+    which costs about m ln(2n^2)/1.76 more terms than m <= 0.
+
+    Early stop. Let w = max(m, 0). Past the first K with
+    2^bits (K+1)^w y^(K+1) < 1 and rho = ((K+2)/(K+1))^w y < 1 (for
+    m >= 1 that is past the peak of the a_k), every term left is below
+    one ulp, and each is at most rho times the one before: the ratio
+    ((k+2)/(k+1))^m y of the a_k falls with k, and for m < 0 it is at
+    most y = rho. The terms from K on are left out; with weights in
+    [0, 1] they add at most 2 sum_{k>=K} a_k < 2/(1 - rho) ulps.
 
     Floor dust. The sum runs as a Horner scheme from the last term down,
-    H_k = floor(c_k 2^bits/(k+1)^e) - floor(H_(k+1) y), with H_0 close
-    to 2^bits sum_{k<K} (-1)^k c_k y^k/(k+1)^e. Each step adds less
-    than 1 to the error of the step before, times y <= 1, so H_0 is off
-    by less than K. value = floor(2 y H_0/d) is then off by less than
+    H_k = c_k 2^bits (k+1)^m - floor(H_(k+1) y) for m >= 0 (the first
+    part an exact integer) and H_k = floor(c_k 2^bits/(k+1)^e) -
+    floor(H_(k+1) y) for m < 0, with H_0 close to
+    2^bits sum_{k<K} (-1)^k c_k a_k/y. Each step adds less than 1 to the
+    error of the step before, times y <= 1, so H_0 is off by less than
+    K. value = floor(2 y H_0/d) is then off by less than
     1 + 2K/d < 2 ulps. (Summed forward, the incremental y^(k+1) would be
-    off by up to k+1 ulps, which near u = 1 is less than the stationary
-    bound c_u = u/(u-1) of the plain loop, and each weight would
-    multiply a full-size term; from the back, the weights carry d-fold
-    precision and every product is by a small integer when y is a small
-    fraction.)
+    off by up to k+1 ulps, and each weight would multiply a full-size
+    term; from the back, the weights carry d-fold precision and every
+    product is by a small integer when y is a small fraction.)
     """
     c, d = _cvz_weights(n)
+    w = max(m, 0)
     terms = n
-    estimate = _terms_before_floor(bits, math.log(den) - math.log(num), n)
+    estimate = _terms_before_floor(bits, math.log(den) - math.log(num), n, m)
     if estimate < n:
         # the K past which the terms floor to 0, checked exactly
         for k in (estimate - 1, estimate):
-            if num ** (k + 1) << bits < den ** (k + 1):
+            rise, fall = (k + 2) ** w * num, (k + 1) ** w * den
+            if rise < fall and (k + 1) ** w * num ** (k + 1) << bits < den ** (k + 1):
                 terms = k
                 break
     h = 0
-    for k in range(terms - 1, -1, -1):
-        h = (c[k] << bits) // (k + 1) ** e - h * num // den
+    if m >= 0:
+        for k in range(terms - 1, -1, -1):
+            h = (c[k] << bits) * (k + 1) ** m - h * num // den
+    else:
+        for k in range(terms - 1, -1, -1):
+            h = (c[k] << bits) // (k + 1) ** -m - h * num // den
     value = 2 * num * h // (den * d)
-    radius = 2 + _ceil_div(2 * num << bits, den * d)
+    if m > 0:
+        radius = 2 + _ceil_div(2 * _cvz_growth(m, n) << bits, d)
+    else:
+        radius = 2 + _ceil_div(2 * num << bits, den * d)
     if terms < n:
-        radius += _ceil_div(2 * den, den - num)
+        radius += _ceil_div(2 * fall, fall - rise)
     return value, radius, terms
 
 
-def _cvz_decimal(e: int, num: int, den: int, digits: int, what: str) -> tuple[int, int, int]:
+def _cvz_decimal(m: int, num: int, den: int, digits: int, what: str) -> tuple[int, int, int]:
     """``_cvz_sum`` in ulps of 10^-digits, with one more ulp for the conversion.
 
     Raises SeriesBudgetError past MAX_SERIES_WORK, before summing; its
-    message starts with ``what``.
+    message starts with ``what``. For m >= 1 the digit size of a term
+    also counts the bits of the growth factor, which the weights carry,
+    and those of (k+1)^m.
     """
     bits = math.ceil(digits / _LOG10_2) + 1
-    n = _cvz_terms(bits)
-    terms = _terms_before_floor(bits, math.log(den) - math.log(num), n)
-    _check_work(what, terms * _term_digits(bits, den.bit_length()))
-    value, radius, terms = _cvz_sum(e, num, den, bits, n)
+    n = _cvz_terms(bits, m)
+    terms = _terms_before_floor(bits, math.log(den) - math.log(num), n, m)
+    size = bits + max(m, 0) * ((2 * n * n + 2 * m).bit_length() + n.bit_length())
+    _check_work(what, terms * _term_digits(size, den.bit_length()))
+    value, radius, terms = _cvz_sum(m, num, den, bits, n)
     ten = 10**digits
     return value * ten >> bits, _ceil_div(radius * ten, 1 << bits) + 1, terms
 
 
-# Guard digits of phi_series for m < 0, doubled while the rounding of the
-# result to its precision is not yet decided.
+# Guard digits of phi_series, doubled while the rounding of the result to
+# its precision is not yet decided.
 _PHI_GUARD = 10
 
 
-def _phi_negative(m: int, u: Fraction, precision: int) -> PhiEvaluation:
-    """phi_m(u), m < 0, through ``_cvz_sum``: rounded correctly to precision digits.
+def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
+    """phi_m(u) = 2 sum_{n>=1} (-1)^(n+1) n^m / u^n for u > 1, rounded
+    correctly to ``precision`` significant digits.
 
-    phi_-e(u) = 2 sum_{k>=0} (-1)^k u^-(k+1)/(k+1)^e is the kernel's sum
-    at y = 1/u. It exceeds 1/u >= 10^-lead, so ``precision + guard``
-    significant digits need ``precision + guard + lead`` decimals. The
-    result is the value with its radius; while the two ends of that
-    ball round to different ``precision``-digit decimals the guard is
-    doubled (Ziv's strategy), up to 8 times its start. terms counts
+    For every m the sum is ``_cvz_sum`` at y = 1/u: about 1.31 terms per
+    digit at any u > 1, and about m ln(2n^2)/1.76 more for m >= 1. The
+    result is the value with its radius, the error bound. While the two
+    ends of that ball round to different ``precision``-digit decimals,
+    the guard is doubled (Ziv's strategy), up to 8 times its start. For
+    m >= 0 phi_m(u) is rational and may sit on a rounding tie; the retry
+    ends there at that cap, with the value inside its ball. terms counts
     every term summed, retries included.
+
+    Leading zeros. ``precision + guard`` significant digits need
+    ``precision + guard + lead`` decimals where |phi_m(u)| >= 10^-lead.
+    The first pass takes lead from 1/u, which phi_m(u) exceeds for m < 0.
+    For m >= 0 no such bound holds (phi_2(u) = 2u(u-1)/(u+1)^3 vanishes
+    at u = 1), so the ball sets the lead: while it certifies fewer than
+    ``precision + guard`` digits, the sum is repeated with the lead its
+    lower end gives, or with twice the decimals while it holds 0. That
+    ends, as phi_m(u) != 0 for rational u > 1. phi_0(u) = 2/(1+u), and
+    for m >= 1 phi_m(u) = -2 Li_-m(-1/u) with
+    Li_-m(x) = x A_m(x)/(1-x)^(m+1): the first and last coefficients of
+    the Eulerian polynomial A_m are 1, so its only possible rational
+    roots are +-1, and -1/u is neither. Each pass checks the budget.
+
+    Raises SeriesBudgetError, before summing, when a pass would need more
+    than MAX_SERIES_WORK term-digits.
     """
+    u = Fraction(u)
+    if u <= 1:
+        raise ValueError("series needs u > 1")
+    if precision < 10:
+        raise ValueError("precision must be >= 10")
     p, q = u.numerator, u.denominator
     lead = math.ceil(_ceil_div(p, q).bit_length() * _LOG10_2)
     guard = _PHI_GUARD
@@ -286,9 +369,14 @@ def _phi_negative(m: int, u: Fraction, precision: int) -> PhiEvaluation:
     while True:
         digits = precision + guard + lead
         value, radius, used = _cvz_decimal(
-            -m, q, p, digits, f"phi_{m}({u}) to {precision} digits needs"
+            m, q, p, digits, f"phi_{m}({u}) to {precision} digits needs"
         )
         terms += used
+        certain = abs(value) - radius  # |phi_m(u)| >= certain 10^-digits
+        if certain < 10 ** (precision + guard):
+            # one spare digit, so that the next pass clears this test
+            lead = digits + 2 - len(str(certain)) if certain > 0 else lead + digits
+            continue
         low, high = (
             round_significant(_fixed_decimal(v, digits), precision)
             for v in (value - radius, value + radius)
@@ -302,89 +390,6 @@ def _phi_negative(m: int, u: Fraction, precision: int) -> PhiEvaluation:
         value=HighPrecisionReal(_fixed_decimal(value, digits), precision),
         terms_used=terms,
         error_bound=HighPrecisionReal(_dec_ceiling(Fraction(radius, 10**digits), 15), 15),
-    )
-
-
-def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
-    """phi_m(u) = 2 sum_{n>=1} (-1)^(n+1) n^m / u^n for u > 1.
-
-    For m < 0 the sum is accelerated (``_phi_negative``): about 1.31
-    terms per digit at any u > 1, and the value rounds correctly to
-    ``precision`` significant digits. For m >= 0 the terms first rise,
-    so the series is summed as it stands, to an absolute 10^-precision.
-
-    Fixed-point evaluation (m >= 0): u^-n is maintained incrementally at
-    a scale with enough guard digits that every floor division is
-    accounted for. Summation stops once the term magnitude 2 n^m/u^n is
-    below 10^-precision *and* the terms are provably inside their final
-    geometric decay (past n = m/ln u, checked exactly via the term
-    ratio).
-
-    The error bound covers the geometric tail from that point plus every
-    ulp the integer arithmetic could have dropped, so |true - value| <=
-    error_bound unconditionally. Term n drops at most 2 c_u n^m + 1
-    ulps, where c_u bounds the ulps by which pow misses u^-n. The loop
-    does not add these up: they are summed after it in closed form,
-    2 c_u sum n^m + n.
-
-    Raises SeriesBudgetError, before summing, when the estimated work
-    exceeds MAX_SERIES_TERMS terms (m >= 0, u too close to 1 for the
-    precision) or MAX_SERIES_WORK term-digits (m < 0).
-    """
-    u = Fraction(u)
-    if u <= 1:
-        raise ValueError("series needs u > 1")
-    if precision < 10:
-        raise ValueError("precision must be >= 10")
-    if m < 0:
-        return _phi_negative(m, u, precision)
-    p, q = u.numerator, u.denominator
-    c_u = _ceil_div(p, p - q)  # stationary bound, in ulps, on the u^-n error
-
-    # Heuristic size estimates feed only the work budget and the
-    # guard-digit choice; the bound below is computed from what actually
-    # happened, so a bad estimate can waste digits but never soundness.
-    ln_u = math.log(p) - math.log(q)
-    n_min = math.floor(m / ln_u) + 1
-    target = precision * math.log(10) + math.log(2.0)
-    n_est = max(n_min, int(target / ln_u) + 2)
-    for _ in range(4):
-        n_est = max(n_min, int((target + m * math.log(n_est)) / ln_u) + 2)
-    _check_budget(f"phi_{m}({u}) to {precision} digits needs about", n_est)
-    guard = 18 + math.ceil(m * math.log10(n_est + 1)) + len(str(c_u * (n_est + 1)))
-
-    scale = 10 ** (precision + guard)
-    threshold = 10**guard  # 10^-precision in ulps
-    # total = term - total: the alternating sum, signed as the last term
-    pow_ = scale * q // p
-    total = 0
-    n = 1
-    weights = 0
-    while True:
-        weight = n**m
-        weights += weight
-        term = 2 * weight * pow_
-        total = term - total
-        if term < threshold and n >= n_min and Fraction(n + 1, n) ** m < u:
-            break
-        n += 1
-        pow_ = pow_ * q // p
-    term_err = 2 * weight * c_u + 1
-    err_ulps = 2 * c_u * weights + n
-    if n % 2 == 0:
-        total = -total
-
-    # Past n the term ratio never exceeds rho < 1, so the dropped tail
-    # is below (last true term) * rho/(1 - rho).
-    rho = Fraction(n + 1, n) ** m / u
-    tail_ulps = Fraction(term + term_err) * rho / (1 - rho)
-    bound = (tail_ulps + err_ulps + 1) / scale
-    return PhiEvaluation(
-        m=m,
-        u=u,
-        value=HighPrecisionReal(_fixed_decimal(total, precision + guard), precision),
-        terms_used=n,
-        error_bound=HighPrecisionReal(_dec_ceiling(bound, 15), 15),
     )
 
 
@@ -487,11 +492,11 @@ def _reciprocal_plan(k: int, u: Fraction, scale: int) -> tuple[int, int]:
         levels = min(levels, max(1, math.ceil(math.log2(scale.bit_length() / ln_u)) + 2))
     # about 7 ulps of radius per level: enough guard bits to hide them
     bits = scale.bit_length() + (8 * levels + 8).bit_length()
-    n = _cvz_terms(bits)
+    n = _cvz_terms(bits, -2 * k)
     work = 0
     for level in range(levels):
         y_bits = min(2**level * p.bit_length(), bits + 1)
-        work += _terms_before_floor(bits, 2**level * ln_u, n) * _term_digits(bits, y_bits)
+        work += _terms_before_floor(bits, 2**level * ln_u, n, -2 * k) * _term_digits(bits, y_bits)
     _check_work(f"f_{k}({u}) needs", work)
     return bits, n
 
@@ -532,7 +537,7 @@ def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int, in
     num, den = u.denominator, u.numerator
     total = radius = terms = level = 0
     while num:
-        value, r, used = _cvz_sum(s, num, den, bits, n)
+        value, r, used = _cvz_sum(-s, num, den, bits, n)
         shift = level * (s - 1) + 1
         total += value >> shift
         radius += _ceil_div(r, 1 << shift) + 3
@@ -929,7 +934,7 @@ def _two_eta(m: int, digits: int) -> tuple[HighPrecisionReal, Decimal]:
     if m < 1:
         raise ValueError("eta(m) needs m >= 1")
     work = digits + 10
-    value, radius, _ = _cvz_decimal(m, 1, 1, work, f"2 eta({m}) to {digits} digits needs")
+    value, radius, _ = _cvz_decimal(-m, 1, 1, work, f"2 eta({m}) to {digits} digits needs")
     return HighPrecisionReal(_fixed_decimal(value, work), digits), _fixed_decimal(radius, work)
 
 

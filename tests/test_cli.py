@@ -5,17 +5,19 @@ import os
 import subprocess
 import sys
 import time
-from decimal import Decimal
+from decimal import ROUND_DOWN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import zetaeven
-from zetaeven import cli, series_verifier
+from zetaeven import cli, numeric_core, series_verifier
 from zetaeven.numeric_core import round_significant
 from zetaeven.reports import VerificationReport
-from zetaeven.series_verifier import MAX_SERIES_TERMS, SUITES, run_suite
+from zetaeven.series_verifier import SUITES, phi_coefficients, phi_series, run_suite
+
+from test_series_loops import round_exact
 
 FIELDS = list(cli.FIELD_ORDER)
 
@@ -315,11 +317,12 @@ class TestExitCodes:
             ("verify", "--suite", "expansion", "--tolerance", "inf"),
             ("verify", "--suite", "phi", "--tolerance", "-Infinity"),
             ("verify", "--suite", "expansion", "--tolerance", "sNaN"),
-            # past the series work budgets
-            ("phi", "--m", "2", "--u", "1.000000001", "--digits", "50"),
+            # past the series work budget
+            ("phi", "--m", "2", "--u", "1.000000001", "--digits", "10000"),
             ("phi", "--m", "-2", "--u", "1.000000001", "--digits", "10000"),
+            ("phi", "--m", "1000", "--u", "3", "--digits", "50"),
             # the alternating-sum length is a suite constant, not a flag
-            ("verify", "--suite", "phi", "--digits", "12", "--terms", str(MAX_SERIES_TERMS + 1)),
+            ("verify", "--suite", "phi", "--digits", "12", "--terms", "3000001"),
             ("verify", "--suite", "phi", "--terms", "0"),
             ("verify", "--terms=7"),
             ("phi", "--route", "taylor", "--m", "-1", "--u", "2"),
@@ -428,7 +431,7 @@ def correctly_rounded(mpmath, m, u, digits):
 
 
 class TestPhiCorrectRounding:
-    """phi --route series for m < 0 prints the correctly rounded decimal."""
+    """phi --route series prints the correctly rounded decimal, for every m."""
 
     def test_grid(self, capsys):
         mpmath = pytest.importorskip("mpmath")
@@ -459,3 +462,55 @@ class TestPhiCorrectRounding:
             assert code == 0
             assert parse_phi_line(out.strip())[0] == correctly_rounded(mpmath, m, u, 20), (m, u)
         assert len(calls) > len(cases)
+
+    @staticmethod
+    def nonnegative_mismatches(capsys, digits_list):
+        """The m = 0..11 cases of the grid whose printed decimal is not the
+        exact phi_m(u) rounded correctly."""
+        exact = {u: phi_coefficients(Fraction(u), 11) for u in ROUNDING_US}
+        mismatches = []
+        for m in range(12):
+            for u in ROUNDING_US:
+                for digits in digits_list:
+                    code, out, _ = run_cli(capsys, "phi", "--m", str(m), "--u", u, "--digits", digits)
+                    assert code == 0
+                    value, _, _ = parse_phi_line(out.strip())
+                    if value != round_exact(exact[u][m], int(digits)):
+                        mismatches.append((m, u, digits))
+        return mismatches
+
+    def test_nonnegative_grid_against_the_exact_values(self, capsys):
+        # 12 m x 7 u x 3 digits = 252 cases, against exact rationals
+        assert self.nonnegative_mismatches(capsys, ("10", "20", "50")) == []
+
+    def test_planted_truncation_fails(self, capsys, monkeypatch):
+        # a renderer that truncates instead of rounding prints the last
+        # digit one too low in about half the cases
+        def truncate(value, digits):
+            with localcontext() as ctx:
+                ctx.prec = digits
+                ctx.rounding = ROUND_DOWN
+                return +value
+
+        monkeypatch.setattr(numeric_core, "round_significant", truncate)
+        assert len(self.nonnegative_mismatches(capsys, ("10",))) >= 20
+
+    def test_a_rounding_tie_ends_at_the_retry_cap(self, capsys, monkeypatch):
+        # phi_0(u) = 2/(1+u) = 0.12345678905 is a tie at 10 digits: every
+        # ball holds it, so the guard doubles to its cap (10, 20, 40, 80)
+        tie = Fraction(12345678905, 10**11)
+        u = 2 / tie - 1
+        passes = []
+        kernel = series_verifier._cvz_decimal
+        monkeypatch.setattr(
+            series_verifier, "_cvz_decimal", lambda *args: passes.append(args[3]) or kernel(*args)
+        )
+        evaluation = phi_series(0, u, 10)
+        assert [digits - passes[0] for digits in passes] == [0, 10, 30, 70]
+        assert abs(Fraction(evaluation.value.value) - tie) <= Fraction(evaluation.error_bound.value)
+        code, out, _ = run_cli(capsys, "phi", "--m", "0", "--u", str(u), "--digits", "10")
+        value, bound, _ = parse_phi_line(out.strip())
+        assert code == 0
+        assert value in (Decimal("0.1234567890"), Decimal("0.1234567891"))
+        # the printed bound plus half an ulp of the 10 printed digits
+        assert abs(Fraction(value) - tie) <= Fraction(bound) + Fraction(5, 10**11)

@@ -1,17 +1,15 @@
 """The series of the library against reference copies of older loops.
 
-For m >= 0 the reference is the straightforward one-term-per-step loop
-phi_series used before its loop was tightened. The phi-suite residuals
-print the last ulps of that sum, so the library must reproduce its
-integers exactly: same value, same term count, same error bound. The
-printed bound keeps 15 digits, so the exact rational bound is compared
-too.
+``phi_series``, the alternating eta sums and f_k(u) now sum an
+accelerated series (``series_verifier._cvz_sum``) for every m, so they
+cannot reproduce the integers of the plain loops they replaced. Those
+loops are kept here as references, and the two must agree within the
+sum of their error bounds.
 
-For m < 0, for the alternating eta sums and for f_k(u), the library now
-sums an accelerated series (``series_verifier._cvz_sum``), so it cannot
-reproduce the old integers. There the references are the plain loops it
-replaced, and the two must agree within the sum of their error bounds.
-Agreement with mpmath, where it is installed, covers u the old loops
+For m >= 0, ``phi_coefficients`` is an exact oracle that needs no
+mpmath and reaches every u: phi_series must lie within its bound of it
+and print its correctly rounded decimal, near u = 1 too. For m < 0,
+agreement with mpmath, where it is installed, covers u the old loops
 cannot reach.
 """
 
@@ -22,7 +20,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetaeven import series_verifier
 from zetaeven.numeric_core import HighPrecisionReal, round_significant
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
@@ -33,6 +30,7 @@ from zetaeven.series_verifier import (
     _dec_ceiling,
     _reciprocal_power_sum,
     _two_eta,
+    phi_coefficients,
     phi_series,
 )
 
@@ -137,30 +135,37 @@ def reference_reciprocal_power_sum(k, u, scale):
 
 
 def assert_same(m, u, precision, max_terms=None):
-    """phi_series against the reference loop: the same integers for m >= 0,
-    agreement within both error bounds for m < 0."""
+    """phi_series against the reference loop: agreement within both error
+    bounds. Skipped when the loop would sum more than ``max_terms``."""
     expected = reference_phi_series(m, u, precision, max_terms)
     if expected is None:
         return
     expected, expected_bound = expected
-    if m < 0:
-        actual = phi_series(m, u, precision)
-        gap = abs(F(actual.value.value) - F(expected.value.value))
-        assert gap <= F(actual.error_bound.value) + expected_bound, (m, u, precision)
-        return
-    bounds = []
+    actual = phi_series(m, u, precision)
+    gap = abs(F(actual.value.value) - F(expected.value.value))
+    assert gap <= F(actual.error_bound.value) + expected_bound, (m, u, precision)
 
-    def capture(x, digits):
-        bounds.append(x)
-        return _dec_ceiling(x, digits)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series_verifier, "_dec_ceiling", capture)
-        actual = phi_series(m, u, precision)
-    assert actual == expected, (m, u, precision)
-    # equal Decimals may still differ in their digits; the printed ones may not
-    assert str(actual.value.value) == str(expected.value.value), (m, u, precision)
-    assert bounds == [expected_bound], (m, u, precision)
+def round_exact(x, digits):
+    """The rational x rounded to ``digits`` significant digits, ties to even."""
+    if x == 0:
+        return Decimal(0)
+    e = len(str(abs(x.numerator))) - len(str(x.denominator))
+    while F(10) ** e > abs(x):
+        e -= 1
+    while F(10) ** (e + 1) <= abs(x):
+        e += 1
+    shift = e - digits + 1
+    return Decimal(f"{round(x / F(10) ** shift)}E{shift}")
+
+
+def assert_exact(m, u, precision, exact):
+    """phi_series(m >= 0) within its bound of the exact phi_m(u), and
+    rounded correctly."""
+    evaluation = phi_series(m, u, precision)
+    error = abs(F(evaluation.value.value) - exact)
+    assert error <= F(evaluation.error_bound.value), (m, u, precision)
+    assert evaluation.value.rounded() == round_exact(exact, precision), (m, u, precision)
 
 
 def phi_reference(m, u):
@@ -184,20 +189,34 @@ FAR_US = (F(11, 10), F(3, 2), F(2), F(3), F(17, 5))
 NEAR_US = (F(1001, 1000), F(806, 805), F(1196, 1195))
 
 
-@pytest.mark.parametrize("u", FAR_US, ids=str)
-def test_phi_grid_away_from_one(u):
+def check_grid(u):
+    exact = phi_coefficients(u, 24)
     for m in range(-7, 25):
         for precision in PRECISIONS:
             assert_same(m, u, precision)
+            if m >= 0:
+                assert_exact(m, u, precision, exact[m])
+
+
+@pytest.mark.parametrize("u", FAR_US, ids=str)
+def test_phi_grid_away_from_one(u):
+    check_grid(u)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("u", NEAR_US, ids=str)
 def test_phi_grid_near_one(u):
     # 1e5 to 3e5 terms per reference series: 20 to 30 s per u
-    for m in range(-7, 25):
+    check_grid(u)
+
+
+@pytest.mark.parametrize("u", NEAR_US, ids=str)
+def test_phi_near_one_against_the_exact_coefficients(u):
+    # the exact oracle alone, without the long reference loops
+    exact = phi_coefficients(u, 24)
+    for m in range(25):
         for precision in PRECISIONS:
-            assert_same(m, u, precision)
+            assert_exact(m, u, precision, exact[m])
 
 
 def test_phi_near_one_cases_of_the_suite_and_benchmark():
@@ -207,6 +226,8 @@ def test_phi_near_one_cases_of_the_suite_and_benchmark():
             assert_same(-m, 1 + delta, 50)
     for m, u, precision in ((3, F(1196, 1195), 50), (0, F(1001, 1000), 24), (-1, F(806, 805), 10)):
         assert_same(m, u, precision)
+        if m >= 0:
+            assert_exact(m, u, precision, phi_coefficients(u, m)[m])
 
 
 NEAR_ONE = st.builds(
@@ -222,9 +243,12 @@ NEAR_ONE = st.builds(
 )
 def test_phi_property(u, m, precision):
     # the cap keeps each example near 20 ms; the near-1 grid covers longer
-    # sums, and mpmath the m < 0 sums no plain loop can reach
+    # sums, the exact coefficients every m >= 0, and mpmath the m < 0 sums
+    # no plain loop can reach
     assert_same(m, u, precision, max_terms=20_000)
-    if m < 0 and mpmath is not None:
+    if m >= 0:
+        assert_exact(m, u, precision, phi_coefficients(u, m)[m])
+    elif mpmath is not None:
         assert_near_mpmath(m, u, precision)
 
 

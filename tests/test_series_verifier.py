@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import random
 import subprocess
@@ -19,7 +20,7 @@ from zetaeven.reports import VerificationReport
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
     EXPANSION_CASES,
-    MAX_SERIES_TERMS,
+    MAX_SERIES_WORK,
     PhiEvaluation,
     SeriesBudgetError,
     _abel_tolerance,
@@ -124,19 +125,33 @@ class TestPhiSeries:
         with pytest.raises(ValueError):
             phi_series(0, F(2), 9)
 
-    def test_work_budget(self):
-        # u = 1 + 1e-9 at 50 digits needs ~1e11 plain terms: refused before
-        # summing for m >= 0; the accelerated m < 0 series needs 82
+    def test_work_budget(self, monkeypatch):
+        # u = 1 + 1e-9 at 50 digits: the accelerated series needs under 150
+        # terms for either sign of m (the plain m >= 0 loop needed ~1e11)
+        u = F("1.000000001")
+        exact = phi_coefficients(u, 3)
         for m in (0, 3):
-            with pytest.raises(SeriesBudgetError, match="over the budget"):
-                phi_series(m, F("1.000000001"), 50)
-        assert phi_series(-2, F("1.000000001"), 50).terms_used < 100
-        # past the work budget of the accelerated sums, refused before any sum
-        with pytest.raises(SeriesBudgetError, match="over the budget"):
-            phi_series(-2, F("1.000000001"), 10_000)
+            evaluation = phi_series(m, u, 50)
+            assert evaluation.terms_used < 150, m
+            assert abs_error(evaluation, exact[m]) <= evaluation.error_bound.value, m
+        assert phi_series(-2, u, 50).terms_used < 100
         # the longest series the suites and benchmark ask for keeps a 10x margin
-        evaluation = phi_series(3, F(1201, 1200), 50)
-        assert 10 * evaluation.terms_used <= MAX_SERIES_TERMS
+        works = []
+        check = series_verifier._check_work
+        monkeypatch.setattr(series_verifier, "_check_work", lambda what, work: works.append(work) or check(what, work))
+        for m, v, digits in ((3, F(1201, 1200), 50), (28, F(9, 8), 30), (20, F(3, 2), 80), (13, F(3), 50)):
+            phi_series(m, v, digits)
+        assert 10 * max(works) <= MAX_SERIES_WORK
+        # past the work budget, refused before any sum, for every sign of m
+        # and for large m far from 1, where the weights grow with m
+
+        def refuse(*args):
+            raise AssertionError("summed before the budget check")
+
+        monkeypatch.setattr(series_verifier, "_cvz_sum", refuse)
+        for m, v, digits in ((-2, u, 10_000), (0, u, 10_000), (3, u, 10_000), (1000, F(3), 50)):
+            with pytest.raises(SeriesBudgetError, match="over the budget"):
+                phi_series(m, v, digits)
 
     def test_reports_terms_used(self):
         evaluation = phi_series(0, F(10), 20)
@@ -254,7 +269,7 @@ class TestEtaPartial:
     def test_single_term(self):
         # one weighted term: c_0 = 2 over d = T_1(3) = 3, so 2 * (2/3) * a_0
         assert _cvz_weights(1) == ((2,), 3)
-        value, radius, terms = _cvz_sum(2, 1, 1, 60, 1)
+        value, radius, terms = _cvz_sum(-2, 1, 1, 60, 1)
         assert terms == 1
         assert abs(value - F(4, 3) * 2**60) < 2
         # the truncation bound 2y/d = 2/3 covers 2 eta(2) = zeta(2) = 1.6449...
@@ -361,8 +376,8 @@ class TestAbelLimit:
         kernel, check = series_verifier._cvz_sum, series_verifier._check_work
         estimates, done = [], []
 
-        def counting_kernel(e, num, den, bits, n):
-            value, radius, terms = kernel(e, num, den, bits, n)
+        def counting_kernel(m, num, den, bits, n):
+            value, radius, terms = kernel(m, num, den, bits, n)
             done.append((terms, _term_digits(bits, den.bit_length())))
             return value, radius, terms
 
@@ -779,12 +794,39 @@ class TestCvzKernel:
         bits = 200
         for u in self.US:
             for e in range(1, 9):
-                value, radius, terms = _cvz_sum(e, u.denominator, u.numerator, bits, _cvz_terms(bits))
+                value, radius, terms = _cvz_sum(-e, u.denominator, u.numerator, bits, _cvz_terms(bits, -e))
                 with mpmath.workdps(90):
                     true = -2 * mpmath.polylog(e, -mpmath.mpf(u.denominator) / u.numerator)
                     error = abs(mpmath.mpf(value) / 2**bits - true) * 2**bits
                 assert error <= radius, (u, e)
-                assert radius <= 8 and terms <= _cvz_terms(bits), (u, e, radius)
+                assert radius <= 8 and terms <= _cvz_terms(bits, -e), (u, e, radius)
+
+    GRID_US = (F(11, 10), F(3, 2), F(2), F(3), F(17, 5), F(1001, 1000), F(7))
+
+    def positive_m_errors(self):
+        """(error, radius) of the kernel for m >= 1 against the exact phi_m(u):
+        m = 1..11 on the rounding grid, and m = 20 and 40 at u = 1001/1000,
+        each at the binary scale phi_series uses for 10, 20 and 50 digits."""
+        cases = [(m, u) for u in self.GRID_US for m in range(1, 12)]
+        cases += [(20, F(1001, 1000)), (40, F(1001, 1000))]
+        exact = {u: phi_coefficients(u, 40) for u in self.GRID_US}
+        for m, u in cases:
+            for digits in (10, 20, 50):
+                bits = math.ceil((digits + 11) / math.log10(2)) + 1
+                n = series_verifier._cvz_terms(bits, m)
+                value, radius, _ = series_verifier._cvz_sum(m, u.denominator, u.numerator, bits, n)
+                yield abs(value - exact[u][m] * 2**bits), radius
+
+    def test_positive_m_error_within_radius(self):
+        assert all(error <= radius for error, radius in self.positive_m_errors())
+
+    def test_planted_growth_fault_fails(self, monkeypatch):
+        # without the (2n^2 + 2m)^m factor, n and the radius are those of
+        # m <= 0: too few terms, and a radius the error outgrows
+        terms = series_verifier._cvz_terms
+        monkeypatch.setattr(series_verifier, "_cvz_terms", lambda bits, m: terms(bits, 0))
+        monkeypatch.setattr(series_verifier, "_cvz_growth", lambda m, n: 1)
+        assert any(error > radius for error, radius in self.positive_m_errors())
 
     def test_reciprocal_sums_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")

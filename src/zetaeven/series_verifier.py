@@ -187,15 +187,17 @@ def _terms_before_floor(bits: int, ln_y: float, n: int, m: int) -> int:
     return min(n, int(x) + 1)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _cvz_weights(n: int) -> tuple[tuple[int, ...], int]:
     """The integer weights c_0..c_(n-1) of ``_cvz_sum`` and their d = T_n(3).
 
     P(x) = T_n(1 - 2x) = sum_j (-1)^j q_j x^j with q_0 = 1 and
     q_(j+1) = q_j * 2(n+j)(n-j)/((j+1)(2j+1)), so q_j = n/(n+j) C(n+j, 2j) 4^j
     and every q_j is a positive integer. c_k = q_(k+1) + ... + q_n and
-    d = P(-1) = q_0 + ... + q_n = c_0 + 1. The last few calls are kept:
-    the verify suites ask for the same n again and again.
+    d = P(-1) = q_0 + ... + q_n = c_0 + 1. The last two calls are kept:
+    the Lewin levels of one f_k and the phi suite's limit series ask for
+    the same n again and again, while for m >= 0 n changes with m, and
+    more entries would hold weights of that size no next call asks for.
     """
     q, qs = 1, []
     for j in range(n):

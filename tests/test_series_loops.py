@@ -219,6 +219,18 @@ def test_phi_near_one_against_the_exact_coefficients(u):
             assert_exact(m, u, precision, exact[m])
 
 
+def test_phi_values_below_the_first_pass():
+    # the even phi_m(u) are O(u - 1) near u = 1: at u = 1 + 10^-80 the
+    # first pass's ball holds 0, and the lead it then sets must still give
+    # every significant digit
+    for m in (2, 4, 6):
+        for exponent in (80, 300):
+            u = 1 + F(1, 10**exponent)
+            exact = phi_coefficients(u, m)[m]
+            for precision in (10, 50):
+                assert_exact(m, u, precision, exact)
+
+
 def test_phi_near_one_cases_of_the_suite_and_benchmark():
     # the limit series of the phi suite, and the near-1 phi commands
     for m in PHI_LIMIT_MS:

@@ -820,6 +820,22 @@ class TestCvzKernel:
     def test_positive_m_error_within_radius(self):
         assert all(error <= radius for error, radius in self.positive_m_errors())
 
+    def test_early_stop_is_checked_exactly(self, monkeypatch):
+        # the float estimate of where the terms floor only proposes a stop,
+        # which the kernel tests exactly: an estimate that leaves out the
+        # factor (k+1)^m, or one before the peak of the terms, must cost
+        # terms, never accuracy
+        estimate = series_verifier._terms_before_floor
+        monkeypatch.setattr(
+            series_verifier, "_terms_before_floor", lambda bits, ln_y, n, m: estimate(bits, ln_y, n, 0)
+        )
+        assert all(error <= radius for error, radius in self.positive_m_errors())
+        monkeypatch.setattr(series_verifier, "_terms_before_floor", lambda bits, ln_y, n, m: 1)
+        # y = 2^-41: the first term is below one ulp of 2^-40, the third is 2^75 ulps
+        bits, m = 40, 100
+        value, radius, _ = _cvz_sum(m, 1, 2**41, bits, _cvz_terms(bits, m))
+        assert abs(value - phi_coefficients(F(2**41), m)[m] * 2**bits) <= radius
+
     def test_planted_growth_fault_fails(self, monkeypatch):
         # without the (2n^2 + 2m)^m factor, n and the radius are those of
         # m <= 0: too few terms, and a radius the error outgrows

@@ -23,16 +23,22 @@ their precision onto digits. Records go to stdout; diagnostics --
 including full JSON report lines, with identity names and parameters,
 for every failed check -- go to stderr.
 
-Exit status: 0 success, 1 if any emitted report failed, 2 usage or
-input error (one line on stderr, no traceback), including a series over
-the work budget of series_verifier.
+Flags come from one table, COMMANDS, which the parser and the --help
+text both read. A flag takes its value as ``--flag value`` or
+``--flag=value``; the token after a value-taking flag is its value even
+when it starts with '-' (``--u -3/2``). Any unique prefix abbreviates a
+flag (``--dig`` for ``--digits``), an exact name beats a prefix (``--k``
+against ``--kmax``), and a repeated flag keeps its last value.
+
+Exit status: 0 success (and --help), 1 if any emitted report failed, 2
+usage or input error (one line on stderr, no traceback), including a
+series over the work budget of series_verifier.
 Every subcommand except bench (which prints timings) is deterministic:
 identical invocations produce byte-identical stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from decimal import Decimal, InvalidOperation
@@ -62,8 +68,6 @@ FIELD_ORDER = (
     "jmax",
 )
 
-_SUITE_KNOBS = ("kmax", "digits", "jmax", "tolerance")
-
 
 def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
     if fmt == "plain":
@@ -71,11 +75,8 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
             out.write(line + "\n")
         return
     if fmt == "json-lines":
-        import json  # deferred: only json output pays for this import
-
         for rec in records:
-            ordered = {key: rec[key] for key in FIELD_ORDER if key in rec}
-            out.write(json.dumps(ordered) + "\n")
+            out.write(_json_line(rec) + "\n")
         return
     import csv  # deferred: only csv output pays for this import
 
@@ -83,6 +84,29 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
     writer.writerow(FIELD_ORDER)
     for rec in records:
         writer.writerow([_csv_cell(rec.get(key)) for key in FIELD_ORDER])
+
+
+def _json_line(rec: dict) -> str:
+    """rec's FIELD_ORDER fields as ``json.dumps`` writes them by default.
+
+    Strings go through ``encode_basestring_ascii``, the C encoder
+    ``json.dumps`` itself uses, so the json package is never imported.
+    """
+    from _json import encode_basestring_ascii as quote  # deferred, like csv
+
+    return "{" + ", ".join(
+        f'"{key}": {_json_scalar(rec[key], quote)}' for key in FIELD_ORDER if key in rec
+    ) + "}"
+
+
+def _json_scalar(value, quote) -> str:
+    if isinstance(value, str):
+        return quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    raise TypeError(f"no json-lines form for {type(value).__name__}")
 
 
 def _csv_cell(value) -> str:
@@ -156,127 +180,124 @@ def _poly_plain(m: int) -> str:
     return f"E_{m}(x) = " + (" ".join(parts) if parts else "0")
 
 
+
+
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_zeta(args, parser) -> int:
-    ks = range(1, args.kmax + 1) if args.kmax is not None else [args.k]
+def _cmd_zeta(k, kmax, exact, digits, fmt) -> int:
+    ks = range(1, kmax + 1) if kmax is not None else [k]
     records, lines = [], []
     for k in ks:
-        if args.exact:
+        if exact:
             ratio = zeta_even_ratio(k)
             records.append({"kind": "ratio", "k": k, **_rational_fields(ratio)})
             lines.append(f"zeta({2 * k}) = pi^{2 * k} * {ratio}")
         else:
-            value = zeta_even_decimal(k, args.digits)
-            records.append(
-                {"kind": "decimal", "k": k, "digits": args.digits, "decimal": value}
-            )
-            lines.append(f"zeta({2 * k}) = {value}  ({args.digits} digits)")
-    _emit(records, lines, args.format, sys.stdout)
+            value = zeta_even_decimal(k, digits)
+            records.append({"kind": "decimal", "k": k, "digits": digits, "decimal": value})
+            lines.append(f"zeta({2 * k}) = {value}  ({digits} digits)")
+    _emit(records, lines, fmt, sys.stdout)
     return 0
 
 
-def _cmd_bernoulli(args, parser) -> int:
-    value = bernoulli(args.n)
-    records = [{"kind": "bernoulli", "n": args.n, **_rational_fields(value)}]
-    _emit(records, [f"B_{args.n} = {value}"], args.format, sys.stdout)
+def _cmd_bernoulli(n, fmt) -> int:
+    value = bernoulli(n)
+    records = [{"kind": "bernoulli", "n": n, **_rational_fields(value)}]
+    _emit(records, [f"B_{n} = {value}"], fmt, sys.stdout)
     return 0
 
 
-def _cmd_euler_poly(args, parser) -> int:
-    poly = euler_polynomial(args.m)
-    if args.at is not None:
-        point = args.at
-        value = euler_polynomial_eval(poly, point)
-        records = [
-            {"kind": "euler_poly", "m": args.m, "u": str(point), **_rational_fields(value)}
-        ]
-        lines = [f"E_{args.m}({point}) = {value}"]
+def _cmd_euler_poly(m, at, fmt) -> int:
+    poly = euler_polynomial(m)
+    if at is not None:
+        value = euler_polynomial_eval(poly, at)
+        records = [{"kind": "euler_poly", "m": m, "u": str(at), **_rational_fields(value)}]
+        lines = [f"E_{m}({at}) = {value}"]
     else:
         records = [
-            {"kind": "euler_poly", "m": args.m, "n": j, **_rational_fields(c)}
+            {"kind": "euler_poly", "m": m, "n": j, **_rational_fields(c)}
             for j, c in enumerate(poly.coefficients)
         ]
-        lines = [_poly_plain(args.m)]
-    _emit(records, lines, args.format, sys.stdout)
+        lines = [_poly_plain(m)]
+    _emit(records, lines, fmt, sys.stdout)
     return 0
 
 
-def _cmd_phi(args, parser) -> int:
-    u = args.u
-    if args.route == "taylor":
-        value = phi_taylor_coeff(args.m, u)
-        records = [{"kind": "phi", "m": args.m, "u": str(u), **_rational_fields(value)}]
-        lines = [f"phi_{args.m}({u}) = {value}"]
+def _cmd_phi(m, u, route, digits, fmt) -> int:
+    if route == "taylor":
+        value = phi_taylor_coeff(m, u)
+        records = [{"kind": "phi", "m": m, "u": str(u), **_rational_fields(value)}]
+        lines = [f"phi_{m}({u}) = {value}"]
     else:
-        if args.digits < 10:
+        if digits < 10:
             raise ValueError("digits must be >= 10")
-        evaluation = phi_series(args.m, u, args.digits)
+        evaluation = phi_series(m, u, digits)
         records = [
             {
                 "kind": "phi",
-                "m": args.m,
+                "m": m,
                 "u": str(u),
                 "decimal": str(evaluation.value.rounded()),
-                "digits": args.digits,
+                "digits": digits,
                 "terms": evaluation.terms_used,
             }
         ]
         lines = [
-            f"phi_{args.m}({u}) = {evaluation.value.rounded()}  "
+            f"phi_{m}({u}) = {evaluation.value.rounded()}  "
             f"(+/- {evaluation.error_bound.rounded()}, {evaluation.terms_used} terms)"
         ]
-    _emit(records, lines, args.format, sys.stdout)
+    _emit(records, lines, fmt, sys.stdout)
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    knobs = {name: getattr(args, name) for name in _SUITE_KNOBS if name in args}
-    names = SUITES if args.suite == "all" else (args.suite,)
+def _cmd_verify(suite, fmt, **knobs) -> int:
+    # knobs left out stay out, so run_suite's defaults apply
+    knobs = {name: value for name, value in knobs.items() if value is not None}
+    names = SUITES if suite == "all" else (suite,)
     reports = [report for name in names for report in run_suite(name, **knobs)]
     records = [_report_record(r) for r in reports]
     lines = [_report_plain(r) for r in reports]
-    _emit(records, lines, args.format, sys.stdout)
+    _emit(records, lines, fmt, sys.stdout)
     failed = [r for r in reports if not r.passed]
     for report in failed:
         print(report.to_line(), file=sys.stderr)
     return 1 if failed else 0
 
 
-def _cmd_bench(args, parser) -> int:
-    if args.format != "plain":
-        parser.error("bench prints wall-clock timings; plain format only")
+def _cmd_bench(kmax, fmt) -> int:
+    if fmt != "plain":
+        raise ValueError("bench prints wall-clock timings; plain format only")
     table = ZetaEvenTable()
     total = 0.0
-    for k in range(1, args.kmax + 1):
+    for k in range(1, kmax + 1):
         start = time.perf_counter()
         ratio = table.ratio(k)
         elapsed = time.perf_counter() - start
         total += elapsed
         size = len(str(ratio.numerator)) + len(str(ratio.denominator))
         print(f"k={k:<4d} {elapsed * 1000:10.3f} ms   ratio digits {size}")
-    print(f"total {total * 1000:.3f} ms for k_max={args.kmax}")
+    print(f"total {total * 1000:.3f} ms for k_max={kmax}")
     return 0
 
 
-# ------------------------------------------------------------------ parser
+# ------------------------------------------------------------------ values
+
+# Each converter turns one flag's text into its value, or raises a
+# ValueError whose message follows "argument --flag: ".
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors as one stderr line (no usage dump), exit status 2."""
-
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+        raise ValueError(f"must be >= 1: {text!r}")
     return value
 
 
@@ -284,103 +305,224 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        raise ValueError(f"not a rational number: {text!r}") from None
 
 
 def _finite_decimal(text: str) -> Decimal:
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from None
+        raise ValueError(f"not a decimal number: {text!r}") from None
     if not value.is_finite():
-        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+        raise ValueError(f"must be finite: {text!r}")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="zetaeven",
-        description="Exact even zeta values and series-identity verification.",
-    )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format",
-        choices=("plain", "json-lines", "csv"),
-        default="plain",
-        help="output format (default plain)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choice(*options: str):
+    def choose(text: str) -> str:
+        if text not in options:
+            listed = ", ".join(map(repr, options))
+            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
 
-    p_zeta = sub.add_parser("zeta", parents=[shared], help="zeta(2k) exactly or as a decimal")
-    which = p_zeta.add_mutually_exclusive_group(required=True)
-    which.add_argument("--k", type=_positive_int, help="single index k")
-    which.add_argument("--kmax", type=_positive_int, help="table for k = 1..kmax")
-    how = p_zeta.add_mutually_exclusive_group()
-    how.add_argument("--exact", action="store_true", help="emit the ratio zeta(2k)/pi^(2k)")
-    how.add_argument("--digits", type=int, default=50, help="decimal significant digits (default 50)")
-    p_zeta.set_defaults(func=_cmd_zeta)
-
-    p_bern = sub.add_parser("bernoulli", parents=[shared], help="Bernoulli number B_n")
-    p_bern.add_argument("--n", type=int, required=True)
-    p_bern.set_defaults(func=_cmd_bernoulli)
-
-    p_euler = sub.add_parser("euler-poly", parents=[shared], help="Euler polynomial E_m")
-    p_euler.add_argument("--m", type=int, required=True)
-    p_euler.add_argument("--at", type=_rational, help="evaluate at this rational point instead of listing coefficients")
-    p_euler.set_defaults(func=_cmd_euler_poly)
-
-    p_phi = sub.add_parser("phi", parents=[shared], help="phi_m(u) by series or Taylor route")
-    p_phi.add_argument("--m", type=int, required=True)
-    p_phi.add_argument("--u", type=_rational, required=True, help="rational u, e.g. 3/2")
-    p_phi.add_argument("--route", choices=("series", "taylor"), default="series")
-    p_phi.add_argument("--digits", type=int, default=50)
-    p_phi.set_defaults(func=_cmd_phi)
-
-    # flags left out are left out of the namespace, so run_suite's
-    # defaults apply
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[shared],
-        help="run identity-check suites",
-        argument_default=argparse.SUPPRESS,
-    )
-    p_verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    p_verify.add_argument("--kmax", type=int, help="recurrence cross-check depth")
-    p_verify.add_argument("--digits", type=int, help="working precision")
-    p_verify.add_argument("--jmax", type=int, help="expansion truncation order")
-    p_verify.add_argument(
-        "--tolerance",
-        type=_finite_decimal,
-        help="override the derived tolerances of the expansion and phi suites "
-        "(finite decimal); recurrence and abel keep their intrinsic judgments",
-    )
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_bench = sub.add_parser("bench", parents=[shared], help="time the recurrence table")
-    p_bench.add_argument("--kmax", type=_positive_int, default=100)
-    p_bench.set_defaults(func=_cmd_bench)
-    return parser
+    return choose
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """'--at -3/2' as '--at=-3/2', and so for --u and --tolerance: argparse
-    takes a value starting with '-' only if it looks like '-3' or '-1.5'."""
-    joined: list[str] = []
-    for token in argv:
-        if joined and joined[-1] in ("--at", "--u", "--tolerance") and token.startswith("-"):
-            token = joined.pop() + "=" + token
-        joined.append(token)
-    return joined
+# ------------------------------------------------------------------- table
+
+_FORMAT = ("--format", "fmt", _choice("plain", "json-lines", "csv"), "plain",
+           "output format: plain, json-lines or csv")
+
+# command -> (handler, summary, flags, required groups, exclusive groups).
+# A flag is (name, dest, converter, default, help); the handler gets one
+# keyword argument per flag, named by dest. A converter of None makes a
+# switch, which takes no value and is True when given. A required group
+# needs one of its flags, an exclusive group allows at most one.
+COMMANDS = {
+    "zeta": (
+        _cmd_zeta,
+        "zeta(2k) exactly or as a decimal",
+        (
+            ("--k", "k", _positive_int, None, "single index k: zeta(2k)"),
+            ("--kmax", "kmax", _positive_int, None, "table for k = 1..kmax"),
+            ("--exact", "exact", None, False, "emit the ratio zeta(2k)/pi^(2k)"),
+            ("--digits", "digits", _int, 50, "decimal significant digits"),
+            _FORMAT,
+        ),
+        (("--k", "--kmax"),),
+        (("--k", "--kmax"), ("--exact", "--digits")),
+    ),
+    "bernoulli": (
+        _cmd_bernoulli,
+        "Bernoulli number B_n",
+        (("--n", "n", _int, None, "index n of B_n"), _FORMAT),
+        (("--n",),),
+        (),
+    ),
+    "euler-poly": (
+        _cmd_euler_poly,
+        "Euler polynomial E_m",
+        (
+            ("--m", "m", _int, None, "degree m"),
+            ("--at", "at", _rational, None,
+             "evaluate at this rational point instead of listing coefficients"),
+            _FORMAT,
+        ),
+        (("--m",),),
+        (),
+    ),
+    "phi": (
+        _cmd_phi,
+        "phi_m(u) by series or Taylor route",
+        (
+            ("--m", "m", _int, None, "index m (any integer for the series, >= 0 for taylor)"),
+            ("--u", "u", _rational, None, "rational u, e.g. 3/2 (> 1 for the series)"),
+            ("--route", "route", _choice("series", "taylor"), "series",
+             "series (certified decimal) or taylor (exact rational)"),
+            ("--digits", "digits", _int, 50, "significant digits of the series value (>= 10)"),
+            _FORMAT,
+        ),
+        (("--m",), ("--u",)),
+        (),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run identity-check suites; a knob left out takes the library default",
+        (
+            ("--suite", "suite", _choice(*SUITES, "all"), "all",
+             "one of " + ", ".join(SUITES) + ", or all of them in that order"),
+            ("--kmax", "kmax", _int, None, "recurrence cross-check depth"),
+            ("--digits", "digits", _int, None, "working precision"),
+            ("--jmax", "jmax", _int, None, "expansion truncation order"),
+            ("--tolerance", "tolerance", _finite_decimal, None,
+             "override the derived tolerances of the expansion and phi suites "
+             "(finite decimal); recurrence and abel keep their intrinsic judgments"),
+            _FORMAT,
+        ),
+        (),
+        (),
+    ),
+    "bench": (
+        _cmd_bench,
+        "time the recurrence table (plain format only)",
+        (("--kmax", "kmax", _positive_int, 100, "time k = 1..kmax"), _FORMAT),
+        (),
+        (),
+    ),
+}
+
+_HELP = ("-h", "--help")
+
+
+# ------------------------------------------------------------------ parser
+
+
+class _UsageError(Exception):
+    """A usage error; main prints it as one stderr line and exits 2."""
+
+    def __init__(self, prog: str, message: str):
+        super().__init__(f"{prog}: error: {message}")
+
+
+def _lookup(option: str, names: tuple[str, ...], prog: str) -> str:
+    """The flag of ``names`` that option is, or the one it abbreviates."""
+    if option in names:
+        return option
+    if option.startswith("--") and option != "--":
+        matches = [name for name in names if name.startswith(option)]
+        if len(matches) == 1:
+            return matches[0]
+        if matches:
+            raise _UsageError(prog, f"ambiguous option: {option} could match {', '.join(matches)}")
+    raise _UsageError(prog, f"unrecognized arguments: {option}")
+
+
+def _parse(argv: list[str]):
+    """The handler argv asks for and its keyword arguments (--help included)."""
+    if not argv:
+        raise _UsageError("zetaeven", "the following arguments are required: command")
+    command = argv[0]
+    if command.startswith("-"):
+        _lookup(command, _HELP, "zetaeven")
+        return _help, {}
+    if command not in COMMANDS:
+        listed = ", ".join(map(repr, COMMANDS))
+        raise _UsageError(
+            "zetaeven", f"argument command: invalid choice: {command!r} (choose from {listed})"
+        )
+    prog = f"zetaeven {command}"
+    handler, _, flags, required, exclusive = COMMANDS[command]
+    spec = {flag[0]: flag for flag in flags}
+    names = (*spec, *_HELP)
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        if not option.startswith("-"):
+            raise _UsageError(prog, f"unrecognized arguments: {token}")
+        name = _lookup(option, names, prog)
+        if name in _HELP:
+            return _help, {"command": command}
+        convert = spec[name][2]
+        if convert is None:
+            if eq:
+                raise _UsageError(prog, f"argument {name}: ignored explicit argument {value!r}")
+            given[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(prog, f"argument {name}: expected one argument")
+        try:
+            given[name] = convert(value)
+        except ValueError as exc:
+            raise _UsageError(prog, f"argument {name}: {exc}") from None
+    for group in exclusive:
+        clash = [name for name in given if name in group]
+        if len(clash) > 1:
+            raise _UsageError(prog, f"argument {clash[1]}: not allowed with argument {clash[0]}")
+    for group in required:
+        if not any(name in given for name in group):
+            if len(group) == 1:
+                raise _UsageError(prog, f"the following arguments are required: {group[0]}")
+            raise _UsageError(prog, f"one of the arguments {' '.join(group)} is required")
+    return handler, {dest: given.get(name, default) for name, dest, _, default, _ in flags}
+
+
+def _help(command: str | None = None) -> int:
+    """Print the usage of one command, or of all, from COMMANDS."""
+    lines = [
+        "usage: zetaeven COMMAND [--FLAG VALUE | --FLAG=VALUE | --SWITCH] ...",
+        "       zetaeven [COMMAND] -h | --help",
+        "",
+        "Exact even zeta values and series-identity verification. A flag may",
+        "be shortened to any unique prefix; a repeated flag keeps its last value.",
+    ]
+    for name in (command,) if command else COMMANDS:
+        _, summary, flags, required, exclusive = COMMANDS[name]
+        lines += ["", f"{name}: {summary}"]
+        for flag, _, convert, default, text in flags:
+            usage = flag if convert is None else f"{flag} {flag[2:].upper()}"
+            if default is not None and default is not False:
+                text += f" (default {default})"
+            lines.append(f"  {usage:<22} {text}")
+        lines += [f"  {' or '.join(group)} is required" for group in required]
+        lines += [f"  {' and '.join(group)} exclude each other" for group in exclusive]
+    print("\n".join(lines))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     # exact values print at any size: lift the int <-> str digit limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args, parser)
+        handler, arguments = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    try:
+        return handler(**arguments)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

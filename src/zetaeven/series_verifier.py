@@ -196,7 +196,8 @@ def _cvz_weights(n: int) -> tuple[tuple[int, ...], int]:
     and every q_j is a positive integer. c_k = q_(k+1) + ... + q_n and
     d = P(-1) = q_0 + ... + q_n = c_0 + 1. The last two calls are kept:
     the Lewin levels of one f_k and the phi suite's limit series ask for
-    the same n again and again, while for m >= 0 n changes with m, and
+    the same n again and again, while for m >= 0 n changes with m (the
+    phi suite sums its sample u m-major, so they share each n), and
     more entries would hold weights of that size no next call asks for.
     """
     q, qs = 1, []
@@ -942,9 +943,13 @@ def _two_eta(m: int, digits: int) -> tuple[HighPrecisionReal, Decimal]:
 
 def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
+    # summed m-major: the kernel's n depends on m and the digits, not on
+    # u, so the sample u share each m's cached weights; reported u-major
+    ms = range(21)
+    evaluations = {(m, u): phi_series(m, u, digits) for m in ms for u in PHI_SAMPLE_US}
     for u in PHI_SAMPLE_US:
-        for m, exact in enumerate(phi_coefficients(u, 20)):
-            evaluation = phi_series(m, u, digits)
+        for m, exact in enumerate(phi_coefficients(u, ms[-1])):
+            evaluation = evaluations[m, u]
             # the exact side must not be quantized: these values reach
             # ~1e8, where even 55 significant digits would inject more
             # absolute error than the series' own bound

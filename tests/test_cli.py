@@ -514,3 +514,194 @@ class TestPhiCorrectRounding:
         assert value in (Decimal("0.1234567890"), Decimal("0.1234567891"))
         # the printed bound plus half an ulp of the 10 printed digits
         assert abs(Fraction(value) - tie) <= Fraction(bound) + Fraction(5, 10**11)
+
+
+class TestParser:
+    """The argv parser reads cli.COMMANDS and keeps argparse's rules."""
+
+    # argv, the handler argument to look at, its parsed value
+    PARSED = (
+        # both value forms
+        (("zeta", "--k", "3"), "k", 3),
+        (("zeta", "--k=3"), "k", 3),
+        (("verify", "--suite=abel"), "suite", "abel"),
+        # the token after a value-taking flag is its value, '-' or not
+        (("phi", "--m", "-7", "--u", "2"), "m", -7),
+        (("phi", "--m=-7", "--u", "2"), "m", -7),
+        (("phi", "--m", "1", "--u", "-3/2"), "u", Fraction(-3, 2)),
+        (("euler-poly", "--m", "3", "--at", "-3/2"), "at", Fraction(-3, 2)),
+        (("verify", "--tolerance", "-1e-5"), "tolerance", Decimal("-1e-5")),
+        (("verify", "--tolerance=-1e-5"), "tolerance", Decimal("-1e-5")),
+        # unique prefixes abbreviate; an exact name beats a prefix
+        (("zeta", "--dig", "20", "--k", "1"), "digits", 20),
+        (("zeta", "--k", "1"), "kmax", None),
+        (("zeta", "--km", "4"), "kmax", 4),
+        (("zeta", "--k", "1", "--e"), "exact", True),
+        (("verify", "--tol", "1e-9"), "tolerance", Decimal("1e-9")),
+        # a repeated flag keeps its last value
+        (("zeta", "--k", "2", "--k", "5"), "k", 5),
+        (("phi", "--m", "1", "--u", "3", "--route", "taylor", "--route", "series"), "route", "series"),
+        # defaults come from the table; a switch left out is False
+        (("zeta", "--k", "2"), "digits", 50),
+        (("zeta", "--k", "2"), "exact", False),
+        (("zeta", "--k", "2"), "fmt", "plain"),
+        (("bench",), "kmax", 100),
+        (("verify",), "suite", "all"),
+        (("verify",), "digits", None),
+    )
+
+    # argv, the whole stderr line
+    USAGE_ERRORS = (
+        ((), "zetaeven: error: the following arguments are required: command"),
+        (("nope",), "zetaeven: error: argument command: invalid choice: 'nope' (choose from "
+                    "'zeta', 'bernoulli', 'euler-poly', 'phi', 'verify', 'bench')"),
+        (("--version",), "zetaeven: error: unrecognized arguments: --version"),
+        (("zeta", "--exact"), "zetaeven zeta: error: one of the arguments --k --kmax is required"),
+        (("phi", "--m", "1"), "zetaeven phi: error: the following arguments are required: --u"),
+        (("bernoulli",), "zetaeven bernoulli: error: the following arguments are required: --n"),
+        (("zeta", "--k", "1", "--kmax", "2"),
+         "zetaeven zeta: error: argument --kmax: not allowed with argument --k"),
+        (("zeta", "--kmax", "2", "--k", "1"),
+         "zetaeven zeta: error: argument --k: not allowed with argument --kmax"),
+        (("zeta", "--k", "1", "--exact", "--digits", "20"),
+         "zetaeven zeta: error: argument --digits: not allowed with argument --exact"),
+        (("zeta", "--k", "0", "--exact"), "zetaeven zeta: error: argument --k: must be >= 1: '0'"),
+        (("zeta", "--k", "abc"), "zetaeven zeta: error: argument --k: not an integer: 'abc'"),
+        (("zeta", "--k", "--exact"), "zetaeven zeta: error: argument --k: not an integer: '--exact'"),
+        (("phi", "--m", "1", "--u", "1/0"),
+         "zetaeven phi: error: argument --u: not a rational number: '1/0'"),
+        (("verify", "--tolerance", "nan"), "zetaeven verify: error: argument --tolerance: must be finite: 'nan'"),
+        (("verify", "--suite", "bogus"),
+         "zetaeven verify: error: argument --suite: invalid choice: 'bogus' (choose from "
+         "'recurrence', 'expansion', 'abel', 'phi', 'all')"),
+        (("zeta", "--k", "1", "--format", "xml"),
+         "zetaeven zeta: error: argument --format: invalid choice: 'xml' (choose from "
+         "'plain', 'json-lines', 'csv')"),
+        (("zeta", "--k"), "zetaeven zeta: error: argument --k: expected one argument"),
+        (("zeta", "--k", "1", "--exact=yes"),
+         "zetaeven zeta: error: argument --exact: ignored explicit argument 'yes'"),
+        (("zeta", "--k", "1", "--kilo", "3"), "zetaeven zeta: error: unrecognized arguments: --kilo"),
+        (("zeta", "--k", "1", "-k"), "zetaeven zeta: error: unrecognized arguments: -k"),
+        (("zeta", "--k", "1", "extra"), "zetaeven zeta: error: unrecognized arguments: extra"),
+        (("verify", "--terms=7"), "zetaeven verify: error: unrecognized arguments: --terms"),
+        # a domain error of the handler, like every other
+        (("bench", "--format", "csv"), "error: bench prints wall-clock timings; plain format only"),
+    )
+
+    def test_values(self):
+        for argv, dest, value in self.PARSED:
+            handler, arguments = cli._parse(list(argv))
+            assert handler is cli.COMMANDS[argv[0]][0], argv
+            assert arguments[dest] == value, argv
+            assert type(arguments[dest]) is type(value), argv
+
+    # the shortest argv each command takes
+    MINIMAL = {
+        "zeta": ("--k", "1"),
+        "bernoulli": ("--n", "2"),
+        "euler-poly": ("--m", "3"),
+        "phi": ("--m", "1", "--u", "3"),
+        "verify": (),
+        "bench": (),
+    }
+
+    def test_every_flag_reaches_its_handler(self):
+        assert list(self.MINIMAL) == list(cli.COMMANDS)
+        for name, tail in self.MINIMAL.items():
+            handler, _, flags, _, _ = cli.COMMANDS[name]
+            parsed, arguments = cli._parse([name, *tail])
+            assert parsed is handler
+            assert list(arguments) == [dest for _, dest, _, _, _ in flags], name
+            code = handler.__code__
+            assert set(code.co_varnames[: code.co_argcount]) <= set(arguments), name
+
+    def test_usage_errors_exit_two_with_one_stderr_line(self, capsys):
+        for argv, line in self.USAGE_ERRORS:
+            assert run_cli(capsys, *argv) == (2, "", line + "\n"), argv
+
+    def test_ambiguous_prefix(self, capsys, monkeypatch):
+        # no two flags of today's table share a prefix that is not itself
+        # a flag, so plant one: --km now starts --kmax and --kmin
+        handler, summary, flags, required, exclusive = cli.COMMANDS["zeta"]
+        kmin = ("--kmin", "kmin", cli._int, None, "planted")
+        monkeypatch.setitem(cli.COMMANDS, "zeta", (handler, summary, (*flags, kmin), required, exclusive))
+        assert run_cli(capsys, "zeta", "--km", "3") == (
+            2, "", "zetaeven zeta: error: ambiguous option: --km could match --kmax, --kmin\n"
+        )
+        assert cli._parse(["zeta", "--kmin", "3", "--k", "1"])[1]["kmin"] == 3
+
+    def test_help_lists_every_command_and_flag(self, capsys):
+        for argv in (("--help",), ("-h",), ("--he",)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            for name, (_, summary, flags, _, _) in cli.COMMANDS.items():
+                assert f"{name}: {summary}" in out
+                for flag, _, _, _, text in flags:
+                    assert any(line.split()[:1] == [flag] and text in line
+                               for line in out.splitlines()), (name, flag)
+
+    def test_help_after_each_command(self, capsys):
+        for name, (_, summary, flags, _, _) in cli.COMMANDS.items():
+            for argv in ((name, "--help"), (name, "-h"), (name, "--format", "csv", "--help")):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                assert f"{name}: {summary}" in out
+                assert all(flag in out for flag, *_ in flags)
+                other = next(n for n in cli.COMMANDS if n != name)
+                assert f"{other}: " not in out
+
+    def test_verify_passes_only_the_knobs_given(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda name, **knobs: calls.append((name, knobs)) or [])
+        assert run_cli(capsys, "verify", "--suite", "abel", "--dig", "20") == (0, "", "")
+        assert run_cli(capsys, "verify", "--suite", "phi", "--tolerance=-1e-5", "--kmax", "3") == (0, "", "")
+        assert run_cli(capsys, "verify", "--suite", "recurrence") == (0, "", "")
+        assert calls == [
+            ("abel", {"digits": 20}),
+            ("phi", {"kmax": 3, "tolerance": Decimal("-1e-5")}),
+            ("recurrence", {}),
+        ]
+
+
+class TestJsonWriter:
+    """json-lines records are written as json.dumps writes them."""
+
+    def test_every_golden_record(self):
+        golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+        lines = [
+            line
+            for entry in golden
+            if "json-lines" in entry["argv"]
+            for line in entry["stdout"]
+            if line
+        ]
+        assert len(lines) > 90
+        for line in lines:
+            record = json.loads(line)
+            assert cli._json_line(record) == json.dumps(record) == line
+
+    def test_adversarial_values(self):
+        strings = (
+            '"', "\\", 'say "hi" \\ bye', "".join(map(chr, range(32))), "\x7f",
+            "π ≈ 3.14159, ζ(2) = π²/6", "  ", "\U0001d701 outside the BMP",
+            "\ud800 lone surrogate", "", "</script>",
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            scalars = (*strings, 10**100_000, -(10**100_000), 0, -7, True, False)
+            for value in scalars:
+                for key in ("kind", "k", "passed", "jmax"):
+                    record = {key: value}
+                    assert cli._json_line(record) == json.dumps(record), (key, value)
+            full = dict(zip(cli.FIELD_ORDER, (*strings, 10**100_000, True, False)))
+            assert cli._json_line(full) == json.dumps(full)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_field_order_and_unknown_types(self):
+        record = {"denominator": "6", "kind": "ratio", "extra": "dropped", "k": 1}
+        assert cli._json_line(record) == '{"kind": "ratio", "k": 1, "denominator": "6"}'
+        for value in (1.5, Fraction(1, 3), Decimal("0.1"), None):
+            with pytest.raises(TypeError):
+                cli._json_line({"decimal": value})

@@ -221,6 +221,40 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_call_leaves_argparse_and_json_out_of_the_runtime():
+    # the argv parser is the CLI's own table and json-lines records are
+    # written without the json package, so a whole json-lines call
+    # imports neither, nor what argparse pulls in
+    src = Path(zetaeven.__file__).resolve().parents[1]
+    absent = ("argparse", "gettext", "locale", "json")
+    code = (
+        "import sys, zetaeven.cli\n"
+        f"before = [m for m in {absent!r} if m in sys.modules]\n"
+        "status = zetaeven.cli.main(['zeta', '--k', '5', '--exact', '--format', 'json-lines'])\n"
+        f"print(status, before, [m for m in {absent!r} if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    record, modules = result.stdout.splitlines()
+    assert record == '{"kind": "ratio", "k": 5, "numerator": "1", "denominator": "93555"}'
+    assert modules == "0 [] []"
+
+
+def test_phi_suite_shares_the_kernel_weights_across_its_sample_u():
+    # for one m the three sample u need the same kernel n, so the suite
+    # sums m-major and most weight lookups hit the two-entry cache
+    series_verifier.run_suite("phi", digits=50)
+    _cvz_weights.cache_clear()
+    series_verifier.run_suite("phi", digits=50)
+    info = _cvz_weights.cache_info()
+    assert 2 * info.misses < info.hits + info.misses, info
+
+
 def test_exact_routes_import_only_numeric_core_from_the_package():
     # the recurrence and the Bernoulli route are independent by their
     # import graphs: each may use numeric_core and no other package module

@@ -331,7 +331,7 @@ def _choice(*options: str):
 # ------------------------------------------------------------------- table
 
 _FORMAT = ("--format", "fmt", _choice("plain", "json-lines", "csv"), "plain",
-           "output format: plain, json-lines or csv")
+           "plain, json-lines or csv")
 
 # command -> (handler, summary, flags, required groups, exclusive groups).
 # A flag is (name, dest, converter, default, help); the handler gets one
@@ -365,7 +365,7 @@ COMMANDS = {
         (
             ("--m", "m", _int, None, "degree m"),
             ("--at", "at", _rational, None,
-             "evaluate at this rational point instead of listing coefficients"),
+             "rational point to evaluate at, not list coefficients"),
             _FORMAT,
         ),
         (("--m",),),
@@ -375,11 +375,11 @@ COMMANDS = {
         _cmd_phi,
         "phi_m(u) by series or Taylor route",
         (
-            ("--m", "m", _int, None, "index m (any integer for the series, >= 0 for taylor)"),
+            ("--m", "m", _int, None, "index m (>= 0 for taylor)"),
             ("--u", "u", _rational, None, "rational u, e.g. 3/2 (> 1 for the series)"),
             ("--route", "route", _choice("series", "taylor"), "series",
-             "series (certified decimal) or taylor (exact rational)"),
-            ("--digits", "digits", _int, 50, "significant digits of the series value (>= 10)"),
+             "series (certified) or taylor (exact)"),
+            ("--digits", "digits", _int, 50, "series significant digits, >= 10"),
             _FORMAT,
         ),
         (("--m",), ("--u",)),
@@ -390,13 +390,12 @@ COMMANDS = {
         "run identity-check suites; a knob left out takes the library default",
         (
             ("--suite", "suite", _choice(*SUITES, "all"), "all",
-             "one of " + ", ".join(SUITES) + ", or all of them in that order"),
+             ", ".join(SUITES) + " or all"),
             ("--kmax", "kmax", _int, None, "recurrence cross-check depth"),
             ("--digits", "digits", _int, None, "working precision"),
             ("--jmax", "jmax", _int, None, "expansion truncation order"),
             ("--tolerance", "tolerance", _finite_decimal, None,
-             "override the derived tolerances of the expansion and phi suites "
-             "(finite decimal); recurrence and abel keep their intrinsic judgments"),
+             "finite; overrides expansion and phi tolerances"),
             _FORMAT,
         ),
         (),

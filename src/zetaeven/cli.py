@@ -45,7 +45,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .euler_bernoulli import bernoulli, euler_polynomial, euler_polynomial_eval
-from .reports import VerificationReport
+from .reports import VerificationReport, json_line
 from .series_verifier import SUITES, phi_series, phi_taylor_coeff, run_suite
 from .zeta_recurrence import ZetaEvenTable, zeta_even_decimal, zeta_even_ratio
 
@@ -76,7 +76,7 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
         return
     if fmt == "json-lines":
         for rec in records:
-            out.write(_json_line(rec) + "\n")
+            out.write(json_line({key: rec[key] for key in FIELD_ORDER if key in rec}) + "\n")
         return
     import csv  # deferred: only csv output pays for this import
 
@@ -84,29 +84,6 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
     writer.writerow(FIELD_ORDER)
     for rec in records:
         writer.writerow([_csv_cell(rec.get(key)) for key in FIELD_ORDER])
-
-
-def _json_line(rec: dict) -> str:
-    """rec's FIELD_ORDER fields as ``json.dumps`` writes them by default.
-
-    Strings go through ``encode_basestring_ascii``, the C encoder
-    ``json.dumps`` itself uses, so the json package is never imported.
-    """
-    from _json import encode_basestring_ascii as quote  # deferred, like csv
-
-    return "{" + ", ".join(
-        f'"{key}": {_json_scalar(rec[key], quote)}' for key in FIELD_ORDER if key in rec
-    ) + "}"
-
-
-def _json_scalar(value, quote) -> str:
-    if isinstance(value, str):
-        return quote(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    raise TypeError(f"no json-lines form for {type(value).__name__}")
 
 
 def _csv_cell(value) -> str:
@@ -123,29 +100,20 @@ def _rational_fields(value: Fraction) -> dict:
     return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
 
 
+# report parameters whose output field has another name
+_REPORT_FIELDS = {"k_max": "k", "precision": "digits", "lhs_terms": "terms"}
+
+
 def _report_record(report: VerificationReport) -> dict:
-    """Map a report onto the fixed output vocabulary (names go to stderr)."""
-    params = report.parameters
-    rec = {"kind": "report"}
-    if "k" in params:
-        rec["k"] = params["k"]
-    elif "k_max" in params:
-        rec["k"] = params["k_max"]
-    if "m" in params:
-        rec["m"] = params["m"]
-    if "u" in params:
-        rec["u"] = params["u"]
-    if "precision" in params:
-        rec["digits"] = params["precision"]
+    """Map a report onto the fixed output vocabulary (names go to stderr).
+
+    Parameters outside FIELD_ORDER stay in the record; ``_emit`` drops them.
+    """
+    rec = {_REPORT_FIELDS.get(name, name): value for name, value in report.parameters.items()}
+    rec["kind"] = "report"
     rec["passed"] = report.passed
     rec["residual"] = str(report.residual.rounded())
     rec["tolerance"] = str(report.tolerance.rounded())
-    if "terms" in params:
-        rec["terms"] = params["terms"]
-    elif "lhs_terms" in params:
-        rec["terms"] = params["lhs_terms"]
-    if "jmax" in params:
-        rec["jmax"] = params["jmax"]
     return rec
 
 

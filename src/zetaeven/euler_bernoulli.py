@@ -22,7 +22,7 @@ consume |B_2k|, so the B_1 sign convention never reaches them.
 from __future__ import annotations
 
 import math
-import threading
+from _thread import allocate_lock
 from fractions import Fraction
 
 from .numeric_core import FrozenRecord
@@ -58,7 +58,7 @@ class BernoulliTable:
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
         self._tangents: list[int] = [0]  # position h holds T_h
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()
 
     @property
     def max_index(self) -> int:

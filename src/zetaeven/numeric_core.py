@@ -20,6 +20,7 @@ reports).
 from __future__ import annotations
 
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from functools import lru_cache
 
 __all__ = [
     "HighPrecisionReal",
@@ -177,3 +178,16 @@ def compute_pi(digits: int) -> HighPrecisionReal:
     if ra != rb:
         raise PiAgreementError("pi formulae round differently at the requested precision")
     return HighPrecisionReal(ra, digits)
+
+
+@lru_cache(maxsize=4)
+def _pi(digits: int) -> HighPrecisionReal:
+    """compute_pi(digits), kept for the few precisions a k-loop asks for.
+
+    A table of decimals at one ``digits`` needs only two working
+    precisions (they differ by the digit count of 2k), and the cases of
+    the expansion suite share one, so this saves recomputing the same pi
+    for every k and every case. The value is immutable. ``compute_pi``
+    itself stays uncached, so it can be timed and traced as it is.
+    """
+    return compute_pi(digits)

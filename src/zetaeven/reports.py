@@ -15,7 +15,9 @@ tolerance -1; no magnitude satisfies |residual| <= -1, so such reports
 are failed by construction while keeping the invariant intact.
 
 Reports serialize to single JSON lines via ``to_line``/``from_line`` so
-they can be logged, diffed, and re-read without loss.
+they can be logged, diffed, and re-read without loss. ``json_line``,
+the package's one JSON writer, also writes the CLI's json-lines records;
+only ``from_line`` imports the json package.
 """
 
 from __future__ import annotations
@@ -45,6 +47,34 @@ def render_value(value: object) -> object:
     if isinstance(value, (bool, int, str)):
         return value
     raise TypeError(f"cannot render {type(value).__name__} in a report")
+
+
+def json_line(record: Mapping[str, object]) -> str:
+    """record as one JSON object, its keys in the order given.
+
+    Values may be str, int, bool or a mapping of those; anything else
+    raises TypeError. The text is what the json package's ``dumps``
+    writes with its default separators: strings go through
+    ``encode_basestring_ascii``, the C encoder ``dumps`` itself uses, so
+    the json package is never imported.
+    """
+    from _json import encode_basestring_ascii as quote  # deferred: only JSON output pays
+
+    return _json_value(record, quote)
+
+
+def _json_value(value: object, quote) -> str:
+    if isinstance(value, str):
+        return quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Mapping):
+        return "{" + ", ".join(
+            f"{quote(key)}: {_json_value(item, quote)}" for key, item in value.items()
+        ) + "}"
+    raise TypeError(f"no json-lines form for {type(value).__name__}")
 
 
 class VerificationReport(FrozenRecord):
@@ -87,12 +117,10 @@ class VerificationReport(FrozenRecord):
         object.__setattr__(self, "passed", passed)
 
     def to_line(self) -> str:
-        """One-line JSON form, stable key order, lossless for residuals."""
-        import json  # deferred: only JSON callers pay for this import
-
+        """One-line JSON form, keys sorted, lossless for residuals."""
         record = {
             "identity": self.identity_name,
-            "parameters": self.parameters,
+            "parameters": dict(sorted(self.parameters.items())),
             "lhs": self.lhs,
             "rhs": self.rhs,
             "residual": str(self.residual.value),
@@ -101,7 +129,7 @@ class VerificationReport(FrozenRecord):
             "tolerance_digits": self.tolerance.precision_digits,
             "passed": self.passed,
         }
-        return json.dumps(record, sort_keys=True, separators=(", ", ": "))
+        return json_line(dict(sorted(record.items())))
 
     @classmethod
     def from_line(cls, line: str) -> "VerificationReport":

@@ -35,9 +35,9 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .euler_bernoulli import zeta_even_via_euler
-from .numeric_core import FrozenRecord, HighPrecisionReal, round_significant
+from .numeric_core import FrozenRecord, HighPrecisionReal, _pi, round_significant
 from .reports import VerificationReport
-from .zeta_recurrence import _pi, zeta_even_decimal, zeta_even_ratio
+from .zeta_recurrence import zeta_even_decimal, zeta_even_ratio
 
 __all__ = [
     "MAX_SERIES_WORK",

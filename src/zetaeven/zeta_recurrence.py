@@ -26,12 +26,11 @@ high-precision pi power at the very end.
 from __future__ import annotations
 
 import math
-import threading
+from _thread import allocate_lock
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from functools import lru_cache
 
-from .numeric_core import HighPrecisionReal, compute_pi, positional_str, round_significant
+from .numeric_core import _pi, positional_str, round_significant
 
 __all__ = [
     "ZetaEvenTable",
@@ -66,7 +65,7 @@ class ZetaEvenTable:
         self._w_numerators: list[int] = []  # position m-1 holds w_m * _w_denominator
         self._w_denominator = 1
         self._factorial = 1  # (2k)! for k = max_k
-        self._lock = threading.Lock()
+        self._lock = allocate_lock()
 
     @property
     def max_k(self) -> int:
@@ -140,18 +139,6 @@ def zeta_even_table(k_max: int) -> ZetaEvenTable:
     table = ZetaEvenTable()
     table.ratio(k_max)
     return table
-
-
-@lru_cache(maxsize=4)
-def _pi(digits: int) -> HighPrecisionReal:
-    """compute_pi(digits), kept for the few precisions a k-loop asks for.
-
-    A table of decimals at one ``digits`` needs only two working
-    precisions (they differ by the digit count of 2k), and the cases of
-    the expansion suite share one, so this saves recomputing the same pi
-    for every k and every case. The value is immutable.
-    """
-    return compute_pi(digits)
 
 
 def zeta_even_decimal(k: int, digits: int) -> str:

@@ -14,7 +14,7 @@ import pytest
 import zetaeven
 from zetaeven import cli, numeric_core, series_verifier
 from zetaeven.numeric_core import round_significant
-from zetaeven.reports import VerificationReport
+from zetaeven.reports import VerificationReport, json_line
 from zetaeven.series_verifier import SUITES, phi_coefficients, phi_series, run_suite
 
 from test_series_loops import round_exact
@@ -663,8 +663,18 @@ class TestParser:
         ]
 
 
+def emitted_json(records):
+    out = io.StringIO()
+    cli._emit(records, [], "json-lines", out)
+    return out.getvalue()
+
+
+def dumps_sorted(record):
+    return json.dumps(record, sort_keys=True, separators=(", ", ": "))
+
+
 class TestJsonWriter:
-    """json-lines records are written as json.dumps writes them."""
+    """json-lines records and report lines are written as json.dumps writes them."""
 
     def test_every_golden_record(self):
         golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
@@ -678,7 +688,10 @@ class TestJsonWriter:
         assert len(lines) > 90
         for line in lines:
             record = json.loads(line)
-            assert cli._json_line(record) == json.dumps(record) == line
+            assert json_line(record) == json.dumps(record) == line
+            # _emit puts the fields in FIELD_ORDER whatever order they come in
+            shuffled = dict(reversed(record.items()))
+            assert emitted_json([shuffled]) == line + "\n"
 
     def test_adversarial_values(self):
         strings = (
@@ -693,15 +706,68 @@ class TestJsonWriter:
             for value in scalars:
                 for key in ("kind", "k", "passed", "jmax"):
                     record = {key: value}
-                    assert cli._json_line(record) == json.dumps(record), (key, value)
+                    assert json_line(record) == json.dumps(record), (key, value)
+                    assert emitted_json([record]) == json.dumps(record) + "\n", (key, value)
             full = dict(zip(cli.FIELD_ORDER, (*strings, 10**100_000, True, False)))
-            assert cli._json_line(full) == json.dumps(full)
+            assert json_line(full) == emitted_json([full])[:-1] == json.dumps(full)
+            # report lines nest a mapping, whose keys are arbitrary text too
+            nested = {"parameters": dict(zip(strings, reversed(scalars))), "passed": False}
+            assert json_line(nested) == json.dumps(nested)
+            assert json_line({"parameters": {}}) == json.dumps({"parameters": {}})
         finally:
             sys.set_int_max_str_digits(limit)
 
     def test_field_order_and_unknown_types(self):
         record = {"denominator": "6", "kind": "ratio", "extra": "dropped", "k": 1}
-        assert cli._json_line(record) == '{"kind": "ratio", "k": 1, "denominator": "6"}'
-        for value in (1.5, Fraction(1, 3), Decimal("0.1"), None):
+        assert emitted_json([record]) == '{"kind": "ratio", "k": 1, "denominator": "6"}\n'
+        assert json_line(record) == '{"denominator": "6", "kind": "ratio", "extra": "dropped", "k": 1}'
+        for value in (1.5, Fraction(1, 3), Decimal("0.1"), None, ["1"], ("1",)):
             with pytest.raises(TypeError):
-                cli._json_line({"decimal": value})
+                json_line({"decimal": value})
+            with pytest.raises(TypeError):
+                json_line({"parameters": {"u": value}})
+        with pytest.raises(TypeError):
+            json_line({1: "non-string key"})
+
+    @pytest.mark.parametrize("digits", [15, 50])
+    def test_report_lines_are_json_dumps_with_sorted_keys(self, digits):
+        reports = [report for name in SUITES for report in run_suite(name, digits=digits)]
+        failing = run_suite("expansion", digits=15, jmax=6, tolerance=Decimal("1e-40"))
+        assert reports and failing and not any(r.passed for r in failing)
+        for report in (*reports, *failing):
+            record = {
+                "identity": report.identity_name,
+                "parameters": report.parameters,
+                "lhs": report.lhs,
+                "rhs": report.rhs,
+                "residual": str(report.residual.value),
+                "residual_digits": report.residual.precision_digits,
+                "tolerance": str(report.tolerance.value),
+                "tolerance_digits": report.tolerance.precision_digits,
+                "passed": report.passed,
+            }
+            assert report.to_line() == dumps_sorted(record), report.identity_name
+
+    def test_failed_verify_writes_report_lines_without_json(self):
+        # -S keeps site hooks from importing json and masking an import
+        src = Path(zetaeven.__file__).resolve().parents[1]
+        argv = ["verify", "--suite", "expansion", "--jmax", "6", "--digits", "15",
+                "--tolerance", "1e-40"]
+        code = (
+            "import sys, zetaeven.cli\n"
+            f"status = zetaeven.cli.main({argv!r})\n"
+            "print(status, 'json' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.stdout.splitlines()[-1] == "1 False"
+        lines = result.stderr.splitlines()
+        assert len(lines) == result.stdout.count("[FAIL]") > 0
+        for line in lines:
+            assert not VerificationReport.from_line(line).passed
+            assert line == dumps_sorted(json.loads(line))

@@ -209,7 +209,9 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
     # a fresh interpreter, pointed at the same package these tests import;
     # -S keeps site hooks from preloading any of these and masking an import
     src = Path(zetaeven.__file__).resolve().parents[1]
-    absent = ("zetaeven.powerseries", "dataclasses", "inspect", "csv", "typing", "json")
+    absent = (
+        "zetaeven.powerseries", "dataclasses", "inspect", "csv", "typing", "json", "threading",
+    )
     code = f"import sys, zetaeven.cli; print([m for m in {absent!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -853,6 +855,17 @@ class TestCvzKernel:
 
     def test_positive_m_error_within_radius(self):
         assert all(error <= radius for error, radius in self.positive_m_errors())
+
+    def test_ball_holds_at_ulp_resolution(self):
+        # exact |phi_m(u) 2^bits - value| <= radius, at scales small enough
+        # that the two ulps of floor dust in the radius are most of it
+        us = (F(3, 2), F(2), F(3), F(7, 2), F(11, 10), F(9), F(101, 100))
+        exact = {u: phi_coefficients(u, 12) for u in us}
+        for bits in (20, 33, 40, 64, 100):
+            for u in us:
+                for m in range(13):
+                    value, radius, _ = _cvz_sum(m, u.denominator, u.numerator, bits, _cvz_terms(bits, m))
+                    assert abs(exact[u][m] * 2**bits - value) <= radius, (bits, u, m)
 
     def test_early_stop_is_checked_exactly(self, monkeypatch):
         # the float estimate of where the terms floor only proposes a stop,

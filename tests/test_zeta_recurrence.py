@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import zetaeven.numeric_core as nc
 import zetaeven.zeta_recurrence as zr
 from zetaeven.euler_bernoulli import BernoulliTable, zeta_even_via_euler
 from zetaeven.numeric_core import compute_pi
@@ -116,10 +117,10 @@ class TestDecimal:
             precisions.append(digits)
             return compute_pi(digits)
 
-        monkeypatch.setattr(zr, "compute_pi", counting_pi)
-        zr._pi.cache_clear()
+        monkeypatch.setattr(nc, "compute_pi", counting_pi)
+        nc._pi.cache_clear()
         yield precisions
-        zr._pi.cache_clear()
+        nc._pi.cache_clear()
 
     def test_pi_computed_once_per_working_precision(self, pi_precisions):
         first = [zeta_even_decimal(k, 30) for k in range(1, 9)]

@@ -1,8 +1,9 @@
-"""Golden stdout of the CLI: every listed argv gives the recorded bytes.
+"""Golden output of the CLI: every listed argv gives the recorded bytes.
 
-Every command except ``bench`` is deterministic, so its stdout and exit
-status are pinned here, in ``cli_golden.json``. A change that alters
-what the CLI prints shows up as a diff of that file.
+Every command except ``bench`` is deterministic, so its stdout, its
+stderr (the full-precision JSON line of every failed report) and its
+exit status are pinned here, in ``cli_golden.json``. A change that
+alters what the CLI prints shows up as a diff of that file.
 
     python tests/test_cli_golden.py --write   # regenerate the file
 """
@@ -49,17 +50,22 @@ ARGVS = (
 
 
 def record(argv):
-    """Exit status and stdout of ``cli.main(argv)``, run in this process."""
+    """Exit status, stdout and stderr of ``cli.main(argv)``, run in this process."""
     from zetaeven import cli  # after __main__ has put src on the path
 
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code
     # one list entry per line, so a changed line diffs as one line
-    return {"argv": list(argv), "exit": code, "stdout": out.getvalue().split("\n")}
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": out.getvalue().split("\n"),
+        "stderr": err.getvalue().split("\n"),
+    }
 
 
 def test_stdout_matches_golden_file():

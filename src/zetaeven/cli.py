@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import sys
 import time
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation
 from fractions import Fraction
 
 from .euler_bernoulli import bernoulli, euler_polynomial, euler_polynomial_eval
@@ -283,6 +283,9 @@ def _finite_decimal(text: str) -> Decimal:
         raise ValueError(f"not a decimal number: {text!r}") from None
     if not value.is_finite():
         raise ValueError(f"must be finite: {text!r}")
+    # a report rounds it to 15 digits, which past these exponents overflows or flushes to 0
+    if not MIN_EMIN <= value.adjusted() < MAX_EMAX:
+        raise ValueError(f"exponent out of range: {text!r}")
     return value
 
 

@@ -10,7 +10,7 @@ Two value kinds underpin everything else here:
 
 Pi is generated internally from two independent arctangent formulae that
 must agree before a value is released, so no precomputed constant enters
-the trust base.
+the trust base; ``compute_pi`` returns it as a plain ``Decimal``.
 
 ``FrozenRecord`` is the base of the package's immutable value records
 (high-precision reals, Euler polynomials, phi evaluations, verification
@@ -19,7 +19,7 @@ reports).
 
 from __future__ import annotations
 
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, ROUND_HALF_EVEN, localcontext
 from functools import lru_cache
 
 __all__ = [
@@ -36,12 +36,19 @@ class PiAgreementError(ArithmeticError):
 
 
 def round_significant(value: Decimal, digits: int) -> Decimal:
-    """Round to ``digits`` significant digits, ties to even."""
+    """Round to ``digits`` significant digits, ties to even.
+
+    The context has the full exponent range, so a value whose exponent
+    the default context cannot hold (beyond +/-999999) neither overflows
+    nor flushes to zero; only exponents beyond about +/-10^18 do.
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     with localcontext() as ctx:
         ctx.prec = digits
         ctx.rounding = ROUND_HALF_EVEN
+        ctx.Emax = MAX_EMAX
+        ctx.Emin = MIN_EMIN
         return +value
 
 
@@ -106,10 +113,6 @@ class HighPrecisionReal(FrozenRecord):
             raise TypeError("value must be a Decimal")
         super().__init__(value, precision_digits)
 
-    @classmethod
-    def from_int(cls, value: int, precision_digits: int = 50) -> "HighPrecisionReal":
-        return cls(Decimal(value), precision_digits)
-
     def rounded(self) -> Decimal:
         """The value rounded to its own guaranteed precision."""
         return round_significant(self.value, self.precision_digits)
@@ -151,8 +154,8 @@ def _pi_fixed(scale: int) -> tuple[int, int]:
 _PI_GUARD = 12
 
 
-def compute_pi(digits: int) -> HighPrecisionReal:
-    """Pi to ``digits`` significant digits.
+def compute_pi(digits: int) -> Decimal:
+    """Pi rounded to ``digits`` significant digits.
 
     Internally evaluates Machin's and Euler/Hutton's arctangent formulae
     independently; both the raw fixed-point values (at guard precision)
@@ -177,11 +180,11 @@ def compute_pi(digits: int) -> HighPrecisionReal:
     rb = round_significant(b, digits)
     if ra != rb:
         raise PiAgreementError("pi formulae round differently at the requested precision")
-    return HighPrecisionReal(ra, digits)
+    return ra
 
 
 @lru_cache(maxsize=4)
-def _pi(digits: int) -> HighPrecisionReal:
+def _pi(digits: int) -> Decimal:
     """compute_pi(digits), kept for the few precisions a k-loop asks for.
 
     A table of decimals at one ``digits`` needs only two working

@@ -712,7 +712,7 @@ def identity_check_expansion(
         phi_bound = Decimal(0)
         for j in range(J_max + 1):
             mi = 2 * j - 2 * k
-            coeff = pi.value ** (2 * j) / (2 * math.factorial(2 * j))
+            coeff = pi ** (2 * j) / (2 * math.factorial(2 * j))
             if mi >= 0:
                 exact = exact_phi[mi]
                 phi_dec = Decimal(exact.numerator) / Decimal(exact.denominator)
@@ -727,7 +727,7 @@ def identity_check_expansion(
         # machine dust of the Decimal accumulation (derived in the docstring)
         rhs_dust = (abs_acc + 1) * Decimal(10) ** (8 - work)
 
-    default_tol = _expansion_tail_envelope(k, u, J_max, pi.value)
+    default_tol = _expansion_tail_envelope(k, u, J_max, pi)
     default_tol += rhs_dust + phi_bound
     default_tol += _fixed_decimal(lhs_radius, work)
 
@@ -738,7 +738,7 @@ def identity_check_expansion(
     with localcontext() as ctx:
         ctx.prec = 30
         first_omitted = (
-            pi.value ** (2 * (J_max + 1))
+            pi ** (2 * (J_max + 1))
             / (2 * math.factorial(2 * (J_max + 1)))
             * abs(Decimal(exact_next.numerator) / Decimal(exact_next.denominator))
         )
@@ -860,18 +860,31 @@ def recurrence_cross_check(k_max: int) -> VerificationReport:
         },
         lhs=zeta_even_ratio(first_bad),
         rhs=zeta_even_via_euler(first_bad),
-        residual=HighPrecisionReal.from_int(len(mismatches)),
-        tolerance=HighPrecisionReal.from_int(0),
+        residual=HighPrecisionReal(Decimal(len(mismatches)), 50),
+        tolerance=HighPrecisionReal(Decimal(0), 50),
     )
 
 
-# The verify suites, in the order ``verify --suite all`` runs them, and
-# the cases they check.
-SUITES = ("recurrence", "expansion", "abel", "phi")
+# The cases the verify suites check.
 EXPANSION_CASES = ((1, Fraction(3, 2)), (2, Fraction(2)), (3, Fraction(3, 2)))
 ABEL_DELTAS = (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
 PHI_SAMPLE_US = (Fraction(3, 2), Fraction(2), Fraction(3))
 PHI_LIMIT_MS = (2, 3, 4, 6)
+
+# The verify suites, in the order ``verify --suite all`` runs them: each
+# takes run_suite's knobs kmax, digits, jmax and tolerance.
+_SUITE_RUNS = {
+    "recurrence": lambda kmax, digits, jmax, tolerance: [recurrence_cross_check(kmax)],
+    "expansion": lambda kmax, digits, jmax, tolerance: [
+        identity_check_expansion(k, u, jmax, digits, tolerance=tolerance)
+        for k, u in EXPANSION_CASES
+    ],
+    "abel": lambda kmax, digits, jmax, tolerance: [
+        abel_limit_check(k, ABEL_DELTAS, digits) for k in (1, 2)
+    ],
+    "phi": lambda kmax, digits, jmax, tolerance: _phi_suite(digits, tolerance),
+}
+SUITES = tuple(_SUITE_RUNS)
 
 
 def run_suite(
@@ -879,14 +892,15 @@ def run_suite(
     kmax: int = 50,
     digits: int = 50,
     jmax: int = 25,
-    tolerance: Decimal | None = None,
+    tolerance: Decimal | str | None = None,
 ) -> list[VerificationReport]:
     """The reports of one verify suite; ``name`` is one of SUITES.
 
     kmax is the depth of the recurrence cross-check, jmax the truncation
     of the expansion suite and digits the working precision of the
-    others. tolerance overrides the derived tolerances of the expansion
-    and phi suites; recurrence and abel keep their own.
+    others. tolerance (a Decimal, or anything ``Decimal()`` reads
+    exactly, such as a decimal string) overrides the derived tolerances
+    of the expansion and phi suites; recurrence and abel keep their own.
 
     Every knob is checked before any suite runs, whether or not this
     suite uses it, and a ValueError names the knob that is out of range.
@@ -898,18 +912,11 @@ def run_suite(
     ):
         if value < low:
             raise ValueError(f"{knob} must be >= {low}")
-    if name == "recurrence":
-        return [recurrence_cross_check(kmax)]
-    if name == "expansion":
-        return [
-            identity_check_expansion(k, u, jmax, digits, tolerance=tolerance)
-            for k, u in EXPANSION_CASES
-        ]
-    if name == "abel":
-        return [abel_limit_check(k, ABEL_DELTAS, digits) for k in (1, 2)]
-    if name == "phi":
-        return _phi_suite(digits, tolerance)
-    raise ValueError(f"unknown suite {name!r}, expected one of {', '.join(SUITES)}")
+    if name not in _SUITE_RUNS:
+        raise ValueError(f"unknown suite {name!r}, expected one of {', '.join(SUITES)}")
+    if tolerance is not None:
+        tolerance = Decimal(tolerance)
+    return _SUITE_RUNS[name](kmax, digits, jmax, tolerance)
 
 
 def _phi_limit_tolerance(m: int, delta: Fraction) -> Decimal:
@@ -942,81 +949,57 @@ def _two_eta(m: int, digits: int) -> tuple[HighPrecisionReal, Decimal]:
 
 
 def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationReport]:
-    reports: list[VerificationReport] = []
+    """phi_series against the exact coefficients at the sample u, then
+    phi_-m(1 + delta) against its limit 2 eta(m) at u = 1."""
+
+    def compare(identity, m, u, evaluation, rhs, prec, bound):
+        # the residual of evaluation against rhs (an exact Fraction or a
+        # limit target) at prec digits, judged against bound or the override
+        with localcontext() as ctx:
+            ctx.prec = prec
+            if isinstance(rhs, Fraction):
+                target = Decimal(rhs.numerator) / Decimal(rhs.denominator)
+            else:
+                target = rhs.value
+            residual = evaluation.value.value - target
+        return VerificationReport(
+            identity_name=identity,
+            parameters={"m": m, "u": u, "precision": digits, "terms": evaluation.terms_used},
+            lhs=evaluation.value,
+            rhs=rhs,
+            residual=HighPrecisionReal(residual, digits),
+            tolerance=HighPrecisionReal(bound if tolerance is None else tolerance, 15),
+        )
+
     # summed m-major: the kernel's n depends on m and the digits, not on
     # u, so the sample u share each m's cached weights; reported u-major
     ms = range(21)
     evaluations = {(m, u): phi_series(m, u, digits) for m in ms for u in PHI_SAMPLE_US}
-    for u in PHI_SAMPLE_US:
-        for m, exact in enumerate(phi_coefficients(u, ms[-1])):
-            evaluation = evaluations[m, u]
-            # the exact side must not be quantized: these values reach
-            # ~1e8, where even 55 significant digits would inject more
-            # absolute error than the series' own bound
-            with localcontext() as ctx:
-                ctx.prec = digits + 30
-                exact_dec = Decimal(exact.numerator) / Decimal(exact.denominator)
-                residual_dec = evaluation.value.value - exact_dec
-            residual = HighPrecisionReal(residual_dec, digits)
-            tol = (
-                HighPrecisionReal(tolerance, 15)
-                if tolerance is not None
-                else evaluation.error_bound
-            )
-            reports.append(
-                VerificationReport(
-                    identity_name="phi_series_vs_coefficients",
-                    parameters={
-                        "m": m,
-                        "u": u,
-                        "precision": digits,
-                        "terms": evaluation.terms_used,
-                    },
-                    lhs=evaluation.value,
-                    rhs=exact,
-                    residual=residual,
-                    tolerance=tol,
-                )
-            )
+    # the exact side must not be quantized: these values reach ~1e8, where
+    # even 55 significant digits would inject more absolute error than the
+    # series' own bound
+    reports = [
+        compare("phi_series_vs_coefficients", m, u, evaluations[m, u], exact, digits + 30,
+                evaluations[m, u].error_bound.value)
+        for u in PHI_SAMPLE_US
+        for m, exact in enumerate(phi_coefficients(u, ms[-1]))
+    ]
     for m in PHI_LIMIT_MS:
-        factor = Fraction(2) * (1 - Fraction(1, 2 ** (m - 1)))
         if m % 2 == 0:
+            factor = Fraction(2) * (1 - Fraction(1, 2 ** (m - 1)))
             zeta_m = Decimal(zeta_even_decimal(m // 2, digits + 5))
             with localcontext() as ctx:
                 ctx.prec = digits + 5
-                target_dec = (
-                    Decimal(factor.numerator) / Decimal(factor.denominator) * zeta_m
-                )
+                target_dec = Decimal(factor.numerator) / Decimal(factor.denominator) * zeta_m
             target = HighPrecisionReal(target_dec, digits)
             target_bound = Decimal(10) ** (-digits)
         else:
             target, target_bound = _two_eta(m, digits)
         for delta in ABEL_DELTAS:
-            evaluation = phi_series(-m, 1 + delta, digits)
-            with localcontext() as ctx:
-                ctx.prec = digits
-                residual_dec = evaluation.value.value - target.value
-            residual = HighPrecisionReal(residual_dec, digits)
-            tol_dec = (
-                tolerance
-                if tolerance is not None
-                else _phi_limit_tolerance(m, delta)
-                + evaluation.error_bound.value
-                + target_bound
-            )
+            u = 1 + delta
+            evaluation = phi_series(-m, u, digits)
+            bound = _phi_limit_tolerance(m, delta) + evaluation.error_bound.value + target_bound
             reports.append(
-                VerificationReport(
-                    identity_name="phi_negative_index_limit",
-                    parameters={
-                        "m": m,
-                        "u": 1 + delta,
-                        "precision": digits,
-                        "terms": evaluation.terms_used,
-                    },
-                    lhs=evaluation.value,
-                    rhs=target,
-                    residual=residual,
-                    tolerance=HighPrecisionReal(tol_dec, 15),
-                )
+                compare("phi_negative_index_limit", m, u, evaluation, target, digits, bound)
             )
     return reports

@@ -46,13 +46,15 @@ class ZetaEvenTable:
     Entries are exact Fractions. The recurrence runs on a_k = (2k)! r_k,
     where dividing r_m by (2k-2m)! becomes multiplying a_m by C(2k, 2m):
 
-        (1 - 4^-k) a_k = sum_{m<k} (-1)^(k-m+1) C(2k, 2m) w_m - (-1)^k / 4,
-        w_m = (1/2 - 4^-m) a_m.
+        (1 - 4^-k) a_k = sum_{m<k} (-1)^(k-m+1) C(2k, 2m) w_m - (-1)^k / 4
+                       = (-1)^k (sum_{m<k} C(2k, 2m) s_m - 1/4),
+        w_m = (1/2 - 4^-m) a_m,  s_m = (-1)^(m+1) w_m.
 
-    The w_m are kept as integer numerators over one common denominator
-    (the lcm of their reduced denominators, with the stored numerators
-    rescaled whenever it grows), so the inner sum is pure big-integer
-    arithmetic and each k costs one reduced Fraction for a_k. Nothing
+    The signed s_m are kept as integer numerators over one common
+    denominator (the lcm of their reduced denominators, with the stored
+    numerators rescaled whenever it grows), so the inner sum is one
+    big-integer multiply-add per term, the sign (-1)^k is applied once
+    per k, and each k costs one reduced Fraction for a_k. Nothing
     here uses Bernoulli or tangent numbers, which keeps the route
     independent of the classical formula it is checked against.
 
@@ -62,8 +64,8 @@ class ZetaEvenTable:
 
     def __init__(self) -> None:
         self._ratios: list[Fraction] = []  # position k-1 holds r_k
-        self._w_numerators: list[int] = []  # position m-1 holds w_m * _w_denominator
-        self._w_denominator = 1
+        self._s_numerators: list[int] = []  # position m-1 holds s_m * _s_denominator
+        self._s_denominator = 1
         self._factorial = 1  # (2k)! for k = max_k
         self._lock = allocate_lock()
 
@@ -85,37 +87,34 @@ class ZetaEvenTable:
 
     def _extend_to(self, k_max: int) -> None:
         with self._lock:
-            numerators = self._w_numerators
+            numerators = self._s_numerators
             while len(self._ratios) < k_max:
                 k = len(self._ratios) + 1
                 n = 2 * k
-                # acc = D * sum_{m<k} (-1)^(k-m+1) C(2k, 2m) w_m, with the
-                # binomial C(2k, j + 2) stepped up from C(2k, j)
+                # acc = D * sum_{m<k} C(2k, 2m) s_m, with the binomial
+                # C(2k, j + 2) stepped up from C(2k, j)
                 acc = 0
                 binom = 1
                 for j, numerator in zip(range(0, n, 2), numerators):
                     binom = binom * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
-                    term = binom * numerator
-                    if (k - j // 2) % 2:
-                        acc -= term
-                    else:
-                        acc += term
-                # solve (1 - 4^-k) a_k = acc/D - (-1)^k/4 for a_k
-                denominator = self._w_denominator
+                    acc += binom * numerator
+                # solve (1 - 4^-k) a_k = (-1)^k (acc/D - 1/4) for a_k
+                denominator = self._s_denominator
                 quarter = 4 ** (k - 1)  # 4^k / 4
-                signed_d = denominator if k % 2 == 0 else -denominator  # (-1)^k D
-                a_k = Fraction(quarter * (4 * acc - signed_d), denominator * (4 * quarter - 1))
+                signed = quarter * (4 * acc - denominator)  # (-1)^k a_k over the denominator below
+                a_k = Fraction(-signed if k % 2 else signed, denominator * (4 * quarter - 1))
                 self._factorial *= (n - 1) * n
                 self._ratios.append(a_k / self._factorial)
 
-                # w_k = (1/2 - 4^-k) a_k, brought over the common denominator
+                # s_k = (-1)^(k+1) (1/2 - 4^-k) a_k, over the common denominator
                 w_k = a_k * Fraction(2 * quarter - 1, 4 * quarter)
                 grow = w_k.denominator // math.gcd(denominator, w_k.denominator)
                 if grow > 1:
-                    numerators[:] = [w * grow for w in numerators]
+                    numerators[:] = [s * grow for s in numerators]
                     denominator *= grow
-                    self._w_denominator = denominator
-                numerators.append(w_k.numerator * (denominator // w_k.denominator))
+                    self._s_denominator = denominator
+                s_k = w_k.numerator * (denominator // w_k.denominator)
+                numerators.append(s_k if k % 2 else -s_k)
 
 
 _shared_table = ZetaEvenTable()
@@ -160,5 +159,5 @@ def zeta_even_decimal(k: int, digits: int) -> str:
         ctx.prec = work
         ctx.rounding = ROUND_HALF_EVEN
         value = Decimal(ratio.numerator) / Decimal(ratio.denominator)
-        value *= pi.value ** (2 * k)
+        value *= pi ** (2 * k)
     return positional_str(round_significant(value, digits))

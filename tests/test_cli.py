@@ -373,6 +373,25 @@ class TestExitCodes:
         spaced = run_cli(capsys, *argv, "--tolerance", "-1e-5", "--format", "json-lines")
         assert spaced == (code, out, err)
 
+    def test_tolerance_prints_as_given_across_the_exponent_range(self, capsys):
+        argv = ("verify", "--suite", "expansion", "--jmax", "3", "--digits", "10")
+        # past the default context's exponents (+/-999999), within the full range
+        for text, status in (
+            ("1e1000000", 0),
+            ("1e-1000020", 1),
+            ("1e999999999999999998", 0),
+            ("-1e-999999999999999999", 1),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--tolerance", text)
+            assert code == status, text
+            printed = {line.rsplit(" tolerance=", 1)[1] for line in out.splitlines()}
+            assert printed == {str(Decimal(text))}, text
+            assert len(err.splitlines()) == (3 if status else 0), text
+        # beyond it rounding to 15 digits would overflow or flush to zero
+        for text in ("1e999999999999999999", "1e-1000000000000000000", "0e-1000000000000000000"):
+            message = f"zetaeven verify: error: argument --tolerance: exponent out of range: {text!r}\n"
+            assert run_cli(capsys, *argv, "--tolerance", text) == (2, "", message), text
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
@@ -734,6 +753,10 @@ class TestJsonWriter:
         reports = [report for name in SUITES for report in run_suite(name, digits=digits)]
         failing = run_suite("expansion", digits=15, jmax=6, tolerance=Decimal("1e-40"))
         assert reports and failing and not any(r.passed for r in failing)
+        # a decimal string overrides as its Decimal does, in both suites that take one
+        for name in ("expansion", "phi"):
+            as_string = run_suite(name, digits=15, jmax=6, tolerance="1e-40")
+            assert as_string == run_suite(name, digits=15, jmax=6, tolerance=Decimal("1e-40"))
         for report in (*reports, *failing):
             record = {
                 "identity": report.identity_name,

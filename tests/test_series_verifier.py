@@ -346,7 +346,7 @@ def exact_sum(a, b):
 class TestDirectZetaPartial:
     def test_single_term(self):
         value, tail_high = direct_zeta_partial(1, 1)
-        assert value == HighPrecisionReal.from_int(1)
+        assert value == HighPrecisionReal(Decimal(1), 50)
         assert tail_high.value == 1
 
     def test_brackets_contain_decimal_values(self):

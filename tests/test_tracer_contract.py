@@ -20,8 +20,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-pytestmark = pytest.mark.skipif(not TRACER.exists(), reason="no perfbench/ beside tests/")
-
 
 def _load_tracer():
     """tracer.py as a module, executed from its source (writes no bytecode)."""

@@ -8,6 +8,10 @@ Two value kinds underpin everything else here:
   significant digits it is guaranteed to; arithmetic and comparisons
   happen on its ``Decimal`` value, exactly or in an explicit context.
 
+Every decimal operation in the package runs in ``_decimal_context``: a
+copy of one fixed base context, so no result depends on the caller's
+decimal context.
+
 Pi is generated internally from two independent arctangent formulae that
 must agree before a value is released, so no precomputed constant enters
 the trust base; ``compute_pi`` returns it as a plain ``Decimal``.
@@ -19,7 +23,8 @@ reports).
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import DivisionByZero, InvalidOperation, Overflow
 from functools import lru_cache
 
 __all__ = [
@@ -35,20 +40,31 @@ class PiAgreementError(ArithmeticError):
     """Two independent pi formulae disagreed at the requested precision."""
 
 
-def round_significant(value: Decimal, digits: int) -> Decimal:
-    """Round to ``digits`` significant digits, ties to even.
+# The one decimal context of the package. Its exponent range is the full
+# one, so a value whose exponent the default context cannot hold (beyond
+# +/-999999) neither overflows nor flushes to zero; only exponents beyond
+# about +/-10^18 do.
+_BASE_CONTEXT = Context(
+    prec=28, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1, clamp=0,
+    flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
+)
 
-    The context has the full exponent range, so a value whose exponent
-    the default context cannot hold (beyond +/-999999) neither overflows
-    nor flushes to zero; only exponents beyond about +/-10^18 do.
-    """
+
+def _decimal_context(prec: int, rounding: str = ROUND_HALF_EVEN):
+    """A ``with`` context of ``prec`` digits and ``rounding``, copied from
+    ``_BASE_CONTEXT``: nothing of the caller's decimal context (precision,
+    rounding, exponent range, traps, flags) reaches the result."""
+    ctx = _BASE_CONTEXT.copy()
+    ctx.prec = prec
+    ctx.rounding = rounding
+    return localcontext(ctx)
+
+
+def round_significant(value: Decimal, digits: int) -> Decimal:
+    """Round to ``digits`` significant digits, ties to even."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        ctx.Emax = MAX_EMAX
-        ctx.Emin = MIN_EMIN
+    with _decimal_context(digits):
         return +value
 
 
@@ -172,8 +188,7 @@ def compute_pi(digits: int) -> Decimal:
         raise PiAgreementError(
             f"pi formulae disagree by {abs(machin - hutton)} ulps at scale 1e-{work}"
         )
-    with localcontext() as ctx:
-        ctx.prec = work + 8
+    with _decimal_context(work + 8):
         a = Decimal(machin) / scale
         b = Decimal(hutton) / scale
     ra = round_significant(a, digits)

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
+from decimal import MAX_PREC, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from .euler_bernoulli import zeta_even_via_euler
-from .numeric_core import FrozenRecord, HighPrecisionReal, _pi, round_significant
+from .numeric_core import FrozenRecord, HighPrecisionReal, _decimal_context, _pi, round_significant
 from .reports import VerificationReport
 from .zeta_recurrence import zeta_even_decimal, zeta_even_ratio
 
@@ -119,20 +119,25 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _dec_ceiling(x: Fraction, digits: int) -> Decimal:
     """Decimal upper bound on a nonnegative rational."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_CEILING
+    with _decimal_context(digits, ROUND_CEILING):
         return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 def _fixed_decimal(total: int, digits: int) -> Decimal:
     """total / 10^digits as a Decimal, exactly, with its trailing zeros:
-    rounding it keeps as many significant digits as it is asked for."""
-    with localcontext() as ctx:
-        # scaling by a power of ten is exact once the context holds
-        # every digit of the numerator
-        ctx.prec = math.ceil(total.bit_length() * _LOG10_2) + 10
+    rounding it keeps as many significant digits as it is asked for.
+    Scaling by a power of ten needs only the digits of total, so at the
+    largest precision it is exact and costs no more."""
+    with _decimal_context(MAX_PREC):
         return Decimal(total).scaleb(-digits)
+
+
+def _exact_sum(first: Decimal, *rest: Decimal) -> Decimal:
+    """first + rest, exactly, so that a composite tolerance is rounded
+    neither above nor below its parts. An addition needs only the digits
+    of its operands, so at the largest precision it is exact."""
+    with _decimal_context(MAX_PREC):
+        return sum(rest, first)
 
 
 _LN_CVZ = math.log(3 + math.sqrt(8))
@@ -466,8 +471,7 @@ def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, HighPrecisio
     total = 0
     for n in range(1, N + 1):
         total += scale // n**e
-    with localcontext() as ctx:
-        ctx.prec = len(str(total)) + 2
+    with _decimal_context(len(str(total)) + 2):
         value = Decimal(total) / scale
     tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
     return (
@@ -556,23 +560,26 @@ def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int, in
     return total * scale >> bits, _ceil_div(radius * scale, one) + 1, terms
 
 
-def _abel_tolerance(k: int, delta: Fraction) -> Decimal:
-    """Proven bound on zeta(2k) - f_k(1 + delta).
+def _polylog_gap(s: int, delta: Fraction) -> Decimal:
+    """Proven bound on zeta(s) - Li_s(x) = sum_n (1 - x^n)/n^s, s >= 2,
+    x = 1/(1 + delta).
 
-    With x = 1/(1+delta) and eps = 1 - x = delta/(1+delta):
+    The abel suite's gap zeta(2k) - f_k(1 + delta) is this at s = 2k; the
+    phi suite's |2 eta(m) - phi_-m(1 + delta)| = 2 |sum_n (-1)^(n+1)
+    (1 - x^n)/n^m| is at most twice this at s = m. With eps = 1 - x =
+    delta/(1+delta):
 
-    k = 1:  the integral form of the deficit, integral_x^1 ln(1/(1-t))/t dt,
+    s = 2:  the integral form of the deficit, integral_x^1 ln(1/(1-t))/t dt,
             is at most (1/x) * eps * (1 + ln(1/eps)), which simplifies to
             delta * (1 + delta + ln(1/delta)) after ln(1+delta) <= delta.
-    k >= 2: termwise 1 - x^n <= n*eps gives eps * zeta(2k-1), and the
-            integral bound zeta(s) <= 1 + 1/(s-1) finishes it off.
+    s >= 3: termwise 1 - x^n <= n*eps gives eps * zeta(s-1), and the
+            integral bound zeta(s-1) <= 1 + 1/(s-2) finishes it off.
     """
-    with localcontext() as ctx:
-        ctx.prec = 40
+    with _decimal_context(40):
         d = Decimal(delta.numerator) / Decimal(delta.denominator)
-        if k == 1:
+        if s == 2:
             return d * (1 + d + (1 / d).ln())
-        return d * (1 + Decimal(1) / (2 * k - 2))
+        return d * (1 + Decimal(1) / (s - 2))
 
 
 def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> VerificationReport:
@@ -581,7 +588,7 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
     Evaluates the series at u = 1 + delta for each delta, requires the
     residuals against the decimal zeta value to be positive and strictly
     decreasing, and judges the final residual against the proven
-    delta-dependent bound from ``_abel_tolerance``. Each residual is a
+    delta-dependent bound from ``_polylog_gap`` at s = 2k. Each residual is a
     ball: the sum's radius plus one ulp of the zeta value at
     precision + 5 digits. Positive means the whole ball lies above 0,
     and decreasing means each ball lies wholly below the one before. A
@@ -619,15 +626,14 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
     decreasing = all(b + rb < a - ra for (a, ra), (b, rb) in zip(balls, balls[1:]))
     from_below = all(r > rr for r, rr in balls)
     monotone = decreasing and from_below
-    with localcontext() as ctx:
-        ctx.prec = precision + 12
+    with _decimal_context(precision + 12):
         value = Decimal(total) / scale
         residuals = [Decimal(r) / scale for r, _ in balls]
-        tolerance = (
-            _abel_tolerance(k, deltas[-1]) + Decimal(balls[-1][1]) / scale
-            if monotone
-            else Decimal(-1)
-        )
+    tolerance = (
+        _exact_sum(_polylog_gap(2 * k, deltas[-1]), _fixed_decimal(balls[-1][1], precision + 10))
+        if monotone
+        else Decimal(-1)
+    )
     return VerificationReport(
         identity_name="zeta_even_abel_limit",
         parameters={
@@ -704,8 +710,7 @@ def identity_check_expansion(
     m_next = 2 * (J_max + 1) - 2 * k
     exact_phi = phi_coefficients(u, m_next)
 
-    with localcontext() as ctx:
-        ctx.prec = work + 5
+    with _decimal_context(work + 5):
         lhs = Decimal(total) / scale
         rhs = Decimal(0)
         abs_acc = Decimal(0)
@@ -727,16 +732,14 @@ def identity_check_expansion(
         # machine dust of the Decimal accumulation (derived in the docstring)
         rhs_dust = (abs_acc + 1) * Decimal(10) ** (8 - work)
 
-    default_tol = _expansion_tail_envelope(k, u, J_max, pi)
-    default_tol += rhs_dust + phi_bound
-    default_tol += _fixed_decimal(lhs_radius, work)
-
-    tol = HighPrecisionReal(default_tol if tolerance is None else Decimal(tolerance), 15)
+    if tolerance is None:
+        envelope = _expansion_tail_envelope(k, u, J_max, pi)
+        tolerance = _exact_sum(envelope, rhs_dust, phi_bound, _fixed_decimal(lhs_radius, work))
+    tol = HighPrecisionReal(Decimal(tolerance), 15)
 
     # actual first omitted term, from the exact phi route (2(J+1) >= 2k)
     exact_next = exact_phi[m_next]
-    with localcontext() as ctx:
-        ctx.prec = 30
+    with _decimal_context(30):
         first_omitted = (
             pi ** (2 * (J_max + 1))
             / (2 * math.factorial(2 * (J_max + 1)))
@@ -785,9 +788,7 @@ def _pole_constant(b_up: Decimal, inv_b_up: Decimal, pi_up: Decimal, M: int) -> 
     rounded up here from upper bounds on b, 1/b and pi; the 1e-20 slop
     covers the half-even sqrt.
     """
-    with localcontext() as ctx:
-        ctx.prec = 40
-        ctx.rounding = ROUND_CEILING
+    with _decimal_context(40, ROUND_CEILING):
         wallis_up = (pi_up / (2 * (M - 1))).sqrt() * (1 + Decimal("1e-20"))
         return 4 + 2 * (b_up + inv_b_up) * min(b_up, pi_up / 2, wallis_up)
 
@@ -807,9 +808,7 @@ def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, pi_value: Decimal)
     the context rounding mode.
     """
     slop = Decimal("1e-20")
-    with localcontext() as ctx:
-        ctx.prec = 40
-        ctx.rounding = ROUND_FLOOR
+    with _decimal_context(40, ROUND_FLOOR) as ctx:
         pi_low = round_significant(pi_value, 35) * (1 - slop)
         ln_low = (Decimal(u.numerator) / Decimal(u.denominator)).ln() * (1 - slop)
         r2_low = ln_low * ln_low + pi_low * pi_low
@@ -919,21 +918,6 @@ def run_suite(
     return _SUITE_RUNS[name](kmax, digits, jmax, tolerance)
 
 
-def _phi_limit_tolerance(m: int, delta: Fraction) -> Decimal:
-    """Proven bound on |2(1-2^(1-m)) zeta(m) - phi_{-m}(1+delta)|.
-
-    The difference is 2 sum (1-x^n)/n^m with x = 1/(1+delta); splitting
-    at n ~ 1/eps gives 2*delta*(2 + delta + ln(1/delta)) for m = 2, and
-    termwise 1-x^n <= n*eps gives 2*delta*(1 + 1/(m-2)) for m >= 3.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 40
-        d = Decimal(delta.numerator) / Decimal(delta.denominator)
-        if m == 2:
-            return 2 * d * (2 + d + (1 / d).ln())
-        return 2 * d * (1 + Decimal(1) / (m - 2))
-
-
 def _two_eta(m: int, digits: int) -> tuple[HighPrecisionReal, Decimal]:
     """2 eta(m) = 2(1 - 2^(1-m)) zeta(m) = phi_-m(1) and its error bound.
 
@@ -955,8 +939,7 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
     def compare(identity, m, u, evaluation, rhs, prec, bound):
         # the residual of evaluation against rhs (an exact Fraction or a
         # limit target) at prec digits, judged against bound or the override
-        with localcontext() as ctx:
-            ctx.prec = prec
+        with _decimal_context(prec):
             if isinstance(rhs, Fraction):
                 target = Decimal(rhs.numerator) / Decimal(rhs.denominator)
             else:
@@ -988,17 +971,18 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
         if m % 2 == 0:
             factor = Fraction(2) * (1 - Fraction(1, 2 ** (m - 1)))
             zeta_m = Decimal(zeta_even_decimal(m // 2, digits + 5))
-            with localcontext() as ctx:
-                ctx.prec = digits + 5
+            with _decimal_context(digits + 5):
                 target_dec = Decimal(factor.numerator) / Decimal(factor.denominator) * zeta_m
             target = HighPrecisionReal(target_dec, digits)
-            target_bound = Decimal(10) ** (-digits)
+            target_bound = Decimal(f"1e-{digits}")
         else:
             target, target_bound = _two_eta(m, digits)
         for delta in ABEL_DELTAS:
             u = 1 + delta
             evaluation = phi_series(-m, u, digits)
-            bound = _phi_limit_tolerance(m, delta) + evaluation.error_bound.value + target_bound
+            # the gap is at most twice the polylog gap; its two copies add exactly
+            gap = _polylog_gap(m, delta)
+            bound = _exact_sum(gap, gap, evaluation.error_bound.value, target_bound)
             reports.append(
                 compare("phi_negative_index_limit", m, u, evaluation, target, digits, bound)
             )

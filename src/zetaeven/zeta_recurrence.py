@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 from _thread import allocate_lock
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
-from .numeric_core import _pi, positional_str, round_significant
+from .numeric_core import _decimal_context, _pi, positional_str, round_significant
 
 __all__ = [
     "ZetaEvenTable",
@@ -155,9 +155,7 @@ def zeta_even_decimal(k: int, digits: int) -> str:
     ratio = zeta_even_ratio(k)
     work = digits + 12 + len(str(2 * k))
     pi = _pi(work)
-    with localcontext() as ctx:
-        ctx.prec = work
-        ctx.rounding = ROUND_HALF_EVEN
+    with _decimal_context(work):
         value = Decimal(ratio.numerator) / Decimal(ratio.denominator)
         value *= pi ** (2 * k)
     return positional_str(round_significant(value, digits))

@@ -15,7 +15,7 @@ section carries the analysis.
 """
 
 import sys
-from decimal import Decimal, Inexact, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
 
@@ -37,6 +37,8 @@ from zetaeven.series_verifier import (
     phi_taylor_coeff,
 )
 from zetaeven.zeta_recurrence import zeta_even_decimal, zeta_even_table
+
+from test_series_verifier import abs_error, exact_sum
 
 F = Fraction
 
@@ -271,14 +273,6 @@ def test_criterion_6_abel_k2():
     )
 
 
-def _exact_sum(a, b):
-    """a + b as a Decimal, refusing to round."""
-    with localcontext() as ctx:
-        ctx.prec = 300
-        ctx.traps[Inexact] = True
-        return a + b
-
-
 def test_criterion_7_bracketing():
     # zeta(2k) to 120 digits is within 1e-119 of the true value, far
     # inside the narrowest margin of the grid (about 4.5e-81 at k = 10,
@@ -288,7 +282,7 @@ def test_criterion_7_bracketing():
         target = Decimal(zeta_even_decimal(k, 120))
         for n in (100, 1000, 10000):
             value, tail_high = direct_zeta_partial(k, n)
-            if not value.value < target < _exact_sum(value.value, tail_high.value):
+            if not value.value < target < exact_sum(value.value, tail_high.value):
                 outside.append((k, n))
     # the showcase: the N = 10^6 bracket is exactly 1e-6 wide. The tail
     # of zeta(2) past N is 1/N - 1/(2N^2) + O(N^-3), so the bracket is
@@ -296,7 +290,7 @@ def test_criterion_7_bracketing():
     # to 12 digits: both ends round to 1.64493 at 6 digits, but to
     # 1.644933 and 1.644934 at 7. It pins 6 digits of zeta(2), not 12.
     value, tail_high = direct_zeta_partial(1, 10**6)
-    low, high = value.value, _exact_sum(value.value, tail_high.value)
+    low, high = value.value, exact_sum(value.value, tail_high.value)
     zeta2 = Decimal(zeta_even_decimal(1, 120))
     six, seven = Decimal("1e-5"), Decimal("1e-6")
     showcase = (
@@ -319,12 +313,12 @@ def test_criterion_8_phi_machinery():
         for m in range(0, 21):
             evaluation = phi_series(m, u, 50)
             exact = phi_taylor_coeff(m, u)
-            if _abs_error(evaluation, exact) > evaluation.error_bound.value:
+            if abs_error(evaluation, exact) > evaluation.error_bound.value:
                 ok = False
         # phi_0 closed form, checked against 2/(u+1) rather than the
         # series-division route
         closed = phi_series(0, u, 50)
-        if _abs_error(closed, F(2, u + 1)) > closed.error_bound.value:
+        if abs_error(closed, F(2, u + 1)) > closed.error_bound.value:
             ok = False
     target = Decimal(zeta_even_decimal(1, 25))
     residuals = []
@@ -335,12 +329,3 @@ def test_criterion_8_phi_machinery():
     assert verdict(
         "criterion 8 (series-vs-coefficients, closed form, limit to zeta(2))", ok
     )
-
-
-def _abs_error(evaluation, exact):
-    from decimal import localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = 90
-        exact_dec = Decimal(exact.numerator) / Decimal(exact.denominator)
-        return abs(evaluation.value.value - exact_dec)

@@ -23,10 +23,7 @@ FIELDS = list(cli.FIELD_ORDER)
 
 
 def run_cli(capsys, *argv):
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse usage errors / --help
-        code = exc.code if exc.code is not None else 0
+    code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

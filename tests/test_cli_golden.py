@@ -55,10 +55,7 @@ def record(argv):
 
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(list(argv))
     # one list entry per line, so a changed line diffs as one line
     return {
         "argv": list(argv),

@@ -1,4 +1,5 @@
-from decimal import Decimal
+from decimal import ROUND_DOWN, ROUND_UP, Context, Decimal, Inexact, Rounded, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,8 @@ from zetaeven.numeric_core import (
     positional_str,
     round_significant,
 )
+from zetaeven.series_verifier import SUITES, direct_zeta_partial, phi_series, run_suite
+from zetaeven.zeta_recurrence import zeta_even_decimal
 
 # Reference digits of pi (oracle: widely published value, far more digits
 # than any internal formula shares code with).
@@ -100,3 +103,38 @@ class TestComputePi:
         )
         with pytest.raises(PiAgreementError, match=message):
             compute_pi(20)
+
+
+def sample_results():
+    """to_line or repr of 91 library results: every report of the four
+    suites at 24 digits, and phi_series, zeta_even_decimal, compute_pi
+    and direct_zeta_partial values."""
+    numeric_core._pi.cache_clear()  # pi computed afresh in the caller's context
+    results = [report.to_line() for name in SUITES for report in run_suite(name, digits=24)]
+    results += [
+        repr(phi_series(m, Fraction(u), 30))
+        for m, u in ((-3, "11/10"), (-2, "1001/1000"), (2, "3/2"), (7, "7/2"))
+    ]
+    results += [zeta_even_decimal(k, 40) for k in (1, 7, 30)]
+    results += [repr(compute_pi(digits)) for digits in (10, 100)]
+    results += [repr(direct_zeta_partial(1, 100))]
+    return results
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [
+        Context(prec=3),
+        Context(prec=200, rounding=ROUND_UP),
+        Context(rounding=ROUND_DOWN),
+        Context(Emin=-9, Emax=9),
+        Context(traps=[Inexact, Rounded]),
+    ],
+    ids=["prec3", "prec200-up", "down", "exponents9", "inexact-trapped"],
+)
+def test_no_result_depends_on_the_callers_decimal_context(caller):
+    expected = sample_results()
+    assert len(expected) == 91
+    with localcontext(caller):
+        results = sample_results()
+    assert [i for i, (a, b) in enumerate(zip(results, expected)) if a != b] == []

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from decimal import Decimal, Inexact, localcontext
+from decimal import Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -14,7 +14,7 @@ import pytest
 import zetaeven
 from zetaeven import series_verifier
 from zetaeven.euler_bernoulli import euler_polynomial, euler_polynomial_eval
-from zetaeven.numeric_core import HighPrecisionReal
+from zetaeven.numeric_core import HighPrecisionReal, _pi
 from zetaeven.powerseries import exp_series, series_div
 from zetaeven.reports import VerificationReport
 from zetaeven.series_verifier import (
@@ -23,12 +23,12 @@ from zetaeven.series_verifier import (
     MAX_SERIES_WORK,
     PhiEvaluation,
     SeriesBudgetError,
-    _abel_tolerance,
     _cvz_sum,
     _cvz_terms,
     _cvz_weights,
-    _phi_limit_tolerance,
+    _expansion_tail_envelope,
     _pole_constant,
+    _polylog_gap,
     _reciprocal_power_sum,
     _term_digits,
     _two_eta,
@@ -38,6 +38,7 @@ from zetaeven.series_verifier import (
     phi_coefficients,
     phi_series,
     phi_taylor_coeff,
+    run_suite,
 )
 from zetaeven.zeta_recurrence import zeta_even_decimal
 
@@ -299,8 +300,8 @@ class TestPhiAtOne:
         assert phi_coefficients(1, 3) == [1, F(1, 2), 0, F(-1, 4)]
 
 
-class TestEtaPartial:
-    """The alternating sums sum (-1)^(n+1)/n^m, now 2 eta(m) from the kernel at y = 1."""
+class TestTwoEta:
+    """_two_eta: the alternating sums 2 sum (-1)^(n+1)/n^m = 2 eta(m), from the kernel at y = 1."""
 
     def test_single_term(self):
         # one weighted term: c_0 = 2 over d = T_1(3) = 3, so 2 * (2/3) * a_0
@@ -607,35 +608,104 @@ class TestPoleConstant:
 
 
 
+def limit_bound_parts(m, u, digits):
+    """The series bound plus the target bound in the phi suite's limit
+    tolerance at m, u: what its tolerance adds to the gap bound."""
+    series = phi_series(-m, u, digits).error_bound.value
+    target = Decimal(f"1e-{digits}") if m % 2 == 0 else _two_eta(m, digits)[1]
+    return F(series) + F(target)
+
+
+def limit_reports(digits):
+    """The phi suite's limit reports at ``digits``, keyed by (m, u)."""
+    return {
+        (report.parameters["m"], F(report.parameters["u"])): report
+        for report in run_suite("phi", digits=digits)
+        if report.identity_name == "phi_negative_index_limit"
+    }
+
+
+def expansion_tolerance_parts(k, u, J, precision):
+    """The parts of identity_check_expansion's default tolerance, from the
+    derivation in its docstring: the tail envelope, the rhs dust, the
+    series-phi bound and the lhs radius."""
+    work = precision + 15
+    pi = _pi(work)
+    _, lhs_radius, _ = _reciprocal_power_sum(k, u, 10**work)
+    exact_phi = phi_coefficients(u, 2 * J - 2 * k)
+    with localcontext(Context(prec=work + 5)):
+        abs_acc = phi_bound = Decimal(0)
+        for j in range(J + 1):
+            coeff = pi ** (2 * j) / (2 * factorial(2 * j))
+            if 2 * j >= 2 * k:
+                exact = exact_phi[2 * j - 2 * k]
+                phi = Decimal(exact.numerator) / Decimal(exact.denominator)
+            else:
+                evaluation = phi_series(2 * j - 2 * k, u, precision + 5)
+                phi = evaluation.value.value
+                phi_bound += coeff * evaluation.error_bound.value
+            abs_acc += abs(coeff * phi)
+        dust = (abs_acc + 1) * Decimal(10) ** (8 - work)
+    envelope = _expansion_tail_envelope(k, u, J, pi)
+    return F(envelope) + F(dust) + F(phi_bound) + F(lhs_radius, 10**work)
+
+
 class TestAbelTypeTolerances:
     """The Abel-type bounds against mpmath's zeta and polylog at 40 digits.
 
-    The k = 1 bound is the tightest: its excess over the gap is about
-    delta/2 of the bound (5e-13 at delta = 1e-12), so halving either
-    bound fails here.
+    The s = 2 bound is the tightest: its excess over the gap is about
+    delta/2 of the bound (5e-13 at delta = 1e-12), so halving it fails
+    here; the phi suite's doubled bound fails here without the factor 2
+    at every m >= 4.
     """
 
     DELTAS = [F(1, 10**e) for e in range(1, 13)]
+    SS = (2, 3, 4, 6, 10)
 
-    def test_abel_tolerance_bounds_zeta_minus_polylog(self):
+    def test_polylog_gap_bounds_abel_and_phi_limit_gaps(self, monkeypatch):
+        # zeta(s) - Li_s(x), the abel suite's gap at s = 2k, within
+        # _polylog_gap; and |2 eta(s) - phi_-s(1 + delta)| = |2 eta(s) +
+        # 2 Li_s(-x)| within the phi suite's limit tolerance at m = s, less
+        # its series and target bounds, with the suite run at these m, delta
         mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(series_verifier, "PHI_LIMIT_MS", self.SS)
+        monkeypatch.setattr(series_verifier, "ABEL_DELTAS", tuple(self.DELTAS))
+        reports = limit_reports(15)
         with mpmath.workdps(40):
-            for k in (1, 2, 3, 5):
+            for s in self.SS:
+                eta2 = 2 * (1 - mpmath.mpf(2) ** (1 - s)) * mpmath.zeta(s)
                 for delta in self.DELTAS:
                     x = mpmath.mpf(delta.denominator) / (delta.numerator + delta.denominator)
-                    gap = mpmath.zeta(2 * k) - mpmath.polylog(2 * k, x)
-                    assert gap <= mpmath.mpf(str(_abel_tolerance(k, delta))), (k, delta)
+                    gap = mpmath.zeta(s) - mpmath.polylog(s, x)
+                    assert gap <= mpmath.mpf(str(_polylog_gap(s, delta))), (s, delta)
+                    u = 1 + delta
+                    limit_gap = F(reports[s, u].tolerance.value) - limit_bound_parts(s, u, 15)
+                    bound = mpmath.mpf(limit_gap.numerator) / limit_gap.denominator
+                    assert abs(eta2 + 2 * mpmath.polylog(s, -x)) <= bound, (s, delta)
 
-    def test_phi_limit_tolerance_bounds_eta_plus_polylog(self):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            for m in (2, 3, 4, 6, 10):
-                eta2 = 2 * (1 - mpmath.mpf(2) ** (1 - m)) * mpmath.zeta(m)
-                for delta in self.DELTAS:
-                    x = mpmath.mpf(delta.denominator) / (delta.numerator + delta.denominator)
-                    gap = abs(eta2 + 2 * mpmath.polylog(m, -x))
-                    bound = mpmath.mpf(str(_phi_limit_tolerance(m, delta)))
-                    assert gap <= bound, (m, delta)
+
+class TestToleranceSums:
+    """Every composite tolerance is the exact sum of its proven parts,
+    recomputed here: rounding the sum could lift it above them."""
+
+    def test_composite_tolerances_are_exact_sums(self):
+        # abel: the gap bound plus the last residual ball's radius, which
+        # adds one ulp of the zeta value at precision + 5 digits
+        delta = ABEL_DELTAS[-1]
+        report = abel_limit_check(1, ABEL_DELTAS, 10)
+        _, radius, _ = _reciprocal_power_sum(1, 1 + delta, 10**20)
+        expected = F(_polylog_gap(2, delta)) + F(radius + 10**6, 10**20)
+        assert F(report.tolerance.value) == expected
+        # phi limit: twice the gap bound, the series bound, the target bound
+        report = limit_reports(24)[2, F(101, 100)]
+        expected = 2 * F(_polylog_gap(2, F(1, 100))) + limit_bound_parts(2, F(101, 100), 24)
+        assert F(report.tolerance.value) == expected
+        # expansion: envelope, rhs dust, series-phi bound and lhs radius
+        for precision in (30, 50):
+            for k, u in EXPANSION_CASES:
+                report = identity_check_expansion(k, u, 25, precision)
+                expected = expansion_tolerance_parts(k, u, 25, precision)
+                assert F(report.tolerance.value) == expected, (k, u, precision)
 
 
 class TestReports:

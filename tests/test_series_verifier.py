@@ -662,11 +662,20 @@ class TestAbelTypeTolerances:
     DELTAS = [F(1, 10**e) for e in range(1, 13)]
     SS = (2, 3, 4, 6, 10)
 
-    def test_polylog_gap_bounds_abel_and_phi_limit_gaps(self, monkeypatch):
-        # zeta(s) - Li_s(x), the abel suite's gap at s = 2k, within
-        # _polylog_gap; and |2 eta(s) - phi_-s(1 + delta)| = |2 eta(s) +
-        # 2 Li_s(-x)| within the phi suite's limit tolerance at m = s, less
-        # its series and target bounds, with the suite run at these m, delta
+    def test_abel_tolerance_bounds_zeta_minus_polylog(self):
+        # zeta(s) - Li_s(x), the abel suite's gap at s = 2k, within _polylog_gap
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for s in self.SS:
+                for delta in self.DELTAS:
+                    x = mpmath.mpf(delta.denominator) / (delta.numerator + delta.denominator)
+                    gap = mpmath.zeta(s) - mpmath.polylog(s, x)
+                    assert gap <= mpmath.mpf(str(_polylog_gap(s, delta))), (s, delta)
+
+    def test_phi_limit_tolerance_bounds_eta_plus_polylog(self, monkeypatch):
+        # |2 eta(s) - phi_-s(1 + delta)| = |2 eta(s) + 2 Li_s(-x)| within the
+        # phi suite's limit tolerance at m = s, less its series and target
+        # bounds, with the suite run at these m, delta
         mpmath = pytest.importorskip("mpmath")
         monkeypatch.setattr(series_verifier, "PHI_LIMIT_MS", self.SS)
         monkeypatch.setattr(series_verifier, "ABEL_DELTAS", tuple(self.DELTAS))
@@ -676,8 +685,6 @@ class TestAbelTypeTolerances:
                 eta2 = 2 * (1 - mpmath.mpf(2) ** (1 - s)) * mpmath.zeta(s)
                 for delta in self.DELTAS:
                     x = mpmath.mpf(delta.denominator) / (delta.numerator + delta.denominator)
-                    gap = mpmath.zeta(s) - mpmath.polylog(s, x)
-                    assert gap <= mpmath.mpf(str(_polylog_gap(s, delta))), (s, delta)
                     u = 1 + delta
                     limit_gap = F(reports[s, u].tolerance.value) - limit_bound_parts(s, u, 15)
                     bound = mpmath.mpf(limit_gap.numerator) / limit_gap.denominator

@@ -12,9 +12,12 @@ Every decimal operation in the package runs in ``_decimal_context``: a
 copy of one fixed base context, so no result depends on the caller's
 decimal context.
 
-Pi is generated internally from two independent arctangent formulae that
-must agree before a value is released, so no precomputed constant enters
-the trust base; ``compute_pi`` returns it as a plain ``Decimal``.
+Pi is generated internally from two independent series, Chudnovsky's and
+Ramanujan's 1/pi series, each summed exactly by binary splitting and
+brought to fixed point with one integer square root and one floor
+division. The two values must agree before one is released, so no
+precomputed constant enters the trust base; ``compute_pi`` returns it as
+a plain ``Decimal``.
 
 ``FrozenRecord`` is the base of the package's immutable value records
 (high-precision reals, Euler polynomials, phi evaluations, verification
@@ -23,6 +26,7 @@ reports).
 
 from __future__ import annotations
 
+import math
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from functools import lru_cache
@@ -137,34 +141,128 @@ class HighPrecisionReal(FrozenRecord):
         return f"HighPrecisionReal({str(self.rounded())!r}, digits={self.precision_digits})"
 
 
-def _arctan_inverse_fixed(m: int, scale: int) -> int:
-    """floor(scale * arctan(1/m)) up to a few ulps, by the alternating series.
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for an int n >= 0, counted from ``bit_length``, so it
+    holds under CPython's int <-> str digit limit.
 
-    Fixed-point integer evaluation: every division floors, each retained
-    term costs < 1 ulp, and the alternating tail is below the first
-    dropped term, itself < 1 ulp at the working scale.
+    With b bits, n >= 2^(b-1) has more than (b-1) log10(2) digits, and
+    1233/4096 < log10(2); the loop then counts the rest exactly.
     """
-    power = scale // m          # scale * (1/m)^(2k+1)
-    total = power
-    mm = m * m
-    k = 1
-    while power:
-        power //= mm
-        term = power // (2 * k + 1)
-        total += -term if k % 2 else term
-        k += 1
-    return total
+    digits = (max(n.bit_length() - 1, 0) * 1233 >> 12) + 1
+    power = 10**digits
+    while n >= power:
+        power *= 10
+        digits += 1
+    return digits
+
+
+def _binary_split(a: int, b: int, p, q, c) -> tuple[int, int, int]:
+    """(P, Q, T) of the terms a <= k < b, all exact integers, with
+
+        P = p(a) ... p(b-1),   Q = q(a) ... q(b-1),
+        T / Q = sum_{a<=k<b} c(k) p(a) ... p(k) / (q(a) ... q(k)),
+
+    by splitting the range in halves, so that the big products are of
+    numbers of like size (B. Haible and T. Papanikolaou, "Fast
+    multiprecision evaluation of series of rational numbers", ANTS 1998).
+    An empty range gives (1, 1, 0).
+    """
+    if b - a <= 1:
+        if b == a:
+            return 1, 1, 0
+        pk = p(a)
+        return pk, q(a), c(a) * pk
+    m = (a + b) // 2
+    p1, q1, t1 = _binary_split(a, m, p, q, c)
+    p2, q2, t2 = _binary_split(m, b, p, q, c)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _series_sum(p, q, c, rho: int, scale: int) -> tuple[int, int]:
+    """(D, Q) with D / Q = t_0 + ... + t_(N-1), exactly, for the series
+
+        t_0 = c(0),   t_k = c(k) p(1) ... p(k) / (q(1) ... q(k)),
+
+    where c(k) > 0 grows with k and |p(j) / q(j)| < 1/rho for every j,
+    so that |t_k| <= c(k) / rho^k. N is the least count with
+
+        4 c(N) scale <= c(0) rho^N,
+
+    so the first omitted term has |t_N| <= c(0) / (4 scale). The count is
+    found on integers: for N <= bit_length(scale) // bit_length(rho),
+    rho^N < 2 scale and the inequality fails, so the search starts there.
+    """
+    n = max(scale.bit_length() // rho.bit_length(), 1)
+    power = rho**n
+    while 4 * c(n) * scale > c(0) * power:
+        n += 1
+        power *= rho
+    _, big_q, t = _binary_split(1, n, p, q, c)
+    return c(0) * big_q + t, big_q
+
+
+def _chudnovsky_c(k):
+    return 13591409 + 545140134 * k
+
+
+def _chudnovsky_p(j):
+    return -(6 * j - 5) * (2 * j - 1) * (6 * j - 1)
+
+
+def _chudnovsky_q(j):
+    return 10939058860032000 * j**3  # 640320^3 / 24
+
+
+def _ramanujan_c(k):
+    return 1103 + 26390 * k
+
+
+def _ramanujan_p(j):
+    return 8 * (4 * j - 3) * (2 * j - 1) * (4 * j - 1)
+
+
+def _ramanujan_q(j):
+    return 24591257856 * j**3  # 396^4
 
 
 def _pi_fixed(scale: int) -> tuple[int, int]:
-    """Two independent fixed-point pi values at the given scale.
+    """Two independent fixed-point pi values at the given scale, each
+    within 2 ulps of pi * scale.
 
-    Machin:        pi/4 = 4*arctan(1/5) - arctan(1/239)
-    Euler/Hutton:  pi/4 = 2*arctan(1/3) + arctan(1/7)
+    Chudnovsky (1988):  pi = 426880 sqrt(10005) / S,
+        S = sum_k (-1)^k (6k)! (13591409 + 545140134 k) / ((3k)! (k!)^3 640320^(3k)),
+    about 14.2 digits per term.
+    Ramanujan (1914):   pi = 9801 / (2 sqrt(2) S'),
+        S' = sum_k (4k)! (1103 + 26390 k) / ((k!)^4 396^(4k)),
+    about 8 digits per term.
+
+    Both are ``_series_sum`` series. Chudnovsky's term ratio is
+    -24 (6j-5)(2j-1)(6j-1) / (j^3 640320^3), below 1728 / 640320^3 = 1/rho
+    with rho = 151931373056000 in size; Ramanujan's is
+    8 (4j-3)(2j-1)(4j-1) / (j^3 396^4), below 256 / 396^4 = 1/99^4.
+
+    Truncation. With N terms summed, pi_N - pi = pi (S - S_N) / S_N.
+    Chudnovsky alternates, with terms of decreasing size, so its tail is
+    below the first omitted term: |S - S_N| <= |t_N| <= c(0) / (4 scale),
+    and S_N >= c(0) - |t_1| > c(0) (1 - 10^-12). Ramanujan's terms are
+    positive and shrink by a ratio under 10^-7 (24 * 27493 / (396^4 * 1103)
+    from t_0 to t_1, then below 2 / 99^4), so its tail is below
+    t_N / (1 - 10^-7), and S'_N >= c(0). Either way the truncation moves
+    pi * scale by less than (pi/4) / (1 - 10^-7) < 0.79 ulp.
+
+    Rounding. Each of ``isqrt`` and the final floor costs under 1 ulp,
+    and both round down: the floor of the square root loses less than 1
+    of sqrt(10005) scale (of 4 sqrt(2) scale), which the factor
+    pi_N / sqrt(10005) < 0.04 (pi_N / (4 sqrt(2)) < 0.56) shrinks, and
+    the floor division loses less than 1 more. So Chudnovsky's value is
+    within 0.79 + 1.04 ulps of pi * scale, and Ramanujan's, whose
+    pi_N >= pi, lies between pi * scale - 1.56 and pi * scale + 0.79.
     """
-    machin = 4 * (4 * _arctan_inverse_fixed(5, scale) - _arctan_inverse_fixed(239, scale))
-    hutton = 4 * (2 * _arctan_inverse_fixed(3, scale) + _arctan_inverse_fixed(7, scale))
-    return machin, hutton
+    d, big_q = _series_sum(_chudnovsky_p, _chudnovsky_q, _chudnovsky_c, 151931373056000, scale)
+    chudnovsky = 426880 * math.isqrt(10005 * scale * scale) * big_q // d
+    d, big_q = _series_sum(_ramanujan_p, _ramanujan_q, _ramanujan_c, 96059601, scale)
+    ramanujan = 9801 * math.isqrt(32 * scale * scale) * big_q // (16 * d)
+    return chudnovsky, ramanujan
 
 
 _PI_GUARD = 12
@@ -173,24 +271,25 @@ _PI_GUARD = 12
 def compute_pi(digits: int) -> Decimal:
     """Pi rounded to ``digits`` significant digits.
 
-    Internally evaluates Machin's and Euler/Hutton's arctangent formulae
-    independently; both the raw fixed-point values (at guard precision)
-    and the rounded results must agree, otherwise PiAgreementError is
-    raised -- disagreement would mean an arithmetic bug, not a math fact.
+    Internally evaluates Chudnovsky's and Ramanujan's series
+    independently (``_pi_fixed``); both the raw fixed-point values (at
+    guard precision) and the rounded results must agree, otherwise
+    PiAgreementError is raised -- disagreement would mean an arithmetic
+    bug, not a math fact.
     """
     if digits < 10:
         raise ValueError("digits must be >= 10")
     work = digits + _PI_GUARD
     scale = 10 ** work
-    machin, hutton = _pi_fixed(scale)
-    # each value is within ~200 ulps of pi at the working scale
-    if abs(machin - hutton) > 10 ** (_PI_GUARD // 2):
+    chudnovsky, ramanujan = _pi_fixed(scale)
+    # each value is within 2 ulps of pi at the working scale
+    if abs(chudnovsky - ramanujan) > 10 ** (_PI_GUARD // 2):
         raise PiAgreementError(
-            f"pi formulae disagree by {abs(machin - hutton)} ulps at scale 1e-{work}"
+            f"pi formulae disagree by {abs(chudnovsky - ramanujan)} ulps at scale 1e-{work}"
         )
     with _decimal_context(work + 8):
-        a = Decimal(machin) / scale
-        b = Decimal(hutton) / scale
+        a = Decimal(chudnovsky) / scale
+        b = Decimal(ramanujan) / scale
     ra = round_significant(a, digits)
     rb = round_significant(b, digits)
     if ra != rb:
@@ -202,10 +301,12 @@ def compute_pi(digits: int) -> Decimal:
 def _pi(digits: int) -> Decimal:
     """compute_pi(digits), kept for the few precisions a k-loop asks for.
 
-    A table of decimals at one ``digits`` needs only two working
-    precisions (they differ by the digit count of 2k), and the cases of
-    the expansion suite share one, so this saves recomputing the same pi
-    for every k and every case. The value is immutable. ``compute_pi``
+    A table of decimals at one ``digits`` asks for a working precision
+    that grows with the digit count of 2k: two precisions while k < 50,
+    three from k = 50 (43, 44 and 45 at ``--digits 30``) and four from
+    k = 500, which the cache holds. The cases of the expansion suite
+    share one. So this saves recomputing the same pi for every k and
+    every case. The value is immutable. ``compute_pi``
     itself stays uncached, so it can be timed and traced as it is.
     """
     return compute_pi(digits)

@@ -35,7 +35,9 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .euler_bernoulli import zeta_even_via_euler
-from .numeric_core import FrozenRecord, HighPrecisionReal, _decimal_context, _pi, round_significant
+from .numeric_core import (
+    FrozenRecord, HighPrecisionReal, _decimal_context, _decimal_digits, _pi, round_significant,
+)
 from .reports import VerificationReport
 from .zeta_recurrence import zeta_even_decimal, zeta_even_ratio
 
@@ -383,7 +385,7 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
         certain = abs(value) - radius  # |phi_m(u)| >= certain 10^-digits
         if certain < 10 ** (precision + guard):
             # one spare digit, so that the next pass clears this test
-            lead = digits + 2 - len(str(certain)) if certain > 0 else lead + digits
+            lead = digits + 2 - _decimal_digits(certain) if certain > 0 else lead + digits
             continue
         low, high = (
             round_significant(_fixed_decimal(v, digits), precision)
@@ -467,11 +469,11 @@ def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, HighPrecisio
     if N < 1:
         raise ValueError("N must be >= 1")
     e = 2 * k
-    scale = 10 ** max(60 + len(str(N)), len(str(4 * N * (N + 1) ** e)))
+    scale = 10 ** max(60 + _decimal_digits(N), _decimal_digits(4 * N * (N + 1) ** e))
     total = 0
     for n in range(1, N + 1):
         total += scale // n**e
-    with _decimal_context(len(str(total)) + 2):
+    with _decimal_context(_decimal_digits(total) + 2):
         value = Decimal(total) / scale
     tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
     return (
@@ -846,6 +848,8 @@ def recurrence_cross_check(k_max: int) -> VerificationReport:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    # the Bernoulli table is built once, for k_max, not doubled k by k
+    zeta_even_via_euler(k_max)
     mismatches = []
     for k in range(1, k_max + 1):
         if zeta_even_ratio(k) != zeta_even_via_euler(k):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -21,3 +23,22 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """CPython's default int <-> str digit limit (4300) for one test.
+
+    ``cli.main`` lifts the limit for the whole process, so a library test
+    that must hold under the default sets it back here, and restores what
+    it found afterwards. Interpreters without the limit run the test as is.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(found)

@@ -35,6 +35,20 @@ class TestRounding:
         assert positional_str(Decimal("1E+3")) == "1000"
 
 
+class TestDecimalDigits:
+    def test_matches_str_around_every_power_of_ten(self):
+        numbers = [0, 1, 9, 10, 11] + [10**j + d for j in range(2, 300) for d in (-1, 0, 1)]
+        numbers += [7**j for j in range(1, 700, 7)]
+        assert [n for n in numbers if numeric_core._decimal_digits(n) != len(str(n))] == []
+
+    def test_past_the_int_str_digit_limit(self, default_int_str_limit):
+        for j in (4300, 5000, 100_000):
+            assert numeric_core._decimal_digits(10**j - 1) == j
+            assert numeric_core._decimal_digits(10**j) == j + 1
+        n = 3**50_000
+        assert numeric_core._decimal_digits(n) == Decimal(n).adjusted() + 1
+
+
 class TestHighPrecisionReal:
     def test_requires_decimal_and_min_precision(self):
         with pytest.raises(TypeError):

@@ -154,6 +154,14 @@ class TestPhiSeries:
             with pytest.raises(SeriesBudgetError, match="over the budget"):
                 phi_series(m, v, digits)
 
+    def test_counts_digits_past_the_int_str_digit_limit(self, default_int_str_limit):
+        # the lead of phi_2(101/100) ~ 2.4e-3 comes from a 4400-digit ball
+        u = F(101, 100)
+        evaluation = phi_series(2, u, 4400)
+        exact = 2 * u * (u - 1) / (u + 1) ** 3
+        assert abs(F(evaluation.value.value) - exact) <= F(evaluation.error_bound.value)
+        assert len(evaluation.value.rounded().as_tuple().digits) == 4400
+
     def test_reports_terms_used(self):
         evaluation = phi_series(0, F(10), 20)
         assert evaluation.terms_used >= 1
@@ -360,6 +368,14 @@ class TestDirectZetaPartial:
                 value, tail_high = direct_zeta_partial(k, n)
                 high = exact_sum(value.value, tail_high.value)
                 assert value.value < target < high, (k, n)
+
+    def test_counts_digits_past_the_int_str_digit_limit(self, default_int_str_limit):
+        # zeta(4400) - 1 - 2^-4400 is 3^-4400 (1 + (3/4)^4400 + ...), and
+        # the floors of 100 terms cost far less than 3^-4400
+        value, tail_high = direct_zeta_partial(2200, 100)
+        excess = F(value.value) - 1 - F(1, 2**4400)
+        assert 0 < excess < F(2, 3**4400)
+        assert tail_high.value > 0
 
     def test_tail_formula(self):
         _, tail_high = direct_zeta_partial(2, 100)

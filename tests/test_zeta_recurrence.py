@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import zetaeven.euler_bernoulli as eb
 import zetaeven.numeric_core as nc
 import zetaeven.zeta_recurrence as zr
 from zetaeven.euler_bernoulli import BernoulliTable, zeta_even_via_euler
@@ -150,6 +151,16 @@ class TestCrossCheck:
         assert report.parameters["k_max"] == 30
         assert report.parameters["mismatch_indices"] == ""
         assert report.lhs == report.rhs
+
+    def test_builds_the_bernoulli_table_once(self, monkeypatch):
+        # a fresh table, so the count does not depend on what ran before;
+        # growing requests k = 1, 2, 3, ... would rebuild it by doubling
+        monkeypatch.setattr(eb, "_default_bernoulli", BernoulliTable())
+        builds = []
+        tangents = eb._tangent_numbers
+        monkeypatch.setattr(eb, "_tangent_numbers", lambda count: builds.append(count) or tangents(count))
+        assert recurrence_cross_check(116).passed
+        assert builds == [116]
 
     def test_line_round_trip(self):
         report = recurrence_cross_check(12)

@@ -10,14 +10,17 @@ Two value kinds underpin everything else here:
 
 Every decimal operation in the package runs in ``_decimal_context``: a
 copy of one fixed base context, so no result depends on the caller's
-decimal context.
+decimal context. An exact value becomes a ``Decimal`` one way only: a
+fixed-point integer through ``_fixed_decimal`` (exactly, by a power of
+ten) and a rational through ``_rational_decimal`` (one division, rounded
+to a stated precision).
 
 Pi is generated internally from two independent series, Chudnovsky's and
 Ramanujan's 1/pi series, each summed exactly by binary splitting and
 brought to fixed point with one integer square root and one floor
 division. The two values must agree before one is released, so no
-precomputed constant enters the trust base; ``compute_pi`` returns it as
-a plain ``Decimal``.
+precomputed constant enters the trust base; ``compute_pi`` rounds both
+on the integers and returns the one result as a plain ``Decimal``.
 
 ``FrozenRecord`` is the base of the package's immutable value records
 (high-precision reals, Euler polynomials, phi evaluations, verification
@@ -27,7 +30,7 @@ reports).
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from functools import lru_cache
 
@@ -62,6 +65,22 @@ def _decimal_context(prec: int, rounding: str = ROUND_HALF_EVEN):
     ctx.prec = prec
     ctx.rounding = rounding
     return localcontext(ctx)
+
+
+def _fixed_decimal(total: int, digits: int) -> Decimal:
+    """total / 10^digits as a Decimal, exactly, with its trailing zeros:
+    rounding it keeps as many significant digits as it is asked for.
+    Scaling by a power of ten needs only the digits of total, so at the
+    largest precision it is exact and costs no more."""
+    with _decimal_context(MAX_PREC):
+        return Decimal(total).scaleb(-digits)
+
+
+def _rational_decimal(x, prec: int, rounding: str = ROUND_HALF_EVEN) -> Decimal:
+    """The Fraction x as a Decimal of ``prec`` significant digits,
+    rounded by ``rounding``: one division."""
+    with _decimal_context(prec, rounding):
+        return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 def round_significant(value: Decimal, digits: int) -> Decimal:
@@ -268,6 +287,14 @@ def _pi_fixed(scale: int) -> tuple[int, int]:
 _PI_GUARD = 12
 
 
+def _round_half_even(n: int, places: int) -> int:
+    """n / 10^places, n >= 0 and places >= 1, rounded to an integer,
+    ties to the even one."""
+    q, r = divmod(n, 10**places)
+    # up past the half way, and at it when q is odd
+    return q + (2 * r + q % 2 > 10**places)
+
+
 def compute_pi(digits: int) -> Decimal:
     """Pi rounded to ``digits`` significant digits.
 
@@ -287,14 +314,12 @@ def compute_pi(digits: int) -> Decimal:
         raise PiAgreementError(
             f"pi formulae disagree by {abs(chudnovsky - ramanujan)} ulps at scale 1e-{work}"
         )
-    with _decimal_context(work + 8):
-        a = Decimal(chudnovsky) / scale
-        b = Decimal(ramanujan) / scale
-    ra = round_significant(a, digits)
-    rb = round_significant(b, digits)
-    if ra != rb:
+    # both lie in (3, 4) * scale, so each has work + 1 digits, of which
+    # rounding to ``digits`` drops the last _PI_GUARD + 1
+    ra = _round_half_even(chudnovsky, _PI_GUARD + 1)
+    if _round_half_even(ramanujan, _PI_GUARD + 1) != ra:
         raise PiAgreementError("pi formulae round differently at the requested precision")
-    return ra
+    return _fixed_decimal(ra, digits - 1)
 
 
 @lru_cache(maxsize=4)

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 
-from .numeric_core import FrozenRecord, HighPrecisionReal
+from .numeric_core import FrozenRecord, HighPrecisionReal, positional_str
 
 __all__ = ["VerificationReport", "render_value"]
 
@@ -43,7 +43,10 @@ def render_value(value: object) -> object:
     if isinstance(value, Decimal):
         return str(value)
     if isinstance(value, Fraction):
-        return str(value)
+        # str(value) would convert the ints through str, which CPython's
+        # int <-> str digit limit refuses past 4300 digits; a Decimal does not
+        numerator, denominator = (positional_str(Decimal(n)) for n in value.as_integer_ratio())
+        return numerator if value.denominator == 1 else f"{numerator}/{denominator}"
     if isinstance(value, (bool, int, str)):
         return value
     raise TypeError(f"cannot render {type(value).__name__} in a report")

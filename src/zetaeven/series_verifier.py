@@ -36,7 +36,8 @@ from itertools import accumulate
 
 from .euler_bernoulli import zeta_even_via_euler
 from .numeric_core import (
-    FrozenRecord, HighPrecisionReal, _decimal_context, _decimal_digits, _pi, round_significant,
+    FrozenRecord, HighPrecisionReal, _decimal_context, _decimal_digits, _fixed_decimal, _pi,
+    _rational_decimal, round_significant,
 )
 from .reports import VerificationReport
 from .zeta_recurrence import zeta_even_decimal, zeta_even_ratio
@@ -117,21 +118,6 @@ def _check_work(what: str, work: int) -> None:
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _dec_ceiling(x: Fraction, digits: int) -> Decimal:
-    """Decimal upper bound on a nonnegative rational."""
-    with _decimal_context(digits, ROUND_CEILING):
-        return Decimal(x.numerator) / Decimal(x.denominator)
-
-
-def _fixed_decimal(total: int, digits: int) -> Decimal:
-    """total / 10^digits as a Decimal, exactly, with its trailing zeros:
-    rounding it keeps as many significant digits as it is asked for.
-    Scaling by a power of ten needs only the digits of total, so at the
-    largest precision it is exact and costs no more."""
-    with _decimal_context(MAX_PREC):
-        return Decimal(total).scaleb(-digits)
 
 
 def _exact_sum(first: Decimal, *rest: Decimal) -> Decimal:
@@ -399,7 +385,9 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
         u=u,
         value=HighPrecisionReal(_fixed_decimal(value, digits), precision),
         terms_used=terms,
-        error_bound=HighPrecisionReal(_dec_ceiling(Fraction(radius, 10**digits), 15), 15),
+        error_bound=HighPrecisionReal(
+            _rational_decimal(Fraction(radius, 10**digits), 15, ROUND_CEILING), 15
+        ),
     )
 
 
@@ -469,16 +457,15 @@ def direct_zeta_partial(k: int, N: int) -> tuple[HighPrecisionReal, HighPrecisio
     if N < 1:
         raise ValueError("N must be >= 1")
     e = 2 * k
-    scale = 10 ** max(60 + _decimal_digits(N), _decimal_digits(4 * N * (N + 1) ** e))
+    work = max(60 + _decimal_digits(N), _decimal_digits(4 * N * (N + 1) ** e))
+    scale = 10**work
     total = 0
     for n in range(1, N + 1):
         total += scale // n**e
-    with _decimal_context(_decimal_digits(total) + 2):
-        value = Decimal(total) / scale
     tail = Fraction(1, (2 * k - 1) * N ** (2 * k - 1))
     return (
-        HighPrecisionReal(value, 50),
-        HighPrecisionReal(_dec_ceiling(tail, 50), 50),
+        HighPrecisionReal(_fixed_decimal(total, work), 50),
+        HighPrecisionReal(_rational_decimal(tail, 50, ROUND_CEILING), 50),
     )
 
 
@@ -577,8 +564,8 @@ def _polylog_gap(s: int, delta: Fraction) -> Decimal:
     s >= 3: termwise 1 - x^n <= n*eps gives eps * zeta(s-1), and the
             integral bound zeta(s-1) <= 1 + 1/(s-2) finishes it off.
     """
+    d = _rational_decimal(delta, 40)
     with _decimal_context(40):
-        d = Decimal(delta.numerator) / Decimal(delta.denominator)
         if s == 2:
             return d * (1 + d + (1 / d).ln())
         return d * (1 + Decimal(1) / (s - 2))
@@ -628,9 +615,7 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
     decreasing = all(b + rb < a - ra for (a, ra), (b, rb) in zip(balls, balls[1:]))
     from_below = all(r > rr for r, rr in balls)
     monotone = decreasing and from_below
-    with _decimal_context(precision + 12):
-        value = Decimal(total) / scale
-        residuals = [Decimal(r) / scale for r, _ in balls]
+    residuals = [_fixed_decimal(r, precision + 10) for r, _ in balls]
     tolerance = (
         _exact_sum(_polylog_gap(2 * k, deltas[-1]), _fixed_decimal(balls[-1][1], precision + 10))
         if monotone
@@ -646,7 +631,7 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
             "residuals": ",".join(str(round_significant(r, 12)) for r in residuals),
             "monotone_from_below": monotone,
         },
-        lhs=round_significant(value, precision),
+        lhs=round_significant(_fixed_decimal(total, precision + 10), precision),
         rhs=target,
         residual=HighPrecisionReal(residuals[-1], precision),
         tolerance=HighPrecisionReal(tolerance, precision),
@@ -712,8 +697,8 @@ def identity_check_expansion(
     m_next = 2 * (J_max + 1) - 2 * k
     exact_phi = phi_coefficients(u, m_next)
 
+    lhs = _fixed_decimal(total, work)
     with _decimal_context(work + 5):
-        lhs = Decimal(total) / scale
         rhs = Decimal(0)
         abs_acc = Decimal(0)
         phi_bound = Decimal(0)
@@ -721,8 +706,7 @@ def identity_check_expansion(
             mi = 2 * j - 2 * k
             coeff = pi ** (2 * j) / (2 * math.factorial(2 * j))
             if mi >= 0:
-                exact = exact_phi[mi]
-                phi_dec = Decimal(exact.numerator) / Decimal(exact.denominator)
+                phi_dec = _rational_decimal(exact_phi[mi], work + 5)
             else:
                 pe = phi_series(mi, u, precision + 5)
                 phi_dec = pe.value.value
@@ -745,7 +729,7 @@ def identity_check_expansion(
         first_omitted = (
             pi ** (2 * (J_max + 1))
             / (2 * math.factorial(2 * (J_max + 1)))
-            * abs(Decimal(exact_next.numerator) / Decimal(exact_next.denominator))
+            * abs(_rational_decimal(exact_next, 30))
         )
 
     return VerificationReport(
@@ -812,12 +796,12 @@ def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, pi_value: Decimal)
     slop = Decimal("1e-20")
     with _decimal_context(40, ROUND_FLOOR) as ctx:
         pi_low = round_significant(pi_value, 35) * (1 - slop)
-        ln_low = (Decimal(u.numerator) / Decimal(u.denominator)).ln() * (1 - slop)
+        ln_low = _rational_decimal(u, 40, ROUND_FLOOR).ln() * (1 - slop)
         r2_low = ln_low * ln_low + pi_low * pi_low
         r_low = r2_low.sqrt()
         ctx.rounding = ROUND_CEILING
         pi_up = round_significant(pi_value, 35) * (1 + slop)
-        ln_up = (Decimal(u.numerator) / Decimal(u.denominator)).ln() * (1 + slop)
+        ln_up = _rational_decimal(u, 40, ROUND_CEILING).ln() * (1 + slop)
         q_up = pi_up * pi_up / r2_low
         ctx.rounding = ROUND_FLOOR
         one_minus_q = 1 - q_up
@@ -832,7 +816,7 @@ def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, pi_value: Decimal)
         half_c = 4 if c_up <= 8 else Fraction(c_up) / 2
         ratio = Fraction(math.factorial(m_next), math.factorial(2 * (J_max + 1))) * half_c
         envelope = (
-            _dec_ceiling(ratio, 40)
+            _rational_decimal(ratio, 40, ROUND_CEILING)
             * pi_up ** (2 * (J_max + 1))
             / r_low ** (m_next + 1)
         )
@@ -943,11 +927,8 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
     def compare(identity, m, u, evaluation, rhs, prec, bound):
         # the residual of evaluation against rhs (an exact Fraction or a
         # limit target) at prec digits, judged against bound or the override
+        target = _rational_decimal(rhs, prec) if isinstance(rhs, Fraction) else rhs.value
         with _decimal_context(prec):
-            if isinstance(rhs, Fraction):
-                target = Decimal(rhs.numerator) / Decimal(rhs.denominator)
-            else:
-                target = rhs.value
             residual = evaluation.value.value - target
         return VerificationReport(
             identity_name=identity,
@@ -976,7 +957,7 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
             factor = Fraction(2) * (1 - Fraction(1, 2 ** (m - 1)))
             zeta_m = Decimal(zeta_even_decimal(m // 2, digits + 5))
             with _decimal_context(digits + 5):
-                target_dec = Decimal(factor.numerator) / Decimal(factor.denominator) * zeta_m
+                target_dec = _rational_decimal(factor, digits + 5) * zeta_m
             target = HighPrecisionReal(target_dec, digits)
             target_bound = Decimal(f"1e-{digits}")
         else:

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from _thread import allocate_lock
-from decimal import Decimal
 from fractions import Fraction
 
-from .numeric_core import _decimal_context, _pi, positional_str, round_significant
+from .numeric_core import (
+    _decimal_context, _decimal_digits, _pi, _rational_decimal, positional_str, round_significant,
+)
 
 __all__ = [
     "ZetaEvenTable",
@@ -153,9 +154,9 @@ def zeta_even_decimal(k: int, digits: int) -> str:
     if digits < 10:
         raise ValueError("digits must be >= 10")
     ratio = zeta_even_ratio(k)
-    work = digits + 12 + len(str(2 * k))
+    work = digits + 12 + _decimal_digits(2 * k)
     pi = _pi(work)
+    value = _rational_decimal(ratio, work)
     with _decimal_context(work):
-        value = Decimal(ratio.numerator) / Decimal(ratio.denominator)
         value *= pi ** (2 * k)
     return positional_str(round_significant(value, digits))

@@ -1,4 +1,7 @@
-from decimal import ROUND_DOWN, ROUND_UP, Context, Decimal, Inexact, Rounded, localcontext
+from decimal import (
+    ROUND_CEILING, ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal, Inexact, Rounded,
+    localcontext,
+)
 from fractions import Fraction
 
 import pytest
@@ -119,10 +122,36 @@ class TestComputePi:
             compute_pi(20)
 
 
+class TestRoundHalfEven:
+    @pytest.mark.parametrize(
+        "n, places, expected",
+        [
+            (125 * 10**12, 13, 12),  # a tie: the even quotient stays
+            (135 * 10**12, 13, 14),  # a tie: the odd quotient goes up
+            (125 * 10**12 - 1, 13, 12),  # one below a tie
+            (125 * 10**12 + 1, 13, 13),  # one above a tie
+            (9995, 1, 1000),  # the carry adds a digit
+            (0, 1, 0),
+        ],
+    )
+    def test_constructed_values(self, n, places, expected):
+        assert numeric_core._round_half_even(n, places) == expected
+
+    def test_matches_decimal_quantize(self):
+        expected = [
+            int(Decimal(n).scaleb(-places).quantize(Decimal(1), ROUND_HALF_EVEN))
+            for places in (1, 2, 3) for n in range(3000)
+        ]
+        assert [
+            numeric_core._round_half_even(n, places) for places in (1, 2, 3) for n in range(3000)
+        ] == expected
+
+
 def sample_results():
-    """to_line or repr of 91 library results: every report of the four
-    suites at 24 digits, and phi_series, zeta_even_decimal, compute_pi
-    and direct_zeta_partial values."""
+    """to_line or repr of 94 library results: every report of the four
+    suites at 24 digits, phi_series, zeta_even_decimal, compute_pi and
+    direct_zeta_partial values, and the two conversions from exact to
+    decimal."""
     numeric_core._pi.cache_clear()  # pi computed afresh in the caller's context
     results = [report.to_line() for name in SUITES for report in run_suite(name, digits=24)]
     results += [
@@ -132,6 +161,11 @@ def sample_results():
     results += [zeta_even_decimal(k, 40) for k in (1, 7, 30)]
     results += [repr(compute_pi(digits)) for digits in (10, 100)]
     results += [repr(direct_zeta_partial(1, 100))]
+    results += [
+        repr(numeric_core._rational_decimal(Fraction(2, 3), 30)),
+        repr(numeric_core._rational_decimal(Fraction(2, 3), 30, ROUND_CEILING)),
+        repr(numeric_core._fixed_decimal(31415926535897932384626433832795028841971, 40)),
+    ]
     return results
 
 
@@ -148,7 +182,7 @@ def sample_results():
 )
 def test_no_result_depends_on_the_callers_decimal_context(caller):
     expected = sample_results()
-    assert len(expected) == 91
+    assert len(expected) == 94
     with localcontext(caller):
         results = sample_results()
     assert [i for i, (a, b) in enumerate(zip(results, expected)) if a != b] == []

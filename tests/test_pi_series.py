@@ -4,7 +4,9 @@
 binary splitting. The fixed-point arctangent loops it replaced (Machin
 and Euler/Hutton, about one digit per term) are kept here as the
 reference: ``compute_pi`` must give the same decimal, and each raw value
-must lie within a few ulps of the reference's. Every test here runs
+must lie within a few ulps of the reference's. The Decimal division that
+once rounded the raw values is kept too: ``compute_pi`` now rounds them
+on the integers, and must print the same text. Every test here runs
 under CPython's default int <-> str digit limit, as a library caller
 does.
 """
@@ -50,16 +52,18 @@ def reference_pi_fixed(scale):
     return machin, hutton
 
 
-def reference_compute_pi(digits):
-    """compute_pi as it was: both arctangent values at 12 guard digits,
-    rounded to ``digits`` significant digits, must round alike."""
+def reference_compute_pi(digits, pi_fixed=reference_pi_fixed):
+    """compute_pi as it was: both fixed-point values (by default the
+    arctangent ones) at 12 guard digits, each divided by the scale into a
+    Decimal at 8 more digits and rounded to ``digits`` significant
+    digits, must round alike."""
     work = digits + 12
     scale = 10**work
     with localcontext() as ctx:
         ctx.prec = work + 8
-        machin, hutton = (Decimal(v) / scale for v in reference_pi_fixed(scale))
-    rounded = round_significant(machin, digits)
-    assert round_significant(hutton, digits) == rounded
+        first, second = (Decimal(v) / scale for v in pi_fixed(scale))
+    rounded = round_significant(first, digits)
+    assert round_significant(second, digits) == rounded
     return rounded
 
 
@@ -81,6 +85,16 @@ DIGITS = [*range(10, 301), 500, 1513, 1714, 4400, 10**4]
 
 def test_compute_pi_equals_the_reference_loops():
     assert [d for d in DIGITS if compute_pi(d) != reference_compute_pi(d)] == []
+
+
+def test_compute_pi_rounds_as_the_decimal_division_did():
+    # compute_pi rounds its integers; the Decimal division of the same
+    # raw values, then round_significant, must print the same text
+    digits = [*range(10, 201), 1500, 1513, 4000, 16000]
+    assert [
+        d for d in digits
+        if str(compute_pi(d)) != str(reference_compute_pi(d, numeric_core._pi_fixed))
+    ] == []
 
 
 def test_both_raw_values_within_two_ulps_of_the_reference():

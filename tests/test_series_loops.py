@@ -14,20 +14,19 @@ cannot reach.
 """
 
 import math
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetaeven.numeric_core import HighPrecisionReal, round_significant
+from zetaeven.numeric_core import HighPrecisionReal, _rational_decimal, round_significant
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
     EXPANSION_CASES,
     PHI_LIMIT_MS,
     PhiEvaluation,
     _ceil_div,
-    _dec_ceiling,
     _reciprocal_power_sum,
     _two_eta,
     phi_coefficients,
@@ -94,7 +93,7 @@ def reference_phi_series(m, u, precision, max_terms=None):
         u=u,
         value=HighPrecisionReal(value, precision),
         terms_used=n,
-        error_bound=HighPrecisionReal(_dec_ceiling(bound, 15), 15),
+        error_bound=HighPrecisionReal(_rational_decimal(bound, 15, ROUND_CEILING), 15),
     ), bound
 
 
@@ -110,7 +109,7 @@ def reference_eta_partial(m, N):
     bound = Fraction(1, (N + 1) ** m)
     return (
         HighPrecisionReal(value, 50),
-        HighPrecisionReal(_dec_ceiling(bound, 15), 15),
+        HighPrecisionReal(_rational_decimal(bound, 15, ROUND_CEILING), 15),
     )
 
 

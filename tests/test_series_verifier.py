@@ -16,7 +16,7 @@ from zetaeven import series_verifier
 from zetaeven.euler_bernoulli import euler_polynomial, euler_polynomial_eval
 from zetaeven.numeric_core import HighPrecisionReal, _pi
 from zetaeven.powerseries import exp_series, series_div
-from zetaeven.reports import VerificationReport
+from zetaeven.reports import VerificationReport, render_value
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
     EXPANSION_CASES,
@@ -852,6 +852,23 @@ class TestReports:
         assert first.passed
         with pytest.raises(TypeError):
             hash(first)
+
+    def test_fractions_render_as_str_does(self):
+        values = [F(0), F(7), F(-7), F(1, 3), F(-22, 7), F(10**60 + 1, 3**50), F(-(7**5000), 11**7)]
+        assert [render_value(v) for v in values] == [str(v) for v in values]
+
+    def test_fraction_past_the_int_str_digit_limit(self, default_int_str_limit):
+        # a numerator of 4395 digits: str() of it raises under the limit
+        big = F(-(7**5200), 2 * 3**4000)
+        report = VerificationReport(
+            "example", {"k": 1}, big, "x",
+            HighPrecisionReal(Decimal(0), 10), HighPrecisionReal(Decimal(1), 10),
+        )
+        numerator, denominator = report.lhs.split("/")
+        assert (int(Decimal(numerator)), int(Decimal(denominator))) == (
+            big.numerator, big.denominator,
+        )
+        assert VerificationReport.from_line(report.to_line()) == report
 
     def test_tampered_line_rejected(self):
         line = identity_check_expansion(1, F(3, 2), 8, 25).to_line()

@@ -45,6 +45,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation
 from fractions import Fraction
 
 from .euler_bernoulli import bernoulli, euler_polynomial, euler_polynomial_eval
+from .numeric_core import _decimal_digits
 from .reports import VerificationReport, json_line
 from .series_verifier import SUITES, phi_series, phi_taylor_coeff, run_suite
 from .zeta_recurrence import ZetaEvenTable, zeta_even_decimal, zeta_even_ratio
@@ -243,7 +244,7 @@ def _cmd_bench(kmax, fmt) -> int:
         ratio = table.ratio(k)
         elapsed = time.perf_counter() - start
         total += elapsed
-        size = len(str(ratio.numerator)) + len(str(ratio.denominator))
+        size = _decimal_digits(ratio.numerator) + _decimal_digits(ratio.denominator)
         print(f"k={k:<4d} {elapsed * 1000:10.3f} ms   ratio digits {size}")
     print(f"total {total * 1000:.3f} ms for k_max={kmax}")
     return 0
@@ -483,19 +484,23 @@ def _help(command: str | None = None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # exact values print at any size: lift the int <-> str digit limit
-    if hasattr(sys, "set_int_max_str_digits"):
+    # exact values print at any size: lift the int <-> str digit limit for
+    # this call, and give the caller its own setting back afterwards
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         handler, arguments = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(**arguments)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    try:
-        return handler(**arguments)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

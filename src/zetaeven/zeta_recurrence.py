@@ -44,20 +44,21 @@ __all__ = [
 class ZetaEvenTable:
     """Memoized ratios r_k = zeta(2k)/pi^(2k) for k = 1..max_k.
 
-    Entries are exact Fractions. The recurrence runs on a_k = (2k)! r_k,
-    where dividing r_m by (2k-2m)! becomes multiplying a_m by C(2k, 2m):
+    Entries are exact Fractions. The recurrence runs on the signed
+    s_m = (-1)^(m+1) (1/2 - 4^-m) (2m)! r_m, where dividing r_m by
+    (2k-2m)! becomes multiplying s_m by C(2k, 2m) and no sign is left:
 
-        (1 - 4^-k) a_k = sum_{m<k} (-1)^(k-m+1) C(2k, 2m) w_m - (-1)^k / 4
-                       = (-1)^k (sum_{m<k} C(2k, 2m) s_m - 1/4),
-        w_m = (1/2 - 4^-m) a_m,  s_m = (-1)^(m+1) w_m.
+        B_k = 1 - 4 sum_{m<k} C(2k, 2m) s_m,
+        s_k = (2 4^(k-1) - 1) B_k / (4 (4^k - 1)),
+        r_k = (-1)^(k+1) 4^(k-1) B_k / ((4^k - 1) (2k)!).
 
-    The signed s_m are kept as integer numerators over one common
-    denominator (the lcm of their reduced denominators, with the stored
-    numerators rescaled whenever it grows), so the inner sum is one
-    big-integer multiply-add per term, the sign (-1)^k is applied once
-    per k, and each k costs one reduced Fraction for a_k. Nothing
-    here uses Bernoulli or tangent numbers, which keeps the route
-    independent of the classical formula it is checked against.
+    The s_m are kept as integer numerators over one common denominator
+    D (the lcm of their reduced denominators, with the stored numerators
+    rescaled whenever it grows), so the inner sum is one big-integer
+    multiply-add per term, the bracket D B_k is one integer per k, and
+    each k costs two reduced Fractions (r_k and s_k). Nothing here uses
+    Bernoulli or tangent numbers, which keeps the route independent of
+    the classical formula it is checked against.
 
     Extension is serialized behind a lock; reads of completed entries
     are safe from any thread.
@@ -99,23 +100,21 @@ class ZetaEvenTable:
                 for j, numerator in zip(range(0, n, 2), numerators):
                     binom = binom * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
                     acc += binom * numerator
-                # solve (1 - 4^-k) a_k = (-1)^k (acc/D - 1/4) for a_k
+                # the bracket t = D B_k gives both r_k and s_k
                 denominator = self._s_denominator
+                t = denominator - 4 * acc
                 quarter = 4 ** (k - 1)  # 4^k / 4
-                signed = quarter * (4 * acc - denominator)  # (-1)^k a_k over the denominator below
-                a_k = Fraction(-signed if k % 2 else signed, denominator * (4 * quarter - 1))
+                base = denominator * (4 * quarter - 1)  # D (4^k - 1)
                 self._factorial *= (n - 1) * n
-                self._ratios.append(a_k / self._factorial)
-
-                # s_k = (-1)^(k+1) (1/2 - 4^-k) a_k, over the common denominator
-                w_k = a_k * Fraction(2 * quarter - 1, 4 * quarter)
-                grow = w_k.denominator // math.gcd(denominator, w_k.denominator)
+                self._ratios.append(Fraction((t if k % 2 else -t) * quarter, base * self._factorial))
+                s_k = Fraction(t * (2 * quarter - 1), 4 * base)
+                # put s_k on the common denominator, growing it if needed
+                grow = s_k.denominator // math.gcd(denominator, s_k.denominator)
                 if grow > 1:
                     numerators[:] = [s * grow for s in numerators]
                     denominator *= grow
                     self._s_denominator = denominator
-                s_k = w_k.numerator * (denominator // w_k.denominator)
-                numerators.append(s_k if k % 2 else -s_k)
+                numerators.append(s_k.numerator * (denominator // s_k.denominator))
 
 
 _shared_table = ZetaEvenTable()

@@ -29,9 +29,11 @@ def pytest_collection_modifyitems(config, items):
 def default_int_str_limit():
     """CPython's default int <-> str digit limit (4300) for one test.
 
-    ``cli.main`` lifts the limit for the whole process, so a library test
-    that must hold under the default sets it back here, and restores what
-    it found afterwards. Interpreters without the limit run the test as is.
+    ``cli.main`` lifts the limit only for its own call and then gives the
+    caller's setting back, so this is the interpreter's default unless a
+    test changed it. A library test that must hold under the default sets
+    it here, whatever ran before, and restores what it found afterwards.
+    Interpreters without the limit run the test as is.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield None

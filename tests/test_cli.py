@@ -144,6 +144,25 @@ class TestSmallSubcommands:
             assert (code, err) == (0, "")
             assert json_records(out) == [record]
 
+    def test_gives_back_the_callers_int_str_limit(self, capsys, default_int_str_limit):
+        # main lifts the limit to print exact values of any size, and only
+        # for its own call: a process that calls it keeps its own setting
+        if default_int_str_limit is None:
+            pytest.skip("this interpreter has no int <-> str digit limit")
+        big = "1" + "0" * 5000
+        runs = (
+            (("euler-poly", "--m", "1", "--at", "1/" + big), 0),  # prints 5000 digits
+            (("zeta", "--k", "0", "--exact"), 2),  # refused by the handler
+            (("zeta", "--bogus"), 2),  # refused by the parser
+        )
+        for limit in (default_int_str_limit, 5000, 0):
+            sys.set_int_max_str_digits(limit)
+            for argv, code in runs:
+                assert run_cli(capsys, *argv)[0] == code, argv
+                assert sys.get_int_max_str_digits() == limit, (limit, argv)
+        sys.set_int_max_str_digits(default_int_str_limit)
+        assert run_cli(capsys, *runs[0][0])[1].endswith(f"/{big}\n")
+
     def test_euler_poly_evaluated(self, capsys):
         code, out, _ = run_cli(
             capsys, "euler-poly", "--m", "3", "--at", "1", "--format", "json-lines"
@@ -401,6 +420,8 @@ class TestBench:
         assert len(lines) == 4
         assert lines[0].startswith("k=1")
         assert lines[-1].startswith("total")
+        # 1/6, 1/90 and 1/945: the digits of numerator and denominator
+        assert [line.split()[-1] for line in lines[:3]] == ["2", "3", "4"]
 
 
 def parse_phi_line(line):

@@ -28,6 +28,8 @@ ARGVS = (
     ("verify", "--suite", "abel", "--digits", "32"),
     ("verify", "--suite", "recurrence", "--kmax", "110"),
     ("verify", "--digits", "20", "--tolerance", "1e-40"),
+    ("verify", "--suite", "expansion", "--jmax", "6", "--digits", "15", "--tolerance", "1e-40",
+     "--format", "csv"),
     ("zeta", "--kmax", "12", "--digits", "40"),
     ("zeta", "--k", "7", "--digits", "200", "--format", "json-lines"),
     ("zeta", "--kmax", "30", "--exact"),

@@ -377,6 +377,12 @@ class TestDirectZetaPartial:
         assert 0 < excess < F(2, 3**4400)
         assert tail_high.value > 0
 
+    def test_rejects_k_or_n_below_one(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            direct_zeta_partial(0, 10)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            direct_zeta_partial(1, 0)
+
     def test_tail_formula(self):
         _, tail_high = direct_zeta_partial(2, 100)
         # 100^(1-4)/(4-1) = 1/3e6
@@ -526,6 +532,15 @@ class TestExpansionIdentity:
         shallow = identity_check_expansion(1, F(3, 2), 6, 30)
         deep = identity_check_expansion(1, F(3, 2), 20, 30)
         assert abs(deep.residual.value) < abs(shallow.residual.value)
+
+    def test_no_certified_tail_bound_fails(self):
+        # at u = 1 + 1e-45 the envelope's 40 digits cannot tell R from pi,
+        # so there is no finite bound, and the report judged against it fails
+        u = 1 + F(1, 10**45)
+        assert _expansion_tail_envelope(1, u, 1, _pi(25)) == Decimal("Infinity")
+        report = identity_check_expansion(1, u, 1, 10)
+        assert not report.passed
+        assert report.tolerance.value == Decimal("Infinity")
 
     def test_under_truncation_fails_near_first_omitted_term(self):
         report = identity_check_expansion(1, F(3, 2), 2, 50, tolerance="1e-30")

@@ -1,12 +1,14 @@
 import doctest
 from decimal import Decimal
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import zetaeven.euler_bernoulli as eb
 import zetaeven.numeric_core as nc
 import zetaeven.zeta_recurrence as zr
+from zetaeven import series_verifier
 from zetaeven.euler_bernoulli import BernoulliTable, zeta_even_via_euler
 from zetaeven.numeric_core import compute_pi
 from zetaeven.reports import VerificationReport
@@ -55,6 +57,19 @@ class TestRatios:
         assert [table.ratio(k) for k in range(1, 6)] == [
             F(1, 6), F(1, 90), F(1, 945), F(1, 9450), F(1, 93555)
         ]
+
+    def test_table_solves_the_papers_recurrence(self):
+        # the module docstring's recurrence as written, in plain Fractions:
+        # (1 - 4^-k) r_k = sum_{m<k} (-1)^(k-m+1) (1/2 - 4^-m) r_m / (2k-2m)!
+        #                  - (-1)^k / (4 (2k)!)
+        r = []
+        for k in range(1, 41):
+            rhs = sum(
+                (-1) ** (k - m + 1) * (F(1, 2) - F(1, 4**m)) * r[m - 1] / factorial(2 * k - 2 * m)
+                for m in range(1, k)
+            ) - F((-1) ** k, 4 * factorial(2 * k))
+            r.append(rhs / (1 - F(1, 4**k)))
+        assert tuple(r) == zeta_even_table(40).ratios()
 
     def test_ratios_positive_and_decreasing(self):
         ratios = zeta_even_table(30).ratios()
@@ -151,6 +166,24 @@ class TestCrossCheck:
         assert report.parameters["k_max"] == 30
         assert report.parameters["mismatch_indices"] == ""
         assert report.lhs == report.rhs
+
+    def test_mismatch_names_its_index(self, monkeypatch):
+        # a Bernoulli route wrong at k = 7 alone: the report fails, names
+        # 7 and compares the two routes' values there
+        wrong = zeta_even_via_euler(7) + F(1, 10**40)
+        monkeypatch.setattr(
+            series_verifier, "zeta_even_via_euler",
+            lambda k: wrong if k == 7 else zeta_even_via_euler(k),
+        )
+        report = recurrence_cross_check(12)
+        assert not report.passed
+        assert report.parameters["mismatch_indices"] == "7"
+        assert report.residual.value == 1
+        assert (report.lhs, report.rhs) == (str(zeta_even_ratio(7)), str(wrong))
+
+    def test_rejects_k_max_below_one(self):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            recurrence_cross_check(0)
 
     def test_builds_the_bernoulli_table_once(self, monkeypatch):
         # a fresh table, so the count does not depend on what ran before;

@@ -44,7 +44,7 @@ import time
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation
 from fractions import Fraction
 
-from .euler_bernoulli import bernoulli, euler_polynomial, euler_polynomial_eval
+from .euler_bernoulli import EulerPolynomial, bernoulli, euler_polynomial, euler_polynomial_eval
 from .numeric_core import _decimal_digits
 from .reports import VerificationReport, json_line
 from .series_verifier import SUITES, phi_series, phi_taylor_coeff, run_suite
@@ -127,8 +127,7 @@ def _report_plain(report: VerificationReport) -> str:
     )
 
 
-def _poly_plain(m: int) -> str:
-    poly = euler_polynomial(m)
+def _poly_plain(poly: EulerPolynomial) -> str:
     parts: list[str] = []
     for j in range(poly.degree, -1, -1):
         c = poly.coefficients[j]
@@ -146,7 +145,7 @@ def _poly_plain(m: int) -> str:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return f"E_{m}(x) = " + (" ".join(parts) if parts else "0")
+    return f"E_{poly.degree}(x) = " + (" ".join(parts) if parts else "0")
 
 
 
@@ -188,7 +187,7 @@ def _cmd_euler_poly(m, at, fmt) -> int:
             {"kind": "euler_poly", "m": m, "n": j, **_rational_fields(c)}
             for j, c in enumerate(poly.coefficients)
         ]
-        lines = [_poly_plain(m)]
+        lines = [_poly_plain(poly)]
     _emit(records, lines, fmt, sys.stdout)
     return 0
 

@@ -71,7 +71,7 @@ class PhiEvaluation(FrozenRecord):
         self,
         m: int,
         u: Fraction,
-        value: HighPrecisionReal | Fraction,
+        value: HighPrecisionReal,
         terms_used: int,
         error_bound: HighPrecisionReal,
     ):
@@ -402,10 +402,14 @@ def phi_coefficients(u, m_max: int) -> list[Fraction]:
     polynomial recurrence for E_m(1). The recurrence runs on integers:
     with u = p/q and s = p + q, N_m = phi_m * s^(m+1) satisfies
 
-        N_m = q * (2 s^m - sum_{j<m} C(m, j) N_j s^(m-j-1)),
+        N_m = q * (2 s^m - sum_{j<m} C(m, j) N_j s^(m-j-1)).
 
-    so no gcd is taken inside the recurrence; each returned Fraction is
-    reduced once.
+    The list keeps each term with its weight: before step m it holds the
+    integers C(m, j) N_j s^(m-1-j) for j < m, so N_m is one sum. Moving
+    to m + 1 multiplies every term by (m+1) s and divides it by m+1-j;
+    the division is exact because its quotient is C(m+1, j) N_j s^(m-j),
+    a product of integers. Then (m+1) N_m joins the list. No gcd is taken
+    inside the recurrence; each returned Fraction is reduced once.
     """
     u = Fraction(u)
     if u < 1:
@@ -414,14 +418,14 @@ def phi_coefficients(u, m_max: int) -> list[Fraction]:
         raise ValueError("m_max must be >= 0")
     p, q = u.numerator, u.denominator
     s = p + q
-    s_pow = [s**i for i in range(m_max + 2)]
-    scaled: list[int] = []
+    scaled: list[int] = []  # N_m
+    terms: list[int] = []  # C(m, j) N_j s^(m-1-j) for j < m
     for m in range(m_max + 1):
-        acc = 2 * s_pow[m]
-        for j, n_j in enumerate(scaled):
-            acc -= math.comb(m, j) * n_j * s_pow[m - j - 1]
-        scaled.append(q * acc)
-    return [Fraction(n, s_pow[m + 1]) for m, n in enumerate(scaled)]
+        scaled.append(q * (2 * s**m - sum(terms)))
+        scale = (m + 1) * s
+        terms = [term * scale // (m + 1 - j) for j, term in enumerate(terms)]
+        terms.append((m + 1) * scaled[m])
+    return [Fraction(n, s ** (m + 1)) for m, n in enumerate(scaled)]
 
 
 def phi_taylor_coeff(m: int, u) -> Fraction:

@@ -52,13 +52,17 @@ class ZetaEvenTable:
         s_k = (2 4^(k-1) - 1) B_k / (4 (4^k - 1)),
         r_k = (-1)^(k+1) 4^(k-1) B_k / ((4^k - 1) (2k)!).
 
-    The s_m are kept as integer numerators over one common denominator
-    D (the lcm of their reduced denominators, with the stored numerators
-    rescaled whenever it grows), so the inner sum is one big-integer
-    multiply-add per term, the bracket D B_k is one integer per k, and
-    each k costs two reduced Fractions (r_k and s_k). Nothing here uses
-    Bernoulli or tangent numbers, which keeps the route independent of
-    the classical formula it is checked against.
+    The s_m share one common denominator D (the lcm of their reduced
+    denominators), and the table keeps each term with its weight: before
+    step k it holds the integers C(2k, 2m) D s_m for m < k, so the
+    bracket D B_k is D - 4 times their sum, and each k costs two reduced
+    Fractions (r_k and s_k). Moving to k + 1, with D grown to
+    D' = D grow, multiplies every term by grow (2k+1)(2k+2) and divides
+    it by (2k+2-2m)(2k+1-2m), as in Brent and Harvey's tangent table;
+    the division is exact because its quotient is C(2k+2, 2m) D' s_m,
+    a binomial times an integer numerator. Nothing here uses Bernoulli
+    or tangent numbers, which keeps the route independent of the
+    classical formula it is checked against.
 
     Extension is serialized behind a lock; reads of completed entries
     are safe from any thread.
@@ -66,8 +70,8 @@ class ZetaEvenTable:
 
     def __init__(self) -> None:
         self._ratios: list[Fraction] = []  # position k-1 holds r_k
-        self._s_numerators: list[int] = []  # position m-1 holds s_m * _s_denominator
-        self._s_denominator = 1
+        self._terms: list[int] = []  # position m-1 holds C(2k, 2m) D s_m for k = max_k + 1
+        self._s_denominator = 1  # D
         self._factorial = 1  # (2k)! for k = max_k
         self._lock = allocate_lock()
 
@@ -89,32 +93,28 @@ class ZetaEvenTable:
 
     def _extend_to(self, k_max: int) -> None:
         with self._lock:
-            numerators = self._s_numerators
+            terms = self._terms
             while len(self._ratios) < k_max:
                 k = len(self._ratios) + 1
                 n = 2 * k
-                # acc = D * sum_{m<k} C(2k, 2m) s_m, with the binomial
-                # C(2k, j + 2) stepped up from C(2k, j)
-                acc = 0
-                binom = 1
-                for j, numerator in zip(range(0, n, 2), numerators):
-                    binom = binom * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
-                    acc += binom * numerator
                 # the bracket t = D B_k gives both r_k and s_k
                 denominator = self._s_denominator
-                t = denominator - 4 * acc
+                t = denominator - 4 * sum(terms)
                 quarter = 4 ** (k - 1)  # 4^k / 4
                 base = denominator * (4 * quarter - 1)  # D (4^k - 1)
                 self._factorial *= (n - 1) * n
                 self._ratios.append(Fraction((t if k % 2 else -t) * quarter, base * self._factorial))
                 s_k = Fraction(t * (2 * quarter - 1), 4 * base)
-                # put s_k on the common denominator, growing it if needed
+                # grow D to a multiple of s_k's denominator and step every
+                # term from C(2k, 2m) D s_m to C(2k+2, 2m) D' s_m
                 grow = s_k.denominator // math.gcd(denominator, s_k.denominator)
-                if grow > 1:
-                    numerators[:] = [s * grow for s in numerators]
-                    denominator *= grow
-                    self._s_denominator = denominator
-                numerators.append(s_k.numerator * (denominator // s_k.denominator))
+                denominator *= grow
+                self._s_denominator = denominator
+                scale = grow * (n + 1) * (n + 2)
+                # term m is divided by i (i - 1), i = 2k + 2 - 2m, and the
+                # new term m = k has weight C(2k+2, 2k) = (k + 1)(2k + 1)
+                terms[:] = [term * scale // (i * (i - 1)) for i, term in zip(range(n, 2, -2), terms)]
+                terms.append((k + 1) * (n + 1) * s_k.numerator * (denominator // s_k.denominator))
 
 
 _shared_table = ZetaEvenTable()

@@ -13,6 +13,7 @@ import pytest
 
 import zetaeven
 from zetaeven import cli, numeric_core, series_verifier
+from zetaeven.euler_bernoulli import euler_polynomial
 from zetaeven.numeric_core import round_significant
 from zetaeven.reports import VerificationReport, json_line
 from zetaeven.series_verifier import SUITES, phi_coefficients, phi_series, run_suite
@@ -112,6 +113,18 @@ class TestSmallSubcommands:
     def test_euler_poly_plain_rendering(self, capsys):
         _, out, _ = run_cli(capsys, "euler-poly", "--m", "3")
         assert out == "E_3(x) = x^3 - 3/2*x^2 + 1/4\n"
+
+    def test_euler_poly_builds_its_polynomial_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return euler_polynomial(m)
+
+        monkeypatch.setattr(cli, "euler_polynomial", counted)
+        code, out, _ = run_cli(capsys, "euler-poly", "--m", "9")
+        assert code == 0 and out.startswith("E_9(x) = x^9 - 9/2*x^8")
+        assert calls == [9]
 
     def test_euler_poly_negative_point_with_a_space(self, capsys):
         for fmt in ("plain", "json-lines", "csv"):

@@ -224,8 +224,9 @@ def _cmd_verify(suite, fmt, **knobs) -> int:
     knobs = {name: value for name, value in knobs.items() if value is not None}
     names = SUITES if suite == "all" else (suite,)
     reports = [report for name in names for report in run_suite(name, **knobs)]
-    records = [_report_record(r) for r in reports]
-    lines = [_report_plain(r) for r in reports]
+    plain = fmt == "plain"
+    records = [] if plain else [_report_record(r) for r in reports]
+    lines = [_report_plain(r) for r in reports] if plain else []
     _emit(records, lines, fmt, sys.stdout)
     failed = [r for r in reports if not r.passed]
     for report in failed:

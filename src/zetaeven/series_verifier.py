@@ -28,13 +28,12 @@ route with the classical Bernoulli formula.
 from __future__ import annotations
 
 import math
+from _thread import allocate_lock
 from collections.abc import Sequence
 from decimal import MAX_PREC, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
 
-from .euler_bernoulli import zeta_even_via_euler
+from .euler_bernoulli import bernoulli, zeta_even_via_euler
 from .numeric_core import (
     FrozenRecord, HighPrecisionReal, _decimal_context, _decimal_digits, _fixed_decimal, _pi,
     _rational_decimal, round_significant,
@@ -180,25 +179,61 @@ def _terms_before_floor(bits: int, ln_y: float, n: int, m: int) -> int:
     return min(n, int(x) + 1)
 
 
-@lru_cache(maxsize=2)
-def _cvz_weights(n: int) -> tuple[tuple[int, ...], int]:
+def _cvz_weights(n: int) -> tuple[list[int], int]:
     """The integer weights c_0..c_(n-1) of ``_cvz_sum`` and their d = T_n(3).
 
     P(x) = T_n(1 - 2x) = sum_j (-1)^j q_j x^j with q_0 = 1 and
     q_(j+1) = q_j * 2(n+j)(n-j)/((j+1)(2j+1)), so q_j = n/(n+j) C(n+j, 2j) 4^j
     and every q_j is a positive integer. c_k = q_(k+1) + ... + q_n and
-    d = P(-1) = q_0 + ... + q_n = c_0 + 1. The last two calls are kept:
-    the Lewin levels of one f_k and the phi suite's limit series ask for
-    the same n again and again, while for m >= 0 n changes with m (the
-    phi suite sums its sample u m-major, so they share each n), and
-    more entries would hold weights of that size no next call asks for.
+    d = P(-1) = q_0 + ... + q_n = c_0 + 1. One pass from the back builds
+    them: q_n = 4^n/2 = c_(n-1), q_j = q_(j+1) (j+1)(2j+1)/(2(n+j)(n-j)),
+    an exact division as q_j is an integer, and c_k = c_(k+1) + q_(k+1).
+    The list is the caller's: the kernel scales it in place
+    (``_cvz_scaled``).
     """
-    q, qs = 1, []
-    for j in range(n):
-        q = q * 2 * (n + j) * (n - j) // ((j + 1) * (2 * j + 1))
-        qs.append(q)
-    c = tuple(accumulate(reversed(qs)))[::-1]
+    q = 1 << 2 * n - 1  # q_n
+    c = [q] * n
+    for j in range(n - 1, 0, -1):
+        q = q * ((j + 1) * (2 * j + 1)) // (2 * (n + j) * (n - j))
+        c[j - 1] = c[j] + q
     return c, c[0] + 1
+
+
+# The last scaled weights of ``_cvz_sum``: ((n, m, bits), b, d), or None.
+_cvz_cache = None
+_cvz_lock = allocate_lock()
+
+
+def _cvz_scaled(n: int, m: int, bits: int, terms: int) -> tuple[list[int], int]:
+    """The scaled weights b_k = c_k 2^bits (k+1)^m (m >= 0) or
+    floor(c_k 2^bits/(k+1)^-m) (m < 0), at least for k < terms, and d, of
+    ``_cvz_weights(n)``: the integers of ``_cvz_sum``'s Horner scheme.
+
+    One entry is kept: the phi suite's sample u and limit deltas of one
+    m and all the Lewin levels of one f_k ask for the same (n, m, bits).
+    It holds the b_k below the largest terms asked since it was built,
+    and a longer sum rebuilds it; so do other keys. The raw list is
+    scaled in place from the back, each c_k freed as its b_k replaces it
+    (from the front, the peak memory of phi_715(3) at 50 digits was 10 %
+    higher), and never changed once published. Builds are serialized
+    behind a lock.
+    """
+    global _cvz_cache
+    key = (n, m, bits)
+    with _cvz_lock:
+        cached = _cvz_cache
+        if cached is None or cached[0] != key or len(cached[1]) < terms:
+            cached = _cvz_cache = None  # the old list goes before the new one is built
+            b, d = _cvz_weights(n)
+            del b[terms:]
+            if m >= 0:
+                for k in range(terms - 1, -1, -1):
+                    b[k] = (b[k] << bits) * (k + 1) ** m
+            else:
+                for k in range(terms - 1, -1, -1):
+                    b[k] = (b[k] << bits) // (k + 1) ** -m
+            cached = _cvz_cache = key, b, d
+    return cached[1], cached[2]
 
 
 def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, int]:
@@ -262,9 +297,10 @@ def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
     [0, 1] they add at most 2 sum_{k>=K} a_k < 2/(1 - rho) ulps.
 
     Floor dust. The sum runs as a Horner scheme from the last term down,
-    H_k = c_k 2^bits (k+1)^m - floor(H_(k+1) y) for m >= 0 (the first
-    part an exact integer) and H_k = floor(c_k 2^bits/(k+1)^e) -
-    floor(H_(k+1) y) for m < 0, with H_0 close to
+    H_k = b_k - floor(H_(k+1) y) on the scaled weights b_k of
+    ``_cvz_scaled``: b_k = c_k 2^bits (k+1)^m for m >= 0 (an exact
+    integer) and floor(c_k 2^bits/(k+1)^e) for m < 0, computed once per
+    (n, m, bits) and read by every sum of that shape. H_0 is close to
     2^bits sum_{k<K} (-1)^k c_k a_k/y. Each step adds less than 1 to the
     error of the step before, times y <= 1, so H_0 is off by less than
     K. value = floor(2 y H_0/d) is then off by less than
@@ -273,7 +309,6 @@ def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
     term; from the back, the weights carry d-fold precision and every
     product is by a small integer when y is a small fraction.)
     """
-    c, d = _cvz_weights(n)
     w = max(m, 0)
     terms = n
     estimate = _terms_before_floor(bits, math.log(den) - math.log(num), n, m)
@@ -284,13 +319,10 @@ def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
             if rise < fall and (k + 1) ** w * num ** (k + 1) << bits < den ** (k + 1):
                 terms = k
                 break
+    b, d = _cvz_scaled(n, m, bits, terms)
     h = 0
-    if m >= 0:
-        for k in range(terms - 1, -1, -1):
-            h = (c[k] << bits) * (k + 1) ** m - h * num // den
-    else:
-        for k in range(terms - 1, -1, -1):
-            h = (c[k] << bits) // (k + 1) ** -m - h * num // den
+    for k in range(terms - 1, -1, -1):
+        h = b[k] - h * num // den
     value = 2 * num * h // (den * d)
     if m > 0:
         radius = 2 + _ceil_div(2 * _cvz_growth(m, n) << bits, d)
@@ -408,8 +440,9 @@ def phi_coefficients(u, m_max: int) -> list[Fraction]:
     integers C(m, j) N_j s^(m-1-j) for j < m, so N_m is one sum. Moving
     to m + 1 multiplies every term by (m+1) s and divides it by m+1-j;
     the division is exact because its quotient is C(m+1, j) N_j s^(m-j),
-    a product of integers. Then (m+1) N_m joins the list. No gcd is taken
-    inside the recurrence; each returned Fraction is reduced once.
+    a product of integers. Then (m+1) N_m joins the list. One running
+    power carries s^m. No gcd is taken inside the recurrence; each
+    returned Fraction is reduced once.
     """
     u = Fraction(u)
     if u < 1:
@@ -418,14 +451,17 @@ def phi_coefficients(u, m_max: int) -> list[Fraction]:
         raise ValueError("m_max must be >= 0")
     p, q = u.numerator, u.denominator
     s = p + q
-    scaled: list[int] = []  # N_m
+    values: list[Fraction] = []
     terms: list[int] = []  # C(m, j) N_j s^(m-1-j) for j < m
+    power = 1  # s^m
     for m in range(m_max + 1):
-        scaled.append(q * (2 * s**m - sum(terms)))
+        scaled = q * (2 * power - sum(terms))  # N_m
+        power *= s
+        values.append(Fraction(scaled, power))
         scale = (m + 1) * s
         terms = [term * scale // (m + 1 - j) for j, term in enumerate(terms)]
-        terms.append((m + 1) * scaled[m])
-    return [Fraction(n, s ** (m + 1)) for m, n in enumerate(scaled)]
+        terms.append((m + 1) * scaled)
+    return values
 
 
 def phi_taylor_coeff(m: int, u) -> Fraction:
@@ -833,14 +869,22 @@ def recurrence_cross_check(k_max: int) -> VerificationReport:
     Both routes are exact, so the comparison is exact rational equality;
     the report's residual is the number of mismatching indices and the
     tolerance is zero. Expected: zero mismatches for every k.
+
+    With r_k = a/b and B_2k = p/q in lowest terms, r_k equals the
+    classical 2^(2k-1) |B_2k|/(2k)! exactly when a q (2k)! =
+    2^(2k-1) |p| b: one cross-multiplication, with (2k)! stepped along,
+    where a Fraction of the classical value would take a gcd per k.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     # the Bernoulli table is built once, for k_max, not doubled k by k
-    zeta_even_via_euler(k_max)
+    bernoulli(2 * k_max)
     mismatches = []
+    factorial = 1  # (2k)!
     for k in range(1, k_max + 1):
-        if zeta_even_ratio(k) != zeta_even_via_euler(k):
+        factorial *= (2 * k - 1) * 2 * k
+        (a, b), (p, q) = zeta_even_ratio(k).as_integer_ratio(), bernoulli(2 * k).as_integer_ratio()
+        if a * q * factorial != abs(p) * b << 2 * k - 1:
             mismatches.append(k)
     first_bad = mismatches[0] if mismatches else k_max
     return VerificationReport(
@@ -943,8 +987,9 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
             tolerance=HighPrecisionReal(bound if tolerance is None else tolerance, 15),
         )
 
-    # summed m-major: the kernel's n depends on m and the digits, not on
-    # u, so the sample u share each m's cached weights; reported u-major
+    # summed m-major: the kernel's (n, m, bits) depends on m and the
+    # digits, not on u, so the sample u share each m's scaled weights,
+    # the longest sum (u = 3/2) first; reported u-major
     ms = range(21)
     evaluations = {(m, u): phi_series(m, u, digits) for m in ms for u in PHI_SAMPLE_US}
     # the exact side must not be quantized: these values reach ~1e8, where

@@ -6,6 +6,11 @@ cannot reproduce the integers of the plain loops they replaced. Those
 loops are kept here as references, and the two must agree within the
 sum of their error bounds.
 
+The kernel itself keeps the parent's integers: its Horner scheme now
+reads weights scaled once per (n, m, bits) from a cache, and the inline
+loop it replaced is kept here, with the uncached weights it read, and
+must return the identical ``(value, radius, terms)``.
+
 For m >= 0, ``phi_coefficients`` is an exact oracle that needs no
 mpmath and reaches every u: phi_series must lie within its bound of it
 and print its correctly rounded decimal, near u = 1 too. For m < 0,
@@ -16,10 +21,12 @@ cannot reach.
 import math
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetaeven import series_verifier
 from zetaeven.numeric_core import HighPrecisionReal, _rational_decimal, round_significant
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
@@ -27,6 +34,11 @@ from zetaeven.series_verifier import (
     PHI_LIMIT_MS,
     PhiEvaluation,
     _ceil_div,
+    _cvz_growth,
+    _cvz_sum,
+    _cvz_terms,
+    _cvz_weights,
+    _terms_before_floor,
     _reciprocal_power_sum,
     _two_eta,
     phi_coefficients,
@@ -39,6 +51,46 @@ except ImportError:  # the comparisons with the old loops still run
     mpmath = None
 
 F = Fraction
+
+
+def reference_cvz_weights(n):
+    """The kernel weights c_0..c_(n-1) and d, as the uncached loop built them."""
+    q, qs = 1, []
+    for j in range(n):
+        q = q * 2 * (n + j) * (n - j) // ((j + 1) * (2 * j + 1))
+        qs.append(q)
+    c = tuple(accumulate(reversed(qs)))[::-1]
+    return c, c[0] + 1
+
+
+def reference_cvz_sum(m, num, den, bits, n):
+    """``_cvz_sum`` with each Horner step scaling its own weight."""
+    c, d = reference_cvz_weights(n)
+    w = max(m, 0)
+    terms = n
+    estimate = _terms_before_floor(bits, math.log(den) - math.log(num), n, m)
+    if estimate < n:
+        # the K past which the terms floor to 0, checked exactly
+        for k in (estimate - 1, estimate):
+            rise, fall = (k + 2) ** w * num, (k + 1) ** w * den
+            if rise < fall and (k + 1) ** w * num ** (k + 1) << bits < den ** (k + 1):
+                terms = k
+                break
+    h = 0
+    if m >= 0:
+        for k in range(terms - 1, -1, -1):
+            h = (c[k] << bits) * (k + 1) ** m - h * num // den
+    else:
+        for k in range(terms - 1, -1, -1):
+            h = (c[k] << bits) // (k + 1) ** -m - h * num // den
+    value = 2 * num * h // (den * d)
+    if m > 0:
+        radius = 2 + _ceil_div(2 * _cvz_growth(m, n) << bits, d)
+    else:
+        radius = 2 + _ceil_div(2 * num << bits, den * d)
+    if terms < n:
+        radius += _ceil_div(2 * fall, fall - rise)
+    return value, radius, terms
 
 
 def reference_phi_series(m, u, precision, max_terms=None):
@@ -291,3 +343,52 @@ def test_reciprocal_power_sum_against_the_plain_loop(k, u, digits):
     high = low + (c_u + 1) * (terms + c_u + 2)
     # both balls hold f_k(u): they must overlap
     assert value - radius <= high and low <= value + radius, (k, u)
+
+
+def test_weights_are_the_reference_loop_weights():
+    # built from the back in one pass, against the forward q's and their sums
+    for n in (*range(1, 130), 1001):
+        c, d = _cvz_weights(n)
+        assert (tuple(c), d) == reference_cvz_weights(n), n
+
+
+def kernel_ys(bits):
+    """The grid's y = num/den: exact fractions near 1, at 1/2 and far from
+    1, where the sums stop early, and two z/2^bits, the form of the Lewin
+    levels past their exact ones."""
+    one = 1 << bits
+    return (
+        (1, 1), (1000, 1001), (2, 3), (1, 2), (1, 3), (5, 17), (1, 1000), (3, 2**20),
+        (one * 5 // 7, one), (one - 3, one),
+    )
+
+
+@pytest.mark.parametrize("bits", (40, 133, 400))
+def test_kernel_returns_the_reference_loop_integers(monkeypatch, bits):
+    # y varies fastest, so each (n, m, bits) is looked up with sums of
+    # every length: cache hits, longer sums that rebuild it, new keys
+    monkeypatch.setattr(series_verifier, "_cvz_cache", None)
+    stopped = 0
+    for m in range(-6, 26):
+        full = _cvz_terms(bits, m)
+        for n in (full, full // 3 + 1):
+            for num, den in kernel_ys(bits):
+                if m >= 0 and num == den:
+                    continue  # y = 1 is for m < 0 only
+                expected = reference_cvz_sum(m, num, den, bits, n)
+                assert _cvz_sum(m, num, den, bits, n) == expected, (m, num, den, bits, n)
+                stopped += expected[2] < n
+    assert stopped > 100, stopped  # early stops are on the grid
+
+
+def test_short_sum_before_a_longer_one_on_the_same_key(monkeypatch):
+    monkeypatch.setattr(series_verifier, "_cvz_cache", None)
+    bits = 200
+    for m in (-4, 0, 7):
+        n = _cvz_terms(bits, m)
+        # y = 1/9 stops early, y = 999/1000 sums all n terms, then 1/9 again
+        for num, den in ((1, 9), (999, 1000), (1, 9), (2, 3)):
+            expected = reference_cvz_sum(m, num, den, bits, n)
+            assert _cvz_sum(m, num, den, bits, n) == expected, (m, num, den)
+        assert series_verifier._cvz_cache[0] == (n, m, bits)
+        assert len(series_verifier._cvz_cache[1]) == n

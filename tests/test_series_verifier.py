@@ -256,14 +256,40 @@ def test_cli_call_leaves_argparse_and_json_out_of_the_runtime():
     assert modules == "0 [] []"
 
 
-def test_phi_suite_shares_the_kernel_weights_across_its_sample_u():
-    # for one m the three sample u need the same kernel n, so the suite
-    # sums m-major and most weight lookups hit the two-entry cache
+def count_scaled_weights(monkeypatch):
+    """Empty the kernel's scaled-weight cache and count, from here on, its
+    lookups and its builds (each build computes the raw weights once)."""
+    counts = {"lookups": 0, "builds": 0}
+    scaled, weights = series_verifier._cvz_scaled, series_verifier._cvz_weights
+
+    def counting_scaled(*args):
+        counts["lookups"] += 1
+        return scaled(*args)
+
+    def counting_weights(n):
+        counts["builds"] += 1
+        return weights(n)
+
+    monkeypatch.setattr(series_verifier, "_cvz_cache", None)
+    monkeypatch.setattr(series_verifier, "_cvz_scaled", counting_scaled)
+    monkeypatch.setattr(series_verifier, "_cvz_weights", counting_weights)
+    return counts
+
+
+def test_phi_suite_shares_the_kernel_weights_across_its_sample_u(monkeypatch):
+    # for one m the three sample u need the same kernel (n, m, bits), so
+    # the suite sums m-major and most lookups hit the one scaled list
+    counts = count_scaled_weights(monkeypatch)
     series_verifier.run_suite("phi", digits=50)
-    _cvz_weights.cache_clear()
-    series_verifier.run_suite("phi", digits=50)
-    info = _cvz_weights.cache_info()
-    assert 2 * info.misses < info.hits + info.misses, info
+    assert 2 * counts["builds"] < counts["lookups"], counts
+
+
+@pytest.mark.parametrize("k, u", ((1, 1 + ABEL_DELTAS[-1]), *EXPANSION_CASES), ids=str)
+def test_one_f_k_builds_its_scaled_weights_once(monkeypatch, k, u):
+    # every Lewin level sums at the same (n, -2k, bits), the first longest
+    counts = count_scaled_weights(monkeypatch)
+    _reciprocal_power_sum(k, u, 10**60)
+    assert counts["builds"] == 1 and counts["lookups"] > 1, counts
 
 
 def test_exact_routes_import_only_numeric_core_from_the_package():
@@ -313,7 +339,7 @@ class TestTwoEta:
 
     def test_single_term(self):
         # one weighted term: c_0 = 2 over d = T_1(3) = 3, so 2 * (2/3) * a_0
-        assert _cvz_weights(1) == ((2,), 3)
+        assert _cvz_weights(1) == ([2], 3)
         value, radius, terms = _cvz_sum(-2, 1, 1, 60, 1)
         assert terms == 1
         assert abs(value - F(4, 3) * 2**60) < 2
@@ -930,7 +956,7 @@ class TestCvzKernel:
         n = 40
         c, d = _cvz_weights(n)
         for k in (0, 17, n - 1):
-            off_by_one = c[:k] + (c[k] + 1,) + c[k + 1:]
+            off_by_one = c[:k] + [c[k] + 1] + c[k + 1:]
             assert not weights_fit_the_polynomial(off_by_one, d, n), k
         previous_d = _cvz_weights(n - 1)[1]
         assert not weights_fit_the_polynomial(c, previous_d, n)
@@ -945,6 +971,8 @@ class TestCvzKernel:
             return c, weights(n - 1)[1]
 
         monkeypatch.setattr(series_verifier, "_cvz_weights", faulty)
+        # an emptied cache, so the kernel builds its weights with the planted d
+        monkeypatch.setattr(series_verifier, "_cvz_cache", None)
         evaluation = phi_series(-2, F(3, 2), 30)
         with mpmath.workdps(60):
             error = abs(mpmath.mpf(str(evaluation.value.value)) - phi_mpmath(mpmath, -2, F(3, 2)))

@@ -4,13 +4,17 @@
 lock. Here 8 threads race to extend one fresh table, with the
 interpreter switching threads every microsecond, and every value they
 read, and the table left behind, must equal a table built in one thread.
+The series kernel's one scaled-weight list (``_cvz_scaled``) is raced
+the same way through ``phi_series``.
 """
 
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
+from zetaeven import series_verifier
 from zetaeven.euler_bernoulli import BernoulliTable
 from zetaeven.zeta_recurrence import ZetaEvenTable
 
@@ -67,3 +71,23 @@ def race(make_table, read, snapshot, indices, rounds):
 )
 def test_racing_threads_build_the_sequential_table(make_table, read, snapshot, indices, rounds):
     assert race(make_table, read, snapshot, list(indices), rounds) is None
+
+
+# m-major, so threads next to each other sum one kernel shape at several
+# u: the list is read, rebuilt for a longer sum and replaced by a new
+# shape while other threads use it
+PHI_CASES = [(m, u) for m in (-3, 0, 4, 9) for u in map(Fraction, ("11/10", "3/2", "2", "3"))]
+
+
+def fresh_kernel_cache():
+    series_verifier._cvz_cache = None
+
+
+def read_phi(_, i):
+    return series_verifier.phi_series(*PHI_CASES[i % len(PHI_CASES)], 20)
+
+
+def test_racing_threads_share_the_kernel_weights(monkeypatch):
+    monkeypatch.setattr(series_verifier, "_cvz_cache", None)
+    indices = list(range(2 * len(PHI_CASES)))
+    assert race(fresh_kernel_cache, read_phi, lambda _: None, indices, 20) is None

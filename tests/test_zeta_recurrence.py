@@ -168,18 +168,32 @@ class TestCrossCheck:
         assert report.lhs == report.rhs
 
     def test_mismatch_names_its_index(self, monkeypatch):
-        # a Bernoulli route wrong at k = 7 alone: the report fails, names
-        # 7 and compares the two routes' values there
-        wrong = zeta_even_via_euler(7) + F(1, 10**40)
+        # a Bernoulli route wrong at k = 7 alone (B_14 off in the shared
+        # table): the report fails, names 7 and compares the two routes'
+        # values there
+        value = eb._default_bernoulli.value
         monkeypatch.setattr(
-            series_verifier, "zeta_even_via_euler",
-            lambda k: wrong if k == 7 else zeta_even_via_euler(k),
+            eb._default_bernoulli, "value", lambda n: value(n) + F(1, 10**40) if n == 14 else value(n)
         )
+        wrong = zeta_even_via_euler(7)
         report = recurrence_cross_check(12)
         assert not report.passed
         assert report.parameters["mismatch_indices"] == "7"
         assert report.residual.value == 1
         assert (report.lhs, report.rhs) == (str(zeta_even_ratio(7)), str(wrong))
+
+    def test_planted_ratio_fault_is_a_mismatch(self, monkeypatch):
+        # a recurrence value wrong at k = 9 alone fails the cross-multiplied
+        # comparison there and nowhere else
+        wrong = zeta_even_ratio(9) * (1 + F(1, 10**30))
+        monkeypatch.setattr(
+            series_verifier, "zeta_even_ratio", lambda k: wrong if k == 9 else zeta_even_ratio(k)
+        )
+        report = recurrence_cross_check(12)
+        assert not report.passed
+        assert report.parameters["mismatch_indices"] == "9"
+        assert report.residual.value == 1
+        assert (report.lhs, report.rhs) == (str(wrong), str(zeta_even_via_euler(9)))
 
     def test_rejects_k_max_below_one(self):
         with pytest.raises(ValueError, match="k_max must be >= 1"):

@@ -26,6 +26,8 @@ ARGVS = (
     ("verify", "--suite", "phi", "--digits", "80"),
     ("verify", "--suite", "expansion", "--jmax", "40", "--digits", "30"),
     ("verify", "--suite", "abel", "--digits", "32"),
+    ("verify", "--suite", "abel", "--digits", "30", "--format", "json-lines"),
+    ("verify", "--suite", "phi", "--digits", "24", "--format", "json-lines"),
     ("verify", "--suite", "recurrence", "--kmax", "110"),
     ("verify", "--digits", "20", "--tolerance", "1e-40"),
     ("verify", "--suite", "expansion", "--jmax", "6", "--digits", "15", "--tolerance", "1e-40",

@@ -8,12 +8,16 @@ Two value kinds underpin everything else here:
   significant digits it is guaranteed to; arithmetic and comparisons
   happen on its ``Decimal`` value, exactly or in an explicit context.
 
-Every decimal operation in the package runs in ``_decimal_context``: a
-copy of one fixed base context, so no result depends on the caller's
-decimal context. An exact value becomes a ``Decimal`` one way only: a
-fixed-point integer through ``_fixed_decimal`` (exactly, by a power of
-ten) and a rational through ``_rational_decimal`` (one division, rounded
-to a stated precision).
+Every decimal operation in the package runs in one context per
+``(prec, rounding)``, ``_context(prec, rounding)``: a copy of one fixed
+base context, made once and cached, so no result depends on the
+caller's decimal context. The cached contexts are shared, so they are
+used as the receiver (``ctx.divide(a, b)``, ``ctx.plus(x)``) and never
+entered or changed; code that writes decimal expressions enters a copy
+of one (``_decimal_context``). An exact value becomes a ``Decimal`` one
+way only: a fixed-point integer through ``_fixed_decimal`` (exactly, by
+a power of ten) and a rational through ``_rational_decimal`` (one
+division, rounded to a stated precision).
 
 Pi is generated internally from two independent series, Chudnovsky's and
 Ramanujan's 1/pi series, each summed exactly by binary splitting and
@@ -57,14 +61,36 @@ _BASE_CONTEXT = Context(
 )
 
 
+# (prec, rounding) -> its context; see _context
+_contexts: dict[tuple[int, str], Context] = {}
+# a caller that asks for ever new precisions empties the cache now and then
+_MAX_CONTEXTS = 256
+
+
+def _context(prec: int, rounding: str = ROUND_HALF_EVEN) -> Context:
+    """The context of ``prec`` digits and ``rounding``: a copy of
+    ``_BASE_CONTEXT``, made on the first call for the pair and then
+    cached, so nothing of the caller's decimal context (precision,
+    rounding, exponent range, traps, flags) reaches the result.
+
+    It is shared by every caller and thread: call its methods, and never
+    enter it or change its settings. Its flags record what its operations
+    signalled and are never read."""
+    ctx = _contexts.get((prec, rounding))
+    if ctx is None:
+        ctx = _BASE_CONTEXT.copy()
+        ctx.prec = prec
+        ctx.rounding = rounding
+        if len(_contexts) >= _MAX_CONTEXTS:
+            _contexts.clear()
+        ctx = _contexts.setdefault((prec, rounding), ctx)
+    return ctx
+
+
 def _decimal_context(prec: int, rounding: str = ROUND_HALF_EVEN):
-    """A ``with`` context of ``prec`` digits and ``rounding``, copied from
-    ``_BASE_CONTEXT``: nothing of the caller's decimal context (precision,
-    rounding, exponent range, traps, flags) reaches the result."""
-    ctx = _BASE_CONTEXT.copy()
-    ctx.prec = prec
-    ctx.rounding = rounding
-    return localcontext(ctx)
+    """A ``with`` context for decimal expressions: a private copy of
+    ``_context(prec, rounding)``, which the body may change."""
+    return localcontext(_context(prec, rounding))
 
 
 def _fixed_decimal(total: int, digits: int) -> Decimal:
@@ -72,23 +98,20 @@ def _fixed_decimal(total: int, digits: int) -> Decimal:
     rounding it keeps as many significant digits as it is asked for.
     Scaling by a power of ten needs only the digits of total, so at the
     largest precision it is exact and costs no more."""
-    with _decimal_context(MAX_PREC):
-        return Decimal(total).scaleb(-digits)
+    return _context(MAX_PREC).scaleb(total, -digits)
 
 
 def _rational_decimal(x, prec: int, rounding: str = ROUND_HALF_EVEN) -> Decimal:
     """The Fraction x as a Decimal of ``prec`` significant digits,
     rounded by ``rounding``: one division."""
-    with _decimal_context(prec, rounding):
-        return Decimal(x.numerator) / Decimal(x.denominator)
+    return _context(prec, rounding).divide(x.numerator, x.denominator)
 
 
 def round_significant(value: Decimal, digits: int) -> Decimal:
     """Round to ``digits`` significant digits, ties to even."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    with _decimal_context(digits):
-        return +value
+    return _context(digits).plus(value)
 
 
 def positional_str(value: Decimal) -> str:
@@ -110,9 +133,15 @@ class FrozenRecord:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each slot's own setter, which object.__setattr__ would look up
+        # field by field in every record made
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -290,9 +319,20 @@ _PI_GUARD = 12
 def _round_half_even(n: int, places: int) -> int:
     """n / 10^places, n >= 0 and places >= 1, rounded to an integer,
     ties to the even one."""
-    q, r = divmod(n, 10**places)
+    unit = 10**places
+    q, r = divmod(n, unit)
     # up past the half way, and at it when q is odd
-    return q + (2 * r + q % 2 > 10**places)
+    return q + (2 * r + q % 2 > unit)
+
+
+def _round_significant_int(n: int, digits: int) -> int:
+    """The int n rounded to ``digits`` significant digits, ties to even:
+    the value of ``round_significant(Decimal(n), digits)``, as an int."""
+    drop = _decimal_digits(abs(n)) - digits
+    if drop <= 0:
+        return n
+    rounded = _round_half_even(abs(n), drop) * 10**drop
+    return rounded if n > 0 else -rounded
 
 
 def compute_pi(digits: int) -> Decimal:

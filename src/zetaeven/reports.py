@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 
-from .numeric_core import FrozenRecord, HighPrecisionReal, positional_str
+from .numeric_core import FrozenRecord, HighPrecisionReal
 
 __all__ = ["VerificationReport", "render_value"]
 
@@ -38,17 +38,21 @@ def render_value(value: object) -> object:
     high-precision reals as decimal strings; ints, bools and strings
     pass through.
     """
+    # first, as the Fraction test below is an ABC's check for anything else
+    if isinstance(value, (bool, int, str)):
+        return value
     if isinstance(value, HighPrecisionReal):
         return str(value.rounded())
     if isinstance(value, Decimal):
         return str(value)
     if isinstance(value, Fraction):
         # str(value) would convert the ints through str, which CPython's
-        # int <-> str digit limit refuses past 4300 digits; a Decimal does not
-        numerator, denominator = (positional_str(Decimal(n)) for n in value.as_integer_ratio())
-        return numerator if value.denominator == 1 else f"{numerator}/{denominator}"
-    if isinstance(value, (bool, int, str)):
-        return value
+        # int <-> str digit limit refuses past 4300 digits; the Decimal of
+        # an int does not, and prints its digits alone (its exponent is 0)
+        numerator = str(Decimal(value.numerator))
+        if value.denominator == 1:
+            return numerator
+        return numerator + "/" + str(Decimal(value.denominator))
     raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
@@ -57,26 +61,39 @@ def json_line(record: Mapping[str, object]) -> str:
 
     Values may be str, int, bool or a mapping of those; anything else
     raises TypeError. The text is what the json package's ``dumps``
-    writes with its default separators: strings go through
-    ``encode_basestring_ascii``, the C encoder ``dumps`` itself uses, so
-    the json package is never imported.
+    writes with its default separators (``_quote``), and the json
+    package is never imported.
     """
-    from _json import encode_basestring_ascii as quote  # deferred: only JSON output pays
+    return "{" + ", ".join(
+        [f"{_quote(key)}: {_json_value(item)}" for key, item in record.items()]
+    ) + "}"
 
-    return _json_value(record, quote)
+
+def _quote(text: str) -> str:
+    """text as a JSON string, escaped as ``dumps`` escapes it.
+
+    Printable ASCII without a quote or a backslash, all that records and
+    report lines hold in practice, needs no escape. Anything else goes
+    through ``encode_basestring_ascii``, the C encoder ``dumps`` itself
+    uses, which only then is imported; it raises TypeError for a key
+    that is not a str."""
+    plain = isinstance(text, str) and text.isascii() and text.isprintable()
+    if plain and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    from _json import encode_basestring_ascii  # deferred: only text with escapes pays
+
+    return encode_basestring_ascii(text)
 
 
-def _json_value(value: object, quote) -> str:
+def _json_value(value: object) -> str:
     if isinstance(value, str):
-        return quote(value)
+        return _quote(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Mapping):
-        return "{" + ", ".join(
-            f"{quote(key)}: {_json_value(item, quote)}" for key, item in value.items()
-        ) + "}"
+        return json_line(value)
     raise TypeError(f"no json-lines form for {type(value).__name__}")
 
 

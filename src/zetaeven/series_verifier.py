@@ -32,11 +32,12 @@ from _thread import allocate_lock
 from collections.abc import Sequence
 from decimal import MAX_PREC, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
+from functools import lru_cache
 
 from .euler_bernoulli import bernoulli, zeta_even_via_euler
 from .numeric_core import (
-    FrozenRecord, HighPrecisionReal, _decimal_context, _decimal_digits, _fixed_decimal, _pi,
-    _rational_decimal, round_significant,
+    FrozenRecord, HighPrecisionReal, _context, _decimal_context, _decimal_digits, _fixed_decimal,
+    _pi, _rational_decimal, _round_significant_int, round_significant,
 )
 from .reports import VerificationReport
 from .zeta_recurrence import zeta_even_decimal, zeta_even_ratio
@@ -106,11 +107,12 @@ def _term_digits(bits: int, y_bits: int) -> int:
     return math.ceil(bits * _LOG10_2) * _ceil_div(max(y_bits, 1), 64)
 
 
-def _check_work(what: str, work: int) -> None:
-    """SeriesBudgetError, before any sum, past MAX_SERIES_WORK."""
+def _check_work(what, work: int) -> None:
+    """SeriesBudgetError, before any sum, past MAX_SERIES_WORK. ``what()``
+    gives the start of its message, so only a refused series builds it."""
     if work > MAX_SERIES_WORK:
         raise SeriesBudgetError(
-            f"{what} about {work} term-digits, over the budget of "
+            f"{what()} about {work} term-digits, over the budget of "
             f"{MAX_SERIES_WORK} term-digits"
         )
 
@@ -123,8 +125,10 @@ def _exact_sum(first: Decimal, *rest: Decimal) -> Decimal:
     """first + rest, exactly, so that a composite tolerance is rounded
     neither above nor below its parts. An addition needs only the digits
     of its operands, so at the largest precision it is exact."""
-    with _decimal_context(MAX_PREC):
-        return sum(rest, first)
+    add = _context(MAX_PREC).add
+    for term in rest:
+        first = add(first, term)
+    return first
 
 
 _LN_CVZ = math.log(3 + math.sqrt(8))
@@ -136,6 +140,7 @@ def _cvz_growth(m: int, n: int) -> int:
     return (2 * n * n + 2 * m) ** m
 
 
+@lru_cache(maxsize=64)
 def _cvz_terms(bits: int, m: int) -> int:
     """Terms n of ``_cvz_sum`` whose truncation is at most one ulp of 2^-bits.
 
@@ -236,7 +241,9 @@ def _cvz_scaled(n: int, m: int, bits: int, terms: int) -> tuple[list[int], int]:
     return cached[1], cached[2]
 
 
-def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, int]:
+def _cvz_sum(
+    m: int, num: int, den: int, bits: int, n: int, estimate: int
+) -> tuple[int, int, int]:
     """2 sum_{k>=0} (-1)^k (k+1)^m y^(k+1) for y = num/den, any integer m.
 
     y lies in (0, 1] for m < 0 and in (0, 1) for m >= 0. Returns
@@ -294,13 +301,21 @@ def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
     one ulp, and each is at most rho times the one before: the ratio
     ((k+2)/(k+1))^m y of the a_k falls with k, and for m < 0 it is at
     most y = rho. The terms from K on are left out; with weights in
-    [0, 1] they add at most 2 sum_{k>=K} a_k < 2/(1 - rho) ulps.
+    [0, 1] they add at most 2 sum_{k>=K} a_k < 2/(1 - rho) ulps. The
+    caller passes ``estimate``, the float guess of K from
+    ``_terms_before_floor(bits, ln(1/y), n, m)`` that its work budget has
+    already counted; the kernel checks it, and the one before it, exactly,
+    and sums all n terms when neither is K, so a wrong guess costs terms,
+    never accuracy.
 
     Floor dust. The sum runs as a Horner scheme from the last term down,
     H_k = b_k - floor(H_(k+1) y) on the scaled weights b_k of
     ``_cvz_scaled``: b_k = c_k 2^bits (k+1)^m for m >= 0 (an exact
     integer) and floor(c_k 2^bits/(k+1)^e) for m < 0, computed once per
-    (n, m, bits) and read by every sum of that shape. H_0 is close to
+    (n, m, bits) and read by every sum of that shape. The floor takes the
+    cheapest form of the same integer: a shift when den is a power of two
+    (y = 1/2, and the Lewin levels past their exact fractions), no
+    product when num = 1. H_0 is close to
     2^bits sum_{k<K} (-1)^k c_k a_k/y. Each step adds less than 1 to the
     error of the step before, times y <= 1, so H_0 is off by less than
     K. value = floor(2 y H_0/d) is then off by less than
@@ -311,7 +326,6 @@ def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
     """
     w = max(m, 0)
     terms = n
-    estimate = _terms_before_floor(bits, math.log(den) - math.log(num), n, m)
     if estimate < n:
         # the K past which the terms floor to 0, checked exactly
         for k in (estimate - 1, estimate):
@@ -321,8 +335,16 @@ def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
                 break
     b, d = _cvz_scaled(n, m, bits, terms)
     h = 0
-    for k in range(terms - 1, -1, -1):
-        h = b[k] - h * num // den
+    if den & (den - 1) == 0:
+        shift = den.bit_length() - 1
+        for bk in reversed(b[:terms]):
+            h = bk - (h * num >> shift)
+    elif num == 1:
+        for bk in reversed(b[:terms]):
+            h = bk - h // den
+    else:
+        for bk in reversed(b[:terms]):
+            h = bk - h * num // den
     value = 2 * num * h // (den * d)
     if m > 0:
         radius = 2 + _ceil_div(2 * _cvz_growth(m, n) << bits, d)
@@ -333,11 +355,11 @@ def _cvz_sum(m: int, num: int, den: int, bits: int, n: int) -> tuple[int, int, i
     return value, radius, terms
 
 
-def _cvz_decimal(m: int, num: int, den: int, digits: int, what: str) -> tuple[int, int, int]:
+def _cvz_decimal(m: int, num: int, den: int, digits: int, what) -> tuple[int, int, int]:
     """``_cvz_sum`` in ulps of 10^-digits, with one more ulp for the conversion.
 
     Raises SeriesBudgetError past MAX_SERIES_WORK, before summing; its
-    message starts with ``what``. For m >= 1 the digit size of a term
+    message starts with ``what()``. For m >= 1 the digit size of a term
     also counts the bits of the growth factor, which the weights carry,
     and those of (k+1)^m.
     """
@@ -346,7 +368,7 @@ def _cvz_decimal(m: int, num: int, den: int, digits: int, what: str) -> tuple[in
     terms = _terms_before_floor(bits, math.log(den) - math.log(num), n, m)
     size = bits + max(m, 0) * ((2 * n * n + 2 * m).bit_length() + n.bit_length())
     _check_work(what, terms * _term_digits(size, den.bit_length()))
-    value, radius, terms = _cvz_sum(m, num, den, bits, n)
+    value, radius, terms = _cvz_sum(m, num, den, bits, n, terms)
     ten = 10**digits
     return value * ten >> bits, _ceil_div(radius * ten, 1 << bits) + 1, terms
 
@@ -354,6 +376,16 @@ def _cvz_decimal(m: int, num: int, den: int, digits: int, what: str) -> tuple[in
 # Guard digits of phi_series, doubled while the rounding of the result to
 # its precision is not yet decided.
 _PHI_GUARD = 10
+
+
+def _rounds_alike(value: int, radius: int, precision: int) -> bool:
+    """Whether both ends of the ball value +- radius round to the same
+    ``precision`` significant digits, ties to even: Ziv's test, on the
+    integers. The ends are fixed-point numbers of one scale, which moves
+    the decimal point of both alike, so it needs no Decimal."""
+    return _round_significant_int(value - radius, precision) == _round_significant_int(
+        value + radius, precision
+    )
 
 
 def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
@@ -367,7 +399,10 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     the guard is doubled (Ziv's strategy), up to 8 times its start. For
     m >= 0 phi_m(u) is rational and may sit on a rounding tie; the retry
     ends there at that cap, with the value inside its ball. terms counts
-    every term summed, retries included.
+    every term summed, retries included. The test rounds both ends as
+    integers (``_rounds_alike``); only the result becomes a Decimal, and
+    its error bound is radius/10^digits, one division rounded up to 15
+    digits.
 
     Leading zeros. ``precision + guard`` significant digits need
     ``precision + guard + lead`` decimals where |phi_m(u)| >= 10^-lead.
@@ -385,19 +420,20 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     Raises SeriesBudgetError, before summing, when a pass would need more
     than MAX_SERIES_WORK term-digits.
     """
-    u = Fraction(u)
-    if u <= 1:
+    if not isinstance(u, Fraction):
+        u = Fraction(u)
+    p, q = u.numerator, u.denominator
+    if p <= q:
         raise ValueError("series needs u > 1")
     if precision < 10:
         raise ValueError("precision must be >= 10")
-    p, q = u.numerator, u.denominator
     lead = math.ceil(_ceil_div(p, q).bit_length() * _LOG10_2)
     guard = _PHI_GUARD
     terms = 0
     while True:
         digits = precision + guard + lead
         value, radius, used = _cvz_decimal(
-            m, q, p, digits, f"phi_{m}({u}) to {precision} digits needs"
+            m, q, p, digits, lambda: f"phi_{m}({u}) to {precision} digits needs"
         )
         terms += used
         certain = abs(value) - radius  # |phi_m(u)| >= certain 10^-digits
@@ -405,11 +441,7 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
             # one spare digit, so that the next pass clears this test
             lead = digits + 2 - _decimal_digits(certain) if certain > 0 else lead + digits
             continue
-        low, high = (
-            round_significant(_fixed_decimal(v, digits), precision)
-            for v in (value - radius, value + radius)
-        )
-        if low == high or guard >= 8 * _PHI_GUARD:
+        if _rounds_alike(value, radius, precision) or guard >= 8 * _PHI_GUARD:
             break
         guard *= 2
     return PhiEvaluation(
@@ -418,7 +450,7 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
         value=HighPrecisionReal(_fixed_decimal(value, digits), precision),
         terms_used=terms,
         error_bound=HighPrecisionReal(
-            _rational_decimal(Fraction(radius, 10**digits), 15, ROUND_CEILING), 15
+            _context(15, ROUND_CEILING).divide(radius, 10**digits), 15
         ),
     )
 
@@ -533,7 +565,7 @@ def _reciprocal_plan(k: int, u: Fraction, scale: int) -> tuple[int, int]:
     for level in range(levels):
         y_bits = min(2**level * p.bit_length(), bits + 1)
         work += _terms_before_floor(bits, 2**level * ln_u, n, -2 * k) * _term_digits(bits, y_bits)
-    _check_work(f"f_{k}({u}) needs", work)
+    _check_work(lambda: f"f_{k}({u}) needs", work)
     return bits, n
 
 
@@ -573,7 +605,8 @@ def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int, in
     num, den = u.denominator, u.numerator
     total = radius = terms = level = 0
     while num:
-        value, r, used = _cvz_sum(-s, num, den, bits, n)
+        estimate = _terms_before_floor(bits, math.log(den) - math.log(num), n, -s)
+        value, r, used = _cvz_sum(-s, num, den, bits, n, estimate)
         shift = level * (s - 1) + 1
         total += value >> shift
         radius += _ceil_div(r, 1 << shift) + 3
@@ -964,7 +997,7 @@ def _two_eta(m: int, digits: int) -> tuple[HighPrecisionReal, Decimal]:
     if m < 1:
         raise ValueError("eta(m) needs m >= 1")
     work = digits + 10
-    value, radius, _ = _cvz_decimal(-m, 1, 1, work, f"2 eta({m}) to {digits} digits needs")
+    value, radius, _ = _cvz_decimal(-m, 1, 1, work, lambda: f"2 eta({m}) to {digits} digits needs")
     return HighPrecisionReal(_fixed_decimal(value, work), digits), _fixed_decimal(radius, work)
 
 
@@ -974,39 +1007,38 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
 
     def compare(identity, m, u, evaluation, rhs, prec, bound):
         # the residual of evaluation against rhs (an exact Fraction or a
-        # limit target) at prec digits, judged against bound or the override
+        # limit target) at prec digits, judged against bound (a 15-digit
+        # HighPrecisionReal) or the override
         target = _rational_decimal(rhs, prec) if isinstance(rhs, Fraction) else rhs.value
-        with _decimal_context(prec):
-            residual = evaluation.value.value - target
+        residual = _context(prec).subtract(evaluation.value.value, target)
         return VerificationReport(
             identity_name=identity,
             parameters={"m": m, "u": u, "precision": digits, "terms": evaluation.terms_used},
             lhs=evaluation.value,
             rhs=rhs,
             residual=HighPrecisionReal(residual, digits),
-            tolerance=HighPrecisionReal(bound if tolerance is None else tolerance, 15),
+            tolerance=bound if tolerance is None else HighPrecisionReal(tolerance, 15),
         )
 
     # summed m-major: the kernel's (n, m, bits) depends on m and the
     # digits, not on u, so the sample u share each m's scaled weights,
     # the longest sum (u = 3/2) first; reported u-major
     ms = range(21)
-    evaluations = {(m, u): phi_series(m, u, digits) for m in ms for u in PHI_SAMPLE_US}
+    evaluations = [[phi_series(m, u, digits) for u in PHI_SAMPLE_US] for m in ms]
     # the exact side must not be quantized: these values reach ~1e8, where
     # even 55 significant digits would inject more absolute error than the
     # series' own bound
     reports = [
-        compare("phi_series_vs_coefficients", m, u, evaluations[m, u], exact, digits + 30,
-                evaluations[m, u].error_bound.value)
-        for u in PHI_SAMPLE_US
+        compare("phi_series_vs_coefficients", m, u, evaluations[m][i], exact, digits + 30,
+                evaluations[m][i].error_bound)
+        for i, u in enumerate(PHI_SAMPLE_US)
         for m, exact in enumerate(phi_coefficients(u, ms[-1]))
     ]
     for m in PHI_LIMIT_MS:
         if m % 2 == 0:
             factor = Fraction(2) * (1 - Fraction(1, 2 ** (m - 1)))
             zeta_m = Decimal(zeta_even_decimal(m // 2, digits + 5))
-            with _decimal_context(digits + 5):
-                target_dec = _rational_decimal(factor, digits + 5) * zeta_m
+            target_dec = _context(digits + 5).multiply(_rational_decimal(factor, digits + 5), zeta_m)
             target = HighPrecisionReal(target_dec, digits)
             target_bound = Decimal(f"1e-{digits}")
         else:
@@ -1018,6 +1050,7 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
             gap = _polylog_gap(m, delta)
             bound = _exact_sum(gap, gap, evaluation.error_bound.value, target_bound)
             reports.append(
-                compare("phi_negative_index_limit", m, u, evaluation, target, digits, bound)
+                compare("phi_negative_index_limit", m, u, evaluation, target, digits,
+                        HighPrecisionReal(bound, 15))
             )
     return reports

@@ -11,6 +11,9 @@ reads weights scaled once per (n, m, bits) from a cache, and the inline
 loop it replaced is kept here, with the uncached weights it read, and
 must return the identical ``(value, radius, terms)``.
 
+phi_series decides Ziv's rounding test on the integers; the Decimal
+decision it replaced is kept here, and the two must agree on every ball.
+
 For m >= 0, ``phi_coefficients`` is an exact oracle that needs no
 mpmath and reaches every u: phi_series must lie within its bound of it
 and print its correctly rounded decimal, near u = 1 too. For m < 0,
@@ -24,10 +27,12 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zetaeven import series_verifier
-from zetaeven.numeric_core import HighPrecisionReal, _rational_decimal, round_significant
+from zetaeven.numeric_core import (
+    HighPrecisionReal, _fixed_decimal, _rational_decimal, _round_significant_int, round_significant,
+)
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
     EXPANSION_CASES,
@@ -40,6 +45,7 @@ from zetaeven.series_verifier import (
     _cvz_weights,
     _terms_before_floor,
     _reciprocal_power_sum,
+    _rounds_alike,
     _two_eta,
     phi_coefficients,
     phi_series,
@@ -61,6 +67,11 @@ def reference_cvz_weights(n):
         qs.append(q)
     c = tuple(accumulate(reversed(qs)))[::-1]
     return c, c[0] + 1
+
+
+def estimate(m, num, den, bits, n):
+    """The stop estimate the kernel's callers pass in."""
+    return _terms_before_floor(bits, math.log(den) - math.log(num), n, m)
 
 
 def reference_cvz_sum(m, num, den, bits, n):
@@ -376,7 +387,8 @@ def test_kernel_returns_the_reference_loop_integers(monkeypatch, bits):
                 if m >= 0 and num == den:
                     continue  # y = 1 is for m < 0 only
                 expected = reference_cvz_sum(m, num, den, bits, n)
-                assert _cvz_sum(m, num, den, bits, n) == expected, (m, num, den, bits, n)
+                actual = _cvz_sum(m, num, den, bits, n, estimate(m, num, den, bits, n))
+                assert actual == expected, (m, num, den, bits, n)
                 stopped += expected[2] < n
     assert stopped > 100, stopped  # early stops are on the grid
 
@@ -389,6 +401,56 @@ def test_short_sum_before_a_longer_one_on_the_same_key(monkeypatch):
         # y = 1/9 stops early, y = 999/1000 sums all n terms, then 1/9 again
         for num, den in ((1, 9), (999, 1000), (1, 9), (2, 3)):
             expected = reference_cvz_sum(m, num, den, bits, n)
-            assert _cvz_sum(m, num, den, bits, n) == expected, (m, num, den)
+            assert _cvz_sum(m, num, den, bits, n, estimate(m, num, den, bits, n)) == expected, (
+                m, num, den,
+            )
         assert series_verifier._cvz_cache[0] == (n, m, bits)
         assert len(series_verifier._cvz_cache[1]) == n
+
+
+def reference_rounds_alike(value, radius, digits, precision):
+    """Ziv's test as phi_series made it with Decimals: both ends of the
+    ball, value +- radius ulps of 10^-digits, rounded to ``precision``
+    significant digits."""
+    low, high = (
+        round_significant(_fixed_decimal(v, digits), precision)
+        for v in (value - radius, value + radius)
+    )
+    return low == high
+
+
+# integers with an edge in their last digits: a run of 9s that carries
+# into a new digit, an exact tie (a 5 followed by zeros) over an odd or
+# an even digit, and a power of ten
+EDGY = st.builds(
+    lambda head, tail, zeros, sign: sign * (head * 10 + tail) * 10**zeros,
+    st.integers(0, 10**25),
+    st.sampled_from((5, 9, 0)),
+    st.integers(0, 30),
+    st.sampled_from((1, -1)),
+) | st.builds(
+    lambda nines, sign, less: sign * (10**nines - less), st.integers(1, 50),
+    st.sampled_from((1, -1)), st.integers(0, 3),
+)
+
+
+@settings(max_examples=600)
+@given(
+    EDGY | st.integers(-(10**60), 10**60),
+    st.sampled_from((0, 1, 5, 50)) | st.integers(0, 10**30),
+    st.integers(0, 80),
+    st.integers(1, 70),
+)
+@example(value=12345, radius=0, digits=4, precision=4)  # a tie at 4 digits, radius 0
+@example(value=12355, radius=0, digits=4, precision=4)  # a tie over an odd digit
+@example(value=99995, radius=1, digits=4, precision=4)  # the upper end carries to 10.00
+@example(value=-99996, radius=2, digits=3, precision=4)
+@example(value=123, radius=7, digits=20, precision=5)  # precision past the digits of value
+def test_integer_ziv_test_matches_the_decimal_one(value, radius, digits, precision):
+    assert _rounds_alike(value, radius, precision) == reference_rounds_alike(
+        value, radius, digits, precision
+    )
+    # each end rounds to the value the Decimal route gives, carries and ties included
+    for end in (value - radius, value + radius):
+        rounded = round_significant(_fixed_decimal(end, digits), precision)
+        assert _fixed_decimal(_round_significant_int(end, precision), digits) == rounded, end

@@ -47,6 +47,13 @@ F = Fraction
 PI_60 = Decimal("3.141592653589793238462643383279502884197169399375105820974945")
 
 
+def kernel_sum(m, num, den, bits, n):
+    """``_cvz_sum`` with the stop estimate that its callers pass in, read
+    through the module, so that a test can plant a wrong one."""
+    estimate = series_verifier._terms_before_floor(bits, math.log(den) - math.log(num), n, m)
+    return _cvz_sum(m, num, den, bits, n, estimate)
+
+
 def abs_error(evaluation, exact):
     """|value - exact| as a Decimal, computed without quantizing the exact side."""
     with localcontext() as ctx:
@@ -235,9 +242,10 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
 def test_cli_call_leaves_argparse_and_json_out_of_the_runtime():
     # the argv parser is the CLI's own table and json-lines records are
     # written without the json package, so a whole json-lines call
-    # imports neither, nor what argparse pulls in
+    # imports neither, nor what argparse pulls in, nor the C string
+    # encoder, which only text that needs escapes loads
     src = Path(zetaeven.__file__).resolve().parents[1]
-    absent = ("argparse", "gettext", "locale", "json")
+    absent = ("argparse", "gettext", "locale", "json", "_json")
     code = (
         "import sys, zetaeven.cli\n"
         f"before = [m for m in {absent!r} if m in sys.modules]\n"
@@ -340,7 +348,7 @@ class TestTwoEta:
     def test_single_term(self):
         # one weighted term: c_0 = 2 over d = T_1(3) = 3, so 2 * (2/3) * a_0
         assert _cvz_weights(1) == ([2], 3)
-        value, radius, terms = _cvz_sum(-2, 1, 1, 60, 1)
+        value, radius, terms = kernel_sum(-2, 1, 1, 60, 1)
         assert terms == 1
         assert abs(value - F(4, 3) * 2**60) < 2
         # the truncation bound 2y/d = 2/3 covers 2 eta(2) = zeta(2) = 1.6449...
@@ -461,8 +469,8 @@ class TestAbelLimit:
         kernel, check = series_verifier._cvz_sum, series_verifier._check_work
         estimates, done = [], []
 
-        def counting_kernel(m, num, den, bits, n):
-            value, radius, terms = kernel(m, num, den, bits, n)
+        def counting_kernel(m, num, den, bits, n, estimate):
+            value, radius, terms = kernel(m, num, den, bits, n, estimate)
             done.append((terms, _term_digits(bits, den.bit_length())))
             return value, radius, terms
 
@@ -983,7 +991,7 @@ class TestCvzKernel:
         bits = 200
         for u in self.US:
             for e in range(1, 9):
-                value, radius, terms = _cvz_sum(-e, u.denominator, u.numerator, bits, _cvz_terms(bits, -e))
+                value, radius, terms = kernel_sum(-e, u.denominator, u.numerator, bits, _cvz_terms(bits, -e))
                 with mpmath.workdps(90):
                     true = -2 * mpmath.polylog(e, -mpmath.mpf(u.denominator) / u.numerator)
                     error = abs(mpmath.mpf(value) / 2**bits - true) * 2**bits
@@ -1003,7 +1011,7 @@ class TestCvzKernel:
             for digits in (10, 20, 50):
                 bits = math.ceil((digits + 11) / math.log10(2)) + 1
                 n = series_verifier._cvz_terms(bits, m)
-                value, radius, _ = series_verifier._cvz_sum(m, u.denominator, u.numerator, bits, n)
+                value, radius, _ = kernel_sum(m, u.denominator, u.numerator, bits, n)
                 yield abs(value - exact[u][m] * 2**bits), radius
 
     def test_positive_m_error_within_radius(self):
@@ -1017,7 +1025,7 @@ class TestCvzKernel:
         for bits in (20, 33, 40, 64, 100):
             for u in us:
                 for m in range(13):
-                    value, radius, _ = _cvz_sum(m, u.denominator, u.numerator, bits, _cvz_terms(bits, m))
+                    value, radius, _ = kernel_sum(m, u.denominator, u.numerator, bits, _cvz_terms(bits, m))
                     assert abs(exact[u][m] * 2**bits - value) <= radius, (bits, u, m)
 
     def test_early_stop_is_checked_exactly(self, monkeypatch):
@@ -1033,7 +1041,7 @@ class TestCvzKernel:
         monkeypatch.setattr(series_verifier, "_terms_before_floor", lambda bits, ln_y, n, m: 1)
         # y = 2^-41: the first term is below one ulp of 2^-40, the third is 2^75 ulps
         bits, m = 40, 100
-        value, radius, _ = _cvz_sum(m, 1, 2**41, bits, _cvz_terms(bits, m))
+        value, radius, _ = kernel_sum(m, 1, 2**41, bits, _cvz_terms(bits, m))
         assert abs(value - phi_coefficients(F(2**41), m)[m] * 2**bits) <= radius
 
     def test_planted_growth_fault_fails(self, monkeypatch):

@@ -5,7 +5,9 @@ lock. Here 8 threads race to extend one fresh table, with the
 interpreter switching threads every microsecond, and every value they
 read, and the table left behind, must equal a table built in one thread.
 The series kernel's one scaled-weight list (``_cvz_scaled``) is raced
-the same way through ``phi_series``.
+the same way through ``phi_series``, and so are the decimal contexts
+that every thread shares (``numeric_core._context``): created on first
+use, read by all, changed by none.
 """
 
 import sys
@@ -14,9 +16,13 @@ from fractions import Fraction
 
 import pytest
 
-from zetaeven import series_verifier
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal
+
+from zetaeven import numeric_core, series_verifier
 from zetaeven.euler_bernoulli import BernoulliTable
-from zetaeven.zeta_recurrence import ZetaEvenTable
+from zetaeven.numeric_core import _rational_decimal, round_significant
+from zetaeven.series_verifier import SUITES, run_suite
+from zetaeven.zeta_recurrence import ZetaEvenTable, zeta_even_decimal
 
 THREADS = 8
 
@@ -91,3 +97,52 @@ def test_racing_threads_share_the_kernel_weights(monkeypatch):
     monkeypatch.setattr(series_verifier, "_cvz_cache", None)
     indices = list(range(2 * len(PHI_CASES)))
     assert race(fresh_kernel_cache, read_phi, lambda _: None, indices, 20) is None
+
+
+# each a call whose decimal result comes from a shared context: several
+# precisions, and each rounding mode the package uses
+DECIMAL_CASES = [
+    *((series_verifier.phi_series, (m, Fraction(u), digits))
+      for m, u, digits in ((-2, "11/10", 12), (3, "3/2", 20), (7, "2", 31), (0, "3", 24))),
+    *((zeta_even_decimal, (k, digits)) for k, digits in ((1, 15), (3, 40), (6, 24))),
+    *((round_significant, (Decimal("2.718281828459045235360287471352662497757"), digits))
+      for digits in (3, 11, 24, 31)),
+    *((_rational_decimal, (Fraction(-22, 7), digits, rounding))
+      for digits in (12, 20, 31)
+      for rounding in (ROUND_HALF_EVEN, ROUND_CEILING, ROUND_FLOOR)),
+]
+
+
+def fresh_contexts():
+    # the threads then race to create the contexts as well as to read them
+    numeric_core._contexts.clear()
+    series_verifier._cvz_cache = None
+
+
+def read_decimal(_, i):
+    function, args = DECIMAL_CASES[i % len(DECIMAL_CASES)]
+    return function(*args)
+
+
+def test_racing_threads_share_the_decimal_contexts(monkeypatch):
+    monkeypatch.setattr(series_verifier, "_cvz_cache", None)
+    monkeypatch.setattr(numeric_core, "_contexts", {})
+    indices = list(range(2 * len(DECIMAL_CASES)))
+    assert race(fresh_contexts, read_decimal, lambda _: None, indices, 300) is None
+
+
+def test_cached_contexts_keep_their_settings(monkeypatch):
+    # every suite and every case above reads the shared contexts; none may
+    # change the precision or rounding of its key, or the base's traps and
+    # exponent range
+    monkeypatch.setattr(numeric_core, "_contexts", {})
+    for name in SUITES:
+        run_suite(name, digits=20)
+    for function, args in DECIMAL_CASES:
+        function(*args)
+    base = numeric_core._BASE_CONTEXT
+    assert len(numeric_core._contexts) > 10
+    for (prec, rounding), ctx in numeric_core._contexts.items():
+        assert (ctx.prec, ctx.rounding) == (prec, rounding)
+        assert (ctx.Emin, ctx.Emax) == (base.Emin, base.Emax)
+        assert ctx.traps == base.traps, (prec, rounding)

@@ -133,15 +133,9 @@ class FrozenRecord:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # each slot's own setter, which object.__setattr__ would look up
-        # field by field in every record made
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
     def __init__(self, *values):
-        for set_field, value in zip(self._setters, values):
-            set_field(self, value)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

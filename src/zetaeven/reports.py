@@ -61,39 +61,26 @@ def json_line(record: Mapping[str, object]) -> str:
 
     Values may be str, int, bool or a mapping of those; anything else
     raises TypeError. The text is what the json package's ``dumps``
-    writes with its default separators (``_quote``), and the json
-    package is never imported.
+    writes with its default separators: strings go through
+    ``encode_basestring_ascii``, the C encoder ``dumps`` itself uses, so
+    the json package is never imported.
     """
-    return "{" + ", ".join(
-        [f"{_quote(key)}: {_json_value(item)}" for key, item in record.items()]
-    ) + "}"
+    from _json import encode_basestring_ascii as quote  # deferred: only JSON output pays
+
+    return _json_value(record, quote)
 
 
-def _quote(text: str) -> str:
-    """text as a JSON string, escaped as ``dumps`` escapes it.
-
-    Printable ASCII without a quote or a backslash, all that records and
-    report lines hold in practice, needs no escape. Anything else goes
-    through ``encode_basestring_ascii``, the C encoder ``dumps`` itself
-    uses, which only then is imported; it raises TypeError for a key
-    that is not a str."""
-    plain = isinstance(text, str) and text.isascii() and text.isprintable()
-    if plain and '"' not in text and "\\" not in text:
-        return '"' + text + '"'
-    from _json import encode_basestring_ascii  # deferred: only text with escapes pays
-
-    return encode_basestring_ascii(text)
-
-
-def _json_value(value: object) -> str:
+def _json_value(value: object, quote) -> str:
     if isinstance(value, str):
-        return _quote(value)
+        return quote(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Mapping):
-        return json_line(value)
+        return "{" + ", ".join(
+            f"{quote(key)}: {_json_value(item, quote)}" for key, item in value.items()
+        ) + "}"
     raise TypeError(f"no json-lines form for {type(value).__name__}")
 
 

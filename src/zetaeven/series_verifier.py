@@ -32,7 +32,6 @@ from _thread import allocate_lock
 from collections.abc import Sequence
 from decimal import MAX_PREC, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
-from functools import lru_cache
 
 from .euler_bernoulli import bernoulli, zeta_even_via_euler
 from .numeric_core import (
@@ -140,7 +139,6 @@ def _cvz_growth(m: int, n: int) -> int:
     return (2 * n * n + 2 * m) ** m
 
 
-@lru_cache(maxsize=64)
 def _cvz_terms(bits: int, m: int) -> int:
     """Terms n of ``_cvz_sum`` whose truncation is at most one ulp of 2^-bits.
 
@@ -312,10 +310,7 @@ def _cvz_sum(
     H_k = b_k - floor(H_(k+1) y) on the scaled weights b_k of
     ``_cvz_scaled``: b_k = c_k 2^bits (k+1)^m for m >= 0 (an exact
     integer) and floor(c_k 2^bits/(k+1)^e) for m < 0, computed once per
-    (n, m, bits) and read by every sum of that shape. The floor takes the
-    cheapest form of the same integer: a shift when den is a power of two
-    (y = 1/2, and the Lewin levels past their exact fractions), no
-    product when num = 1. H_0 is close to
+    (n, m, bits) and read by every sum of that shape. H_0 is close to
     2^bits sum_{k<K} (-1)^k c_k a_k/y. Each step adds less than 1 to the
     error of the step before, times y <= 1, so H_0 is off by less than
     K. value = floor(2 y H_0/d) is then off by less than
@@ -335,16 +330,8 @@ def _cvz_sum(
                 break
     b, d = _cvz_scaled(n, m, bits, terms)
     h = 0
-    if den & (den - 1) == 0:
-        shift = den.bit_length() - 1
-        for bk in reversed(b[:terms]):
-            h = bk - (h * num >> shift)
-    elif num == 1:
-        for bk in reversed(b[:terms]):
-            h = bk - h // den
-    else:
-        for bk in reversed(b[:terms]):
-            h = bk - h * num // den
+    for bk in reversed(b[:terms]):
+        h = bk - h * num // den
     value = 2 * num * h // (den * d)
     if m > 0:
         radius = 2 + _ceil_div(2 * _cvz_growth(m, n) << bits, d)

@@ -242,10 +242,9 @@ def test_cli_import_leaves_power_series_out_of_the_runtime():
 def test_cli_call_leaves_argparse_and_json_out_of_the_runtime():
     # the argv parser is the CLI's own table and json-lines records are
     # written without the json package, so a whole json-lines call
-    # imports neither, nor what argparse pulls in, nor the C string
-    # encoder, which only text that needs escapes loads
+    # imports neither, nor what argparse pulls in
     src = Path(zetaeven.__file__).resolve().parents[1]
-    absent = ("argparse", "gettext", "locale", "json", "_json")
+    absent = ("argparse", "gettext", "locale", "json")
     code = (
         "import sys, zetaeven.cli\n"
         f"before = [m for m in {absent!r} if m in sys.modules]\n"

@@ -310,10 +310,13 @@ def _cvz_sum(
     H_k = b_k - floor(H_(k+1) y) on the scaled weights b_k of
     ``_cvz_scaled``: b_k = c_k 2^bits (k+1)^m for m >= 0 (an exact
     integer) and floor(c_k 2^bits/(k+1)^e) for m < 0, computed once per
-    (n, m, bits) and read by every sum of that shape. H_0 is close to
-    2^bits sum_{k<K} (-1)^k c_k a_k/y. Each step adds less than 1 to the
-    error of the step before, times y <= 1, so H_0 is off by less than
-    K. value = floor(2 y H_0/d) is then off by less than
+    (n, m, bits) and read by every sum of that shape. When den is a
+    power of two (y = 1/2, and the Lewin levels past their exact
+    fractions, where den = 2^bits) the floor is the same integer taken by
+    a shift, which costs less than a division by a many-limb divisor.
+    H_0 is close to 2^bits sum_{k<K} (-1)^k c_k a_k/y. Each step adds
+    less than 1 to the error of the step before, times y <= 1, so H_0 is
+    off by less than K. value = floor(2 y H_0/d) is then off by less than
     1 + 2K/d < 2 ulps. (Summed forward, the incremental y^(k+1) would be
     off by up to k+1 ulps, and each weight would multiply a full-size
     term; from the back, the weights carry d-fold precision and every
@@ -330,8 +333,13 @@ def _cvz_sum(
                 break
     b, d = _cvz_scaled(n, m, bits, terms)
     h = 0
-    for bk in reversed(b[:terms]):
-        h = bk - h * num // den
+    if den & (den - 1):
+        for bk in reversed(b[:terms]):
+            h = bk - h * num // den
+    else:
+        shift = den.bit_length() - 1
+        for bk in reversed(b[:terms]):
+            h = bk - (h * num >> shift)
     value = 2 * num * h // (den * d)
     if m > 0:
         radius = 2 + _ceil_div(2 * _cvz_growth(m, n) << bits, d)

@@ -34,6 +34,8 @@ ARGVS = (
      "--format", "csv"),
     ("zeta", "--kmax", "12", "--digits", "40"),
     ("zeta", "--k", "7", "--digits", "200", "--format", "json-lines"),
+    ("zeta", "--kmax", "8", "--digits", "1500", "--format", "json-lines"),
+    ("zeta", "--kmax", "3", "--digits", "5000"),
     ("zeta", "--kmax", "30", "--exact"),
     ("zeta", "--k", "55", "--exact", "--format", "csv"),
     ("bernoulli", "--n", "60"),

@@ -22,9 +22,11 @@ division, rounded to a stated precision).
 Pi is generated internally from two independent series, Chudnovsky's and
 Ramanujan's 1/pi series, each summed exactly by binary splitting and
 brought to fixed point with one integer square root and one floor
-division. The two values must agree before one is released, so no
-precomputed constant enters the trust base; ``compute_pi`` rounds both
-on the integers and returns the one result as a plain ``Decimal``.
+division. The two values must agree before either is used
+(``_agreed_pi``), so no precomputed constant enters the trust base;
+``compute_pi`` rounds both on the integers and returns the one result
+as a plain ``Decimal``, and ``_pi`` keeps the agreed values of the few
+scales a run asks for.
 
 ``FrozenRecord`` is the base of the package's immutable value records
 (high-precision reals, Euler polynomials, phi evaluations, verification
@@ -308,6 +310,24 @@ def _pi_fixed(scale: int) -> tuple[int, int]:
 
 
 _PI_GUARD = 12
+# each _pi_fixed value is within this many ulps of pi * scale
+_PI_RADIUS = 2
+
+
+def _agreed_pi(scale: int) -> tuple[int, int]:
+    """``_pi_fixed(scale)``, Chudnovsky's value first, once the two agree.
+
+    Each is within ``_PI_RADIUS`` ulps of pi * scale, so they differ by at
+    most twice that; more would mean an arithmetic bug, not a math fact,
+    and raises PiAgreementError.
+    """
+    chudnovsky, ramanujan = _pi_fixed(scale)
+    if abs(chudnovsky - ramanujan) > 2 * _PI_RADIUS:
+        raise PiAgreementError(
+            f"pi formulae disagree by more than {2 * _PI_RADIUS} ulps"
+            f" at a scale of {scale.bit_length()} bits"
+        )
+    return chudnovsky, ramanujan
 
 
 def _round_half_even(n: int, places: int) -> int:
@@ -329,43 +349,51 @@ def _round_significant_int(n: int, digits: int) -> int:
     return rounded if n > 0 else -rounded
 
 
+def _rounds_alike(value: int, radius: int, precision: int) -> bool:
+    """Whether both ends of the ball value +- radius round to the same
+    ``precision`` significant digits, ties to even: Ziv's test, on the
+    integers. The ends are fixed-point numbers of one scale, which moves
+    the decimal point of both alike, so it needs no Decimal."""
+    return _round_significant_int(value - radius, precision) == _round_significant_int(
+        value + radius, precision
+    )
+
+
+def _rounded_pi(digits: int, pi_at) -> Decimal:
+    """Pi to ``digits`` significant digits from the two agreed values
+    ``pi_at(10^(digits + _PI_GUARD))``: ``_agreed_pi`` itself, or its
+    memo ``_pi``. Both lie in (3, 4) * scale, so each has
+    digits + _PI_GUARD + 1 digits, of which rounding drops the last
+    _PI_GUARD + 1. The two must round alike, or PiAgreementError."""
+    values = pi_at(10 ** (digits + _PI_GUARD))
+    chudnovsky, ramanujan = (_round_half_even(v, _PI_GUARD + 1) for v in values)
+    if chudnovsky != ramanujan:
+        raise PiAgreementError("pi formulae round differently at the requested precision")
+    return _fixed_decimal(chudnovsky, digits - 1)
+
+
 def compute_pi(digits: int) -> Decimal:
     """Pi rounded to ``digits`` significant digits.
 
     Internally evaluates Chudnovsky's and Ramanujan's series
-    independently (``_pi_fixed``); both the raw fixed-point values (at
+    independently (``_agreed_pi``); both the raw fixed-point values (at
     guard precision) and the rounded results must agree, otherwise
     PiAgreementError is raised -- disagreement would mean an arithmetic
     bug, not a math fact.
     """
     if digits < 10:
         raise ValueError("digits must be >= 10")
-    work = digits + _PI_GUARD
-    scale = 10 ** work
-    chudnovsky, ramanujan = _pi_fixed(scale)
-    # each value is within 2 ulps of pi at the working scale
-    if abs(chudnovsky - ramanujan) > 10 ** (_PI_GUARD // 2):
-        raise PiAgreementError(
-            f"pi formulae disagree by {abs(chudnovsky - ramanujan)} ulps at scale 1e-{work}"
-        )
-    # both lie in (3, 4) * scale, so each has work + 1 digits, of which
-    # rounding to ``digits`` drops the last _PI_GUARD + 1
-    ra = _round_half_even(chudnovsky, _PI_GUARD + 1)
-    if _round_half_even(ramanujan, _PI_GUARD + 1) != ra:
-        raise PiAgreementError("pi formulae round differently at the requested precision")
-    return _fixed_decimal(ra, digits - 1)
+    return _rounded_pi(digits, _agreed_pi)
 
 
 @lru_cache(maxsize=4)
-def _pi(digits: int) -> Decimal:
-    """compute_pi(digits), kept for the few precisions a k-loop asks for.
+def _pi(scale: int) -> tuple[int, int]:
+    """``_agreed_pi(scale)``, kept for the few scales a run asks for.
 
-    A table of decimals at one ``digits`` asks for a working precision
-    that grows with the digit count of 2k: two precisions while k < 50,
-    three from k = 50 (43, 44 and 45 at ``--digits 30``) and four from
-    k = 500, which the cache holds. The cases of the expansion suite
-    share one. So this saves recomputing the same pi for every k and
-    every case. The value is immutable. ``compute_pi``
-    itself stays uncached, so it can be timed and traced as it is.
+    ``zeta_even_decimal`` reads pi at one binary scale per working
+    precision, whatever k, so a table of decimals computes pi once, and
+    the cases of the expansion suite share one decimal scale. The values
+    are immutable ints. ``compute_pi`` itself stays uncached, so it can
+    be timed and traced as it is.
     """
-    return compute_pi(digits)
+    return _agreed_pi(scale)

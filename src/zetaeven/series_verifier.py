@@ -36,7 +36,7 @@ from fractions import Fraction
 from .euler_bernoulli import bernoulli, zeta_even_via_euler
 from .numeric_core import (
     FrozenRecord, HighPrecisionReal, _context, _decimal_context, _decimal_digits, _fixed_decimal,
-    _pi, _rational_decimal, _round_significant_int, round_significant,
+    _pi, _rational_decimal, _rounded_pi, _rounds_alike, round_significant,
 )
 from .reports import VerificationReport
 from .zeta_recurrence import zeta_even_decimal, zeta_even_ratio
@@ -373,16 +373,6 @@ def _cvz_decimal(m: int, num: int, den: int, digits: int, what) -> tuple[int, in
 _PHI_GUARD = 10
 
 
-def _rounds_alike(value: int, radius: int, precision: int) -> bool:
-    """Whether both ends of the ball value +- radius round to the same
-    ``precision`` significant digits, ties to even: Ziv's test, on the
-    integers. The ends are fixed-point numbers of one scale, which moves
-    the decimal point of both alike, so it needs no Decimal."""
-    return _round_significant_int(value - radius, precision) == _round_significant_int(
-        value + radius, precision
-    )
-
-
 def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     """phi_m(u) = 2 sum_{n>=1} (-1)^(n+1) n^m / u^n for u > 1, rounded
     correctly to ``precision`` significant digits.
@@ -564,11 +554,14 @@ def _reciprocal_plan(k: int, u: Fraction, scale: int) -> tuple[int, int]:
     return bits, n
 
 
-def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int, int]:
+def _reciprocal_power_sum(
+    k: int, u: Fraction, scale: int, plan: tuple[int, int] | None = None
+) -> tuple[int, int, int]:
     """Fixed-point f_k(u) = Li_2k(x), x = 1/u: ``(value, radius, terms)``.
 
     value and radius are in ulps of 1/scale, and f_k(u) lies within
-    radius of value; terms counts the weighted terms summed.
+    radius of value; terms counts the weighted terms summed. ``plan`` is
+    ``_reciprocal_plan(k, u, scale)`` when the caller has made it already.
 
     Lewin's duplication formula (L. Lewin, "Polylogarithms and
     Associated Functions", 1981; DLMF 25.12),
@@ -595,7 +588,7 @@ def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int, in
     (Li_s(t) <= zeta(s) t <= 2t). Converting to the caller's scale adds 1.
     """
     s = 2 * k
-    bits, n = _reciprocal_plan(k, u, scale)
+    bits, n = plan or _reciprocal_plan(k, u, scale)
     one = 1 << bits
     num, den = u.denominator, u.numerator
     total = radius = terms = level = 0
@@ -667,7 +660,7 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
 
     scale = 10 ** (precision + 10)
     # the smallest delta costs the most work: refuse it before any sum
-    _reciprocal_plan(k, 1 + deltas[-1], scale)
+    last_plan = _reciprocal_plan(k, 1 + deltas[-1], scale)
     target = Decimal(zeta_even_decimal(k, precision + 5))
     # in ulps of 1/scale; zeta(2k) < 2 carries at most precision + 4
     # decimals, so this is exact, and it is off by at most one ulp of
@@ -676,7 +669,8 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
     balls: list[tuple[int, int]] = []
     term_counts: list[int] = []
     for d in deltas:
-        total, radius, terms = _reciprocal_power_sum(k, 1 + d, scale)
+        plan = last_plan if d == deltas[-1] else None
+        total, radius, terms = _reciprocal_power_sum(k, 1 + d, scale, plan)
         balls.append((target_ulps - total, radius + 10**6))
         term_counts.append(terms)
 
@@ -760,7 +754,7 @@ def identity_check_expansion(
     scale = 10**work
     # the lhs first: past its work budget it refuses before pi is computed
     total, lhs_radius, lhs_terms = _reciprocal_power_sum(k, u, scale)
-    pi = _pi(work)
+    pi = _rounded_pi(work, _pi)
     # exact phi_0..phi_{m_next}; m_next indexes the first omitted term
     m_next = 2 * (J_max + 1) - 2 * k
     exact_phi = phi_coefficients(u, m_next)

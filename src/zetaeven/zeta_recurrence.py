@@ -18,9 +18,11 @@ is checked against this route by the verify recurrence suite in
 ``numeric_core``, so nothing from the Bernoulli route reaches it.
 
 All table arithmetic is exact (big integers and Fraction; see
-``ZetaEvenTable`` for the integer form the recurrence runs in); decimals
-only appear in ``zeta_even_decimal``, which multiplies r_k by a guarded
-high-precision pi power at the very end.
+``ZetaEvenTable`` for the integer form the recurrence runs in). Decimals
+only appear in ``zeta_even_decimal``, which turns r_k pi^(2k) into a
+certified decimal at the very end: it carries an integer ball -- a
+value and a radius that bounds its error -- from pi through pi^(2k) to
+r_k pi^(2k), and prints only when both ends of the ball round alike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from _thread import allocate_lock
 from fractions import Fraction
 
 from .numeric_core import (
-    _decimal_context, _decimal_digits, _pi, _rational_decimal, positional_str, round_significant,
+    _PI_RADIUS, _fixed_decimal, _pi, _rounds_alike, positional_str, round_significant,
 )
 
 __all__ = [
@@ -140,22 +142,100 @@ def zeta_even_table(k_max: int) -> ZetaEvenTable:
     return table
 
 
-def zeta_even_decimal(k: int, digits: int) -> str:
-    """zeta(2k) rendered to ``digits`` significant digits.
+# Guard digits of zeta_even_decimal, doubled while the rounding of the
+# ball to the requested digits is not yet decided.
+_ZETA_GUARD = 10
 
-    The exact ratio is multiplied by pi^(2k) computed with enough guard
-    digits that the error reaching the final rounding is a dozen orders
-    of magnitude below the last kept digit; a wrong final digit would
-    need the true value to sit within ~1e-12 ulp of a rounding tie.
+
+def _ball_product(x: int, ex: int, y: int, ey: int, bits: int) -> tuple[int, int]:
+    """The ball of X Y from the balls x +- ex of X and y +- ey of Y, all
+    fixed-point numbers at scale 2^bits with x, y >= 0.
+
+    With X 2^bits = x + d and Y 2^bits = y + f, |d| <= ex, |f| <= ey,
+
+        X Y 2^bits = (x y + x f + y d + d f) / 2^bits,
+
+    so the floor of x y / 2^bits, which loses under 1 ulp, is within
+    (x ey + y ex + ex ey) / 2^bits + 1 ulps of X Y 2^bits.
+    """
+    return x * y >> bits, -(-(x * ey + y * ex + ex * ey) >> bits) + 1
+
+
+def _pi_power_ball(k: int, bits: int) -> tuple[int, int]:
+    """pi^(2k) at scale 2^bits as a ball (value, radius).
+
+    pi is read once per scale, through the ``_pi`` memo: Chudnovsky's
+    value, within _PI_RADIUS ulps of pi 2^bits. Its square is raised to
+    the k-th power by square-and-multiply over the bits of k, each
+    product a ``_ball_product``, so the radius follows every floor and
+    both factors' radii exactly.
+    """
+    p = _pi(1 << bits)[0]
+    square, e_square = _ball_product(p, _PI_RADIUS, p, _PI_RADIUS, bits)
+    value, radius = square, e_square
+    for i in range(k.bit_length() - 2, -1, -1):
+        value, radius = _ball_product(value, radius, value, radius, bits)
+        if k >> i & 1:
+            value, radius = _ball_product(value, radius, square, e_square, bits)
+    return value, radius
+
+
+def _zeta_even_ball(k: int, places: int, bits: int) -> tuple[int, int]:
+    """zeta(2k) 10^places as a ball (value, radius), from pi^(2k) at scale
+    2^bits.
+
+    With r_k = a/b and pi^(2k) 2^bits = v + d, |d| <= e,
+
+        zeta(2k) 10^places = a 10^places (v + d) / (b 2^bits),
+
+    so the floor of a 10^places v / (b 2^bits) is within
+    a 10^places e / (b 2^bits) + 1 of it: the last floor costs one more.
+    """
+    ratio = zeta_even_ratio(k)
+    a, b = ratio.numerator, ratio.denominator
+    v, e = _pi_power_ball(k, bits)
+    scaled = a * 10**places
+    return scaled * v // b >> bits, -(-scaled * e // b >> bits) + 1
+
+
+def zeta_even_decimal(k: int, digits: int) -> str:
+    """zeta(2k) rendered to ``digits`` significant digits, correctly
+    rounded (ties to even), every digit certified.
+
+    The value is an integer ball at ``places = digits - 1 + guard``
+    decimals (``_zeta_even_ball``): pi at a binary scale 2^bits >=
+    10^(places + 1), chosen from digits and guard alone, so every k of a
+    table reads the same pi; pi^(2k) by floored integer products, each
+    with its exact radius; then the exact ratio r_k = a/b. zeta(2k) lies
+    in (1, 2), so the ball holds digits + guard significant digits, and
+    its radius grows like k: pi's 2 ulps are a relative 2/(pi 2^bits),
+    pi^2's radius of at most 14 ulps a relative 1.42/2^bits, and pi^(2k)
+    carries k times that plus under 0.03/2^bits per product, so the
+    radius stays under k/4 + 2 ulps of 10^-places.
+
+    The ball is printed only when both its ends round to the same
+    ``digits`` digits (Ziv's test, ``_rounds_alike``): the true value
+    lies between them, so it rounds alike too. While they differ, the
+    guard is doubled, up to 8 times its start. zeta(2k) is irrational,
+    so it is never a rounding tie and more guard digits decide it; a
+    ball still undecided at the cap raises ValueError. Every step is on
+    integers until the one decimal printed, so no int <-> str
+    conversion limits the digits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if digits < 10:
         raise ValueError("digits must be >= 10")
-    ratio = zeta_even_ratio(k)
-    work = digits + 12 + _decimal_digits(2 * k)
-    pi = _pi(work)
-    value = _rational_decimal(ratio, work)
-    with _decimal_context(work):
-        value *= pi ** (2 * k)
-    return positional_str(round_significant(value, digits))
+    guard = _ZETA_GUARD
+    while True:
+        places = digits - 1 + guard
+        # 1701/512 > log2(10), so 2^bits >= 10^(places + 1)
+        value, radius = _zeta_even_ball(k, places, -(-(places + 1) * 1701 // 512))
+        if _rounds_alike(value, radius, digits):
+            return positional_str(round_significant(_fixed_decimal(value, places), digits))
+        if guard >= 8 * _ZETA_GUARD:
+            raise ValueError(
+                f"zeta({2 * k}) to {digits} digits: its rounding is not decided"
+                f" at {guard} guard digits"
+            )
+        guard *= 2

@@ -31,7 +31,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from zetaeven import series_verifier
 from zetaeven.numeric_core import (
-    HighPrecisionReal, _fixed_decimal, _rational_decimal, _round_significant_int, round_significant,
+    HighPrecisionReal, _fixed_decimal, _rational_decimal, _round_significant_int, _rounds_alike,
+    round_significant,
 )
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
@@ -45,7 +46,6 @@ from zetaeven.series_verifier import (
     _cvz_weights,
     _terms_before_floor,
     _reciprocal_power_sum,
-    _rounds_alike,
     _two_eta,
     phi_coefficients,
     phi_series,

@@ -14,7 +14,7 @@ import pytest
 import zetaeven
 from zetaeven import series_verifier
 from zetaeven.euler_bernoulli import euler_polynomial, euler_polynomial_eval
-from zetaeven.numeric_core import HighPrecisionReal, _pi
+from zetaeven.numeric_core import HighPrecisionReal, compute_pi
 from zetaeven.powerseries import exp_series, series_div
 from zetaeven.reports import VerificationReport, render_value
 from zetaeven.series_verifier import (
@@ -500,8 +500,8 @@ class TestAbelLimit:
         target = int(F(Decimal(zeta_even_decimal(1, 25))) * scale)
 
         def planted(shift_for):
-            def shifted(k, u, s):
-                value, radius, terms = kernel_sum(k, u, s)
+            def shifted(k, u, s, plan=None):
+                value, radius, terms = kernel_sum(k, u, s, plan)
                 return value + shift_for(u, value, radius), radius, terms
             return shifted
 
@@ -570,7 +570,7 @@ class TestExpansionIdentity:
         # at u = 1 + 1e-45 the envelope's 40 digits cannot tell R from pi,
         # so there is no finite bound, and the report judged against it fails
         u = 1 + F(1, 10**45)
-        assert _expansion_tail_envelope(1, u, 1, _pi(25)) == Decimal("Infinity")
+        assert _expansion_tail_envelope(1, u, 1, compute_pi(25)) == Decimal("Infinity")
         report = identity_check_expansion(1, u, 1, 10)
         assert not report.passed
         assert report.tolerance.value == Decimal("Infinity")
@@ -694,7 +694,7 @@ def expansion_tolerance_parts(k, u, J, precision):
     derivation in its docstring: the tail envelope, the rhs dust, the
     series-phi bound and the lhs radius."""
     work = precision + 15
-    pi = _pi(work)
+    pi = compute_pi(work)
     _, lhs_radius, _ = _reciprocal_power_sum(k, u, 10**work)
     exact_phi = phi_coefficients(u, 2 * J - 2 * k)
     with localcontext(Context(prec=work + 5)):

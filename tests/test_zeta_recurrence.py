@@ -4,13 +4,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import zetaeven.euler_bernoulli as eb
 import zetaeven.numeric_core as nc
 import zetaeven.zeta_recurrence as zr
 from zetaeven import series_verifier
 from zetaeven.euler_bernoulli import BernoulliTable, zeta_even_via_euler
-from zetaeven.numeric_core import compute_pi
 from zetaeven.reports import VerificationReport
 from zetaeven.series_verifier import (
     EXPANSION_CASES,
@@ -125,37 +126,135 @@ class TestDecimal:
         assert zeta_even_decimal(3, 40) == zeta_even_decimal(3, 40)
 
     @pytest.fixture
-    def pi_precisions(self, monkeypatch):
-        """Precisions of the compute_pi calls behind a fresh _pi memo."""
-        precisions = []
+    def pi_scales(self, monkeypatch):
+        """Scales of the _agreed_pi calls behind a fresh _pi memo."""
+        scales = []
+        agreed = nc._agreed_pi
 
-        def counting_pi(digits):
-            precisions.append(digits)
-            return compute_pi(digits)
+        def counting_pi(scale):
+            scales.append(scale)
+            return agreed(scale)
 
-        monkeypatch.setattr(nc, "compute_pi", counting_pi)
+        monkeypatch.setattr(nc, "_agreed_pi", counting_pi)
         nc._pi.cache_clear()
-        yield precisions
+        yield scales
         nc._pi.cache_clear()
 
-    def test_pi_computed_once_per_working_precision(self, pi_precisions):
+    def test_pi_computed_once_per_working_precision(self, pi_scales):
         first = [zeta_even_decimal(k, 30) for k in range(1, 9)]
         again = [zeta_even_decimal(k, 30) for k in range(1, 9)]
-        # working precision is digits + 12 + len(str(2k)): 43 for k < 5, 44 after
-        assert pi_precisions == [43, 44]
+        # one binary scale per working precision, whatever k: the least
+        # 2^bits >= 10^(digits + guard) by 1701/512 > log2(10)
+        assert pi_scales == [2**133]
+        assert 10 ** (30 + zr._ZETA_GUARD) <= 2**133 < 2 * 10 ** (30 + zr._ZETA_GUARD)
         assert first == again
 
-    def test_expansion_suite_computes_pi_once(self, pi_precisions):
+    def test_expansion_suite_computes_pi_once(self, pi_scales):
         for k, u in EXPANSION_CASES:
             identity_check_expansion(k, u, 4, 20)
         # one working precision, digits + 15, shared by the three cases
-        assert pi_precisions == [35]
+        # and read at compute_pi's scale, with its 12 guard digits
+        assert pi_scales == [10 ** (35 + 12)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             zeta_even_decimal(0, 20)
         with pytest.raises(ValueError):
             zeta_even_decimal(1, 9)
+
+
+def mpmath_zeta_digits(mpmath, k, digits):
+    """zeta(2k) correctly rounded to ``digits`` significant digits by
+    mpmath, in zeta_even_decimal's format. zeta(2k) lies in (1, 2) and is
+    irrational, so 30 more digits leave no tie to break."""
+    with mpmath.workdps(digits + 30):
+        nearest = str(int(mpmath.nint(mpmath.zeta(2 * k) * mpmath.mpf(10) ** (digits - 1))))
+    return nearest[0] + "." + nearest[1:]
+
+
+class TestCertifiedDecimal:
+    """zeta_even_decimal's integer ball (see its docstring): every digit
+    is the correctly rounded one, the ball holds the true value, and an
+    undecided rounding retries, then refuses."""
+
+    @pytest.mark.parametrize("digits", [10, 45, 200, 1500])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 20, 44, 100])
+    def test_correctly_rounded_against_mpmath(self, k, digits):
+        mpmath = pytest.importorskip("mpmath")
+        assert zeta_even_decimal(k, digits) == mpmath_zeta_digits(mpmath, k, digits)
+
+    @pytest.mark.parametrize("digits", [10, 45, 200])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 20, 44, 100])
+    def test_ball_contains_the_true_value(self, k, digits):
+        # at the production scale, and at the coarser 2^bits ~ 10^places
+        # where pi's radius counts most; mpmath at 60 more digits is the
+        # true value to far below one ulp of the ball
+        mpmath = pytest.importorskip("mpmath")
+        places = digits - 1 + zr._ZETA_GUARD
+        with mpmath.workdps(places + 60):
+            true = int(mpmath.nint(mpmath.zeta(2 * k) * mpmath.mpf(10) ** (places + 50)))
+        for bits in (-(-(places + 1) * 1701 // 512), -(-places * 1701 // 512)):
+            value, radius = zr._zeta_even_ball(k, places, bits)
+            assert (value - radius) * 10**50 < true < (value + radius) * 10**50, (k, digits, bits)
+
+    def test_last_floor_costs_an_ulp(self, monkeypatch):
+        # an exact pi^(2k) (radius 0): the ball must still hold the exact
+        # quotient r_k v 10^places / 2^bits, which the floor cuts
+        bits, places = 80, 20
+        for k, v in ((1, 3 * 2**80 + 12345), (2, 97 * 2**80 + 2**79 - 1), (5, 2**90 // 7)):
+            monkeypatch.setattr(zr, "_pi_power_ball", lambda k, bits, v=v: (v, 0))
+            value, radius = zr._zeta_even_ball(k, places, bits)
+            exact = zeta_even_ratio(k) * v * 10**places / 2**bits
+            assert exact.denominator > 1
+            assert value - radius <= exact <= value + radius, k
+
+    @given(
+        x=st.integers(0, 2**200), y=st.integers(0, 2**200),
+        ex=st.integers(0, 2**40), ey=st.integers(0, 2**40), bits=st.integers(1, 160),
+    )
+    @example(x=2**10 - 1, y=2**10 - 1, ex=0, ey=0, bits=10)
+    @example(x=3, y=5, ex=1, ey=2, bits=1)
+    def test_ball_product_holds_every_product_of_the_balls(self, x, y, ex, ey, bits):
+        # |X Y 2^bits - w| <= e for X, Y anywhere in their balls; the
+        # product is bilinear, so its extremes are at the corners
+        ex, ey = min(ex, x), min(ey, y)
+        w, e = zr._ball_product(x, ex, y, ey, bits)
+        for cx in (x - ex, x + ex):
+            for cy in (y - ey, y + ey):
+                assert abs(F(cx * cy, 2**bits) - w) <= e
+
+    def test_undecided_rounding_retries_with_more_guard(self, monkeypatch):
+        # at a start guard of 1 digit, zeta(2k) to 20 digits straddles a
+        # rounding boundary for k = 1, 5 and 8; the retry at 2 digits
+        # decides it, and alike
+        expected = [zeta_even_decimal(k, 20) for k in (1, 5, 8)]
+        decisions = []
+        alike = zr._rounds_alike
+
+        def recording(value, radius, precision):
+            decisions.append(alike(value, radius, precision))
+            return decisions[-1]
+
+        monkeypatch.setattr(zr, "_ZETA_GUARD", 1)
+        monkeypatch.setattr(zr, "_rounds_alike", recording)
+        for k, want in zip((1, 5, 8), expected):
+            decisions.clear()
+            assert zeta_even_decimal(k, 20) == want
+            assert decisions == [False, True], k
+
+    def test_a_ball_that_never_decides_exits_2(self, monkeypatch, capsys):
+        from zetaeven import cli
+
+        tries = []
+        monkeypatch.setattr(zr, "_rounds_alike", lambda *args: tries.append(args) or False)
+        with pytest.raises(ValueError, match="not decided at 80 guard digits"):
+            zeta_even_decimal(3, 20)
+        # guards 10, 20, 40 and 80: up to 8 times the start
+        assert len(tries) == 4
+        assert cli.main(["zeta", "--k", "3", "--digits", "20"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err and "zeta(6)" in err
 
 
 class TestCrossCheck:

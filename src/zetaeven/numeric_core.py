@@ -13,11 +13,19 @@ Every decimal operation in the package runs in one context per
 base context, made once and cached, so no result depends on the
 caller's decimal context. The cached contexts are shared, so they are
 used as the receiver (``ctx.divide(a, b)``, ``ctx.plus(x)``) and never
-entered or changed; code that writes decimal expressions enters a copy
-of one (``_decimal_context``). An exact value becomes a ``Decimal`` one
-way only: a fixed-point integer through ``_fixed_decimal`` (exactly, by
-a power of ten) and a rational through ``_rational_decimal`` (one
-division, rounded to a stated precision).
+entered or changed. An exact value becomes a ``Decimal`` one way only:
+a fixed-point integer through ``_fixed_decimal`` (exactly, by a power
+of ten) and a rational through ``_rational_decimal`` (one division,
+rounded to a stated precision).
+
+A real known only within a bound travels as an integer ball: a
+fixed-point value and a radius, both in ulps of one stated scale, with
+the true value within radius ulps of the value (the midpoint-radius
+balls of F. Johansson's Arb, IEEE Trans. Comput. 66, 2017). Products
+and powers (``_ball_product``, ``_ball_power``), divisions by an exact
+integer (``_ball_quotient``) and logarithms (``_ln_ball``) carry the
+radius exactly, so every bound the package certifies is an integer
+number of ulps, and only its printed rendering is a ``Decimal``.
 
 Pi is generated internally from two independent series, Chudnovsky's and
 Ramanujan's 1/pi series, each summed exactly by binary splitting and
@@ -36,7 +44,7 @@ reports).
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from functools import lru_cache
 
@@ -87,12 +95,6 @@ def _context(prec: int, rounding: str = ROUND_HALF_EVEN) -> Context:
             _contexts.clear()
         ctx = _contexts.setdefault((prec, rounding), ctx)
     return ctx
-
-
-def _decimal_context(prec: int, rounding: str = ROUND_HALF_EVEN):
-    """A ``with`` context for decimal expressions: a private copy of
-    ``_context(prec, rounding)``, which the body may change."""
-    return localcontext(_context(prec, rounding))
 
 
 def _fixed_decimal(total: int, digits: int) -> Decimal:
@@ -359,19 +361,6 @@ def _rounds_alike(value: int, radius: int, precision: int) -> bool:
     )
 
 
-def _rounded_pi(digits: int, pi_at) -> Decimal:
-    """Pi to ``digits`` significant digits from the two agreed values
-    ``pi_at(10^(digits + _PI_GUARD))``: ``_agreed_pi`` itself, or its
-    memo ``_pi``. Both lie in (3, 4) * scale, so each has
-    digits + _PI_GUARD + 1 digits, of which rounding drops the last
-    _PI_GUARD + 1. The two must round alike, or PiAgreementError."""
-    values = pi_at(10 ** (digits + _PI_GUARD))
-    chudnovsky, ramanujan = (_round_half_even(v, _PI_GUARD + 1) for v in values)
-    if chudnovsky != ramanujan:
-        raise PiAgreementError("pi formulae round differently at the requested precision")
-    return _fixed_decimal(chudnovsky, digits - 1)
-
-
 def compute_pi(digits: int) -> Decimal:
     """Pi rounded to ``digits`` significant digits.
 
@@ -379,11 +368,17 @@ def compute_pi(digits: int) -> Decimal:
     independently (``_agreed_pi``); both the raw fixed-point values (at
     guard precision) and the rounded results must agree, otherwise
     PiAgreementError is raised -- disagreement would mean an arithmetic
-    bug, not a math fact.
+    bug, not a math fact. Both values lie in (3, 4) * 10^(digits +
+    _PI_GUARD), so each has digits + _PI_GUARD + 1 digits, of which
+    rounding drops the last _PI_GUARD + 1.
     """
     if digits < 10:
         raise ValueError("digits must be >= 10")
-    return _rounded_pi(digits, _agreed_pi)
+    values = _agreed_pi(10 ** (digits + _PI_GUARD))
+    chudnovsky, ramanujan = (_round_half_even(v, _PI_GUARD + 1) for v in values)
+    if chudnovsky != ramanujan:
+        raise PiAgreementError("pi formulae round differently at the requested precision")
+    return _fixed_decimal(chudnovsky, digits - 1)
 
 
 @lru_cache(maxsize=4)
@@ -391,9 +386,87 @@ def _pi(scale: int) -> tuple[int, int]:
     """``_agreed_pi(scale)``, kept for the few scales a run asks for.
 
     ``zeta_even_decimal`` reads pi at one binary scale per working
-    precision, whatever k, so a table of decimals computes pi once, and
-    the cases of the expansion suite share one decimal scale. The values
-    are immutable ints. ``compute_pi`` itself stays uncached, so it can
-    be timed and traced as it is.
+    precision, whatever k, so a table of decimals computes pi once, the
+    abel suite and the phi suite's limit targets share one binary scale,
+    and so do the cases of the expansion suite (``_bits_for``). The
+    values are immutable ints. ``compute_pi`` itself stays uncached, so
+    it can be timed and traced as it is.
     """
     return _agreed_pi(scale)
+
+
+def _bits_for(places: int) -> int:
+    """bits with 2^bits >= 10^(places + 1), as 1701/512 > log2(10): the
+    binary scale at which a ball is computed for ``places`` decimals."""
+    return -(-(places + 1) * 1701 // 512)
+
+
+def _ball_product(x: int, ex: int, y: int, ey: int, bits: int) -> tuple[int, int]:
+    """The ball of X Y from the balls x +- ex of X and y +- ey of Y, with
+    x, y >= 0: x is at scale 2^bits, and y and the result at any one scale.
+
+    With X 2^bits = x + d and Y s = y + f, |d| <= ex, |f| <= ey,
+
+        X Y s = (x y + x f + y d + d f) / 2^bits,
+
+    so the floor of x y / 2^bits, which loses under 1 ulp, is within
+    (x ey + y ex + ex ey) / 2^bits + 1 ulps of X Y s.
+    """
+    return x * y >> bits, -(-(x * ey + y * ex + ex * ey) >> bits) + 1
+
+
+def _ball_power(x: int, ex: int, n: int, bits: int) -> tuple[int, int]:
+    """The ball of X^n, n >= 1, from the ball x +- ex of X >= 0 at scale
+    2^bits: square-and-multiply over the bits of n, each product a
+    ``_ball_product``, so the radius follows every floor and every radius."""
+    value, radius = x, ex
+    for i in range(n.bit_length() - 2, -1, -1):
+        value, radius = _ball_product(value, radius, value, radius, bits)
+        if n >> i & 1:
+            value, radius = _ball_product(value, radius, x, ex, bits)
+    return value, radius
+
+
+def _ball_quotient(x: int, ex: int, n: int) -> tuple[int, int]:
+    """The ball of X / n from the ball x +- ex of X, for an integer n >= 1,
+    at the same scale: x / n is within ex / n of X / n, and its floor
+    loses under 1 ulp more."""
+    return x // n, -(-ex // n) + 1
+
+
+def _ln_ball(x, digits: int) -> tuple[int, int]:
+    """ln x for a rational x > 0 as a ball (value, radius) in ulps of
+    10^-digits.
+
+    ln x = -ln(1/x) for x < 1. For x >= 1 one reduction writes
+    x = 2^e (1 + y) with 0 <= y < 1, so that 2 ln x = 2 ln(1 + y) +
+    e 2 ln 2. Both logarithms are the one series kernel's alternating
+    sums at m = -1, 2 ln(1 + y) = phi_-1(1/y) =
+    2 sum_{n>=1} (-1)^(n+1) y^n/n (``series_verifier._cvz_decimal``, about
+    1.31 terms per digit whatever y), and 2 ln 2 the same at y = 1
+    (``_ln2_ball``). Their balls add, the ln 2 ball e times, and halving
+    floors once more.
+    """
+    # the kernel sits beside the series it sums, in a module that
+    # imports this one; it is looked up at the call
+    from .series_verifier import _cvz_decimal
+
+    if x < 1:
+        value, radius = _ln_ball(1 / x, digits)
+        return -value, radius
+    p, q = x.numerator, x.denominator
+    e = (p // q).bit_length() - 1
+    value, radius = (e * part for part in _ln2_ball(digits)) if e else (0, 0)
+    if p != q << e:  # y = p/(q 2^e) - 1, unreduced
+        v, r, _ = _cvz_decimal(-1, p - (q << e), q << e, digits, lambda: f"ln({x}) needs")
+        value, radius = value + v, radius + r
+    return _ball_quotient(value, radius, 2)
+
+
+@lru_cache(maxsize=4)
+def _ln2_ball(digits: int) -> tuple[int, int]:
+    """2 ln 2 = phi_-1(1) as the kernel's ball in ulps of 10^-digits, kept,
+    like ``_pi``, for the few precisions a run asks for."""
+    from .series_verifier import _cvz_decimal
+
+    return _cvz_decimal(-1, 1, 1, digits, lambda: f"ln(2) to {digits} digits needs")[:2]

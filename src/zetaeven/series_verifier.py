@@ -30,16 +30,17 @@ from __future__ import annotations
 import math
 from _thread import allocate_lock
 from collections.abc import Sequence
-from decimal import MAX_PREC, Decimal, ROUND_CEILING, ROUND_FLOOR
+from decimal import Decimal, ROUND_CEILING
 from fractions import Fraction
 
 from .euler_bernoulli import bernoulli, zeta_even_via_euler
 from .numeric_core import (
-    FrozenRecord, HighPrecisionReal, _context, _decimal_context, _decimal_digits, _fixed_decimal,
-    _pi, _rational_decimal, _rounded_pi, _rounds_alike, round_significant,
+    _PI_RADIUS, FrozenRecord, HighPrecisionReal, _ball_power, _ball_product, _ball_quotient,
+    _bits_for, _context, _decimal_digits, _fixed_decimal, _ln_ball, _pi, _rational_decimal,
+    _rounds_alike, round_significant,
 )
 from .reports import VerificationReport
-from .zeta_recurrence import zeta_even_decimal, zeta_even_ratio
+from .zeta_recurrence import _pi_power_ball, _zeta_even_ball, zeta_even_ratio
 
 __all__ = [
     "MAX_SERIES_WORK",
@@ -120,17 +121,14 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _exact_sum(first: Decimal, *rest: Decimal) -> Decimal:
-    """first + rest, exactly, so that a composite tolerance is rounded
-    neither above nor below its parts. An addition needs only the digits
-    of its operands, so at the largest precision it is exact."""
-    add = _context(MAX_PREC).add
-    for term in rest:
-        first = add(first, term)
-    return first
+def _ceil_ulps(x, scale: int) -> int:
+    """The exact rational x (a Fraction or a Decimal) in ulps of 1/scale,
+    rounded up: how an upper bound joins an integer tolerance."""
+    a, b = x.as_integer_ratio()
+    return _ceil_div(a * scale, b)
 
 
-_LN_CVZ = math.log(3 + math.sqrt(8))
+_LN_CVZ = math.acosh(3)  # ln(3 + sqrt 8), the rate of the kernel's weights
 
 
 def _cvz_growth(m: int, n: int) -> int:
@@ -610,9 +608,9 @@ def _reciprocal_power_sum(
     return total * scale >> bits, _ceil_div(radius * scale, one) + 1, terms
 
 
-def _polylog_gap(s: int, delta: Fraction) -> Decimal:
-    """Proven bound on zeta(s) - Li_s(x) = sum_n (1 - x^n)/n^s, s >= 2,
-    x = 1/(1 + delta).
+def _polylog_gap(s: int, delta: Fraction) -> Fraction:
+    """Proven upper bound, an exact rational, on zeta(s) - Li_s(x) =
+    sum_n (1 - x^n)/n^s, s >= 2, x = 1/(1 + delta).
 
     The abel suite's gap zeta(2k) - f_k(1 + delta) is this at s = 2k; the
     phi suite's |2 eta(m) - phi_-m(1 + delta)| = 2 |sum_n (-1)^(n+1)
@@ -621,30 +619,35 @@ def _polylog_gap(s: int, delta: Fraction) -> Decimal:
 
     s = 2:  the integral form of the deficit, integral_x^1 ln(1/(1-t))/t dt,
             is at most (1/x) * eps * (1 + ln(1/eps)), which simplifies to
-            delta * (1 + delta + ln(1/delta)) after ln(1+delta) <= delta.
+            delta * (1 + delta + ln(1/delta)) after ln(1+delta) <= delta;
+            ln(1/delta) is taken from above, as the upper end of its ball
+            at 40 decimals (``_ln_ball``).
     s >= 3: termwise 1 - x^n <= n*eps gives eps * zeta(s-1), and the
             integral bound zeta(s-1) <= 1 + 1/(s-2) finishes it off.
     """
-    d = _rational_decimal(delta, 40)
-    with _decimal_context(40):
-        if s == 2:
-            return d * (1 + d + (1 / d).ln())
-        return d * (1 + Decimal(1) / (s - 2))
+    p, q = delta.numerator, delta.denominator
+    if s == 2:
+        value, radius = _ln_ball(Fraction(q, p), 40)
+        return Fraction(p * ((q + p) * 10**40 + (value + radius) * q), q * q * 10**40)
+    return Fraction(p * (s - 1), q * (s - 2))
 
 
 def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> VerificationReport:
     """Watch f_k(1 + delta) climb toward zeta(2k) as delta shrinks.
 
     Evaluates the series at u = 1 + delta for each delta, requires the
-    residuals against the decimal zeta value to be positive and strictly
+    residuals zeta(2k) - f_k(1 + delta) to be positive and strictly
     decreasing, and judges the final residual against the proven
-    delta-dependent bound from ``_polylog_gap`` at s = 2k. Each residual is a
-    ball: the sum's radius plus one ulp of the zeta value at
-    precision + 5 digits. Positive means the whole ball lies above 0,
-    and decreasing means each ball lies wholly below the one before. A
-    broken residual ordering is reported with tolerance -1 (failed by
-    construction). The tolerance adds the last ball's radius to the
-    bound on the true gap.
+    delta-dependent bound from ``_polylog_gap`` at s = 2k. Everything is
+    an integer ball in ulps of 10^-(precision + 10): zeta(2k) is
+    ``_zeta_even_ball`` at that scale, f_k(1 + delta) is
+    ``_reciprocal_power_sum``, and each residual's radius is the sum of
+    theirs. Positive means the whole ball lies above 0, and decreasing
+    means each ball lies wholly below the one before. A broken residual
+    ordering is reported with tolerance -1 (failed by construction). The
+    tolerance is the gap bound rounded up to the scale plus the last
+    ball's radius, an integer number of ulps; the rhs printed is the
+    zeta ball's value to precision + 5 digits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -658,31 +661,24 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must decrease strictly")
 
-    scale = 10 ** (precision + 10)
+    places = precision + 10
+    scale = 10**places
     # the smallest delta costs the most work: refuse it before any sum
     last_plan = _reciprocal_plan(k, 1 + deltas[-1], scale)
-    target = Decimal(zeta_even_decimal(k, precision + 5))
-    # in ulps of 1/scale; zeta(2k) < 2 carries at most precision + 4
-    # decimals, so this is exact, and it is off by at most one ulp of
-    # its digits, 10^6 ulps here
-    target_ulps = int(Fraction(target) * scale)
+    target, target_radius = _zeta_even_ball(k, places, _bits_for(places))
     balls: list[tuple[int, int]] = []
     term_counts: list[int] = []
     for d in deltas:
         plan = last_plan if d == deltas[-1] else None
         total, radius, terms = _reciprocal_power_sum(k, 1 + d, scale, plan)
-        balls.append((target_ulps - total, radius + 10**6))
+        balls.append((target - total, radius + target_radius))
         term_counts.append(terms)
 
-    decreasing = all(b + rb < a - ra for (a, ra), (b, rb) in zip(balls, balls[1:]))
     from_below = all(r > rr for r, rr in balls)
-    monotone = decreasing and from_below
-    residuals = [_fixed_decimal(r, precision + 10) for r, _ in balls]
-    tolerance = (
-        _exact_sum(_polylog_gap(2 * k, deltas[-1]), _fixed_decimal(balls[-1][1], precision + 10))
-        if monotone
-        else Decimal(-1)
-    )
+    monotone = from_below and all(b + rb < a - ra for (a, ra), (b, rb) in zip(balls, balls[1:]))
+    residuals = [_fixed_decimal(r, places) for r, _ in balls]
+    gap = _ceil_ulps(_polylog_gap(2 * k, deltas[-1]), scale)
+    tolerance = _fixed_decimal(gap + balls[-1][1], places) if monotone else Decimal(-1)
     return VerificationReport(
         identity_name="zeta_even_abel_limit",
         parameters={
@@ -693,8 +689,8 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
             "residuals": ",".join(str(round_significant(r, 12)) for r in residuals),
             "monotone_from_below": monotone,
         },
-        lhs=round_significant(_fixed_decimal(total, precision + 10), precision),
-        rhs=target,
+        lhs=round_significant(_fixed_decimal(total, places), precision),
+        rhs=round_significant(_fixed_decimal(target, places), precision + 5),
         residual=HighPrecisionReal(residuals[-1], precision),
         tolerance=HighPrecisionReal(tolerance, precision),
     )
@@ -711,7 +707,7 @@ def identity_check_expansion(
 
     lhs: f_k(u) from ``_reciprocal_power_sum``, within its own radius.
     rhs: sum_{j=0}^{J_max} (-1)^(j+1) * (pi^(2j)/(2j)!) * phi_(2j-2k)(u)/2,
-    with exact Taylor-route phi for 2j >= 2k and bounded series phi
+    with exact Taylor-route phi for 2j >= 2k and kernel-summed series phi
     below that.
 
     The j-terms do *not* decay factorially: phi_M(u) itself grows like
@@ -721,24 +717,27 @@ def identity_check_expansion(
     default tolerance is therefore a certified envelope for the dropped
     tail: |phi_M(u)| <= C * M!/R^(M+1) for the M >= 2 reached here, with
     C proven from the pole expansion of phi (``_pole_constant``), summed
-    geometrically with directed rounding. Passing the check means the
-    residual is inside what the truncation provably allows; pass an
-    explicit ``tolerance`` (a Decimal or a decimal string) to demand
-    more than the bound can promise.
+    geometrically and rounded up (``_expansion_tail_envelope``). Passing
+    the check means the residual is inside what the truncation provably
+    allows; pass an explicit ``tolerance`` (a Decimal or a decimal
+    string) to demand more than the bound can promise.
+
+    Both sides are integer balls in ulps of 10^-w, w = precision + 15.
+    The rhs term j is c_j phi with c_j = pi^(2j)/(2 (2j)!): pi^(2j) is a
+    ball at the binary scale 2^bits >= 10^(w+1) (``_bits_for``), stepped
+    from pi^(2j-2) by one ``_ball_product`` with the pi^2 ball, and
+    2 (2j)! an exact integer stepped by (2j-1) 2j. c_j itself is never
+    rounded: at J_max = 200 it is about 10^-670 while phi_398(3/2) is
+    about 10^652, so a fixed-point c_j would carry no digit of the term.
+    An exact phi is floored once at 10^-w (radius 1); a series phi is the
+    kernel's ball (``_cvz_decimal``). The term is one ``_ball_product`` of
+    the pi-power ball with |phi|, then one ``_ball_quotient`` by
+    2 (2j)!, so the residual lhs - rhs is one ball whose radius is an
+    integer sum, and the default tolerance is the envelope plus that
+    radius, in ulps.
 
     The first omitted term (exact phi route) is recorded in the report
     parameters so deliberate under-truncation can be judged against it.
-
-    The rhs dust (A + 1) 10^(8-w), w = precision + 15, A = sum_j |term_j|,
-    bounds the Decimal arithmetic at w + 5 digits, where one rounding
-    costs a relative eps = 5 10^-(w+5). pi, rounded to w digits, is off
-    by a relative d < 5 10^-w/pi < 1.6 10^-w, and pi^(2j) by 2j d. Each
-    term adds at most 5 eps: the power (one ulp), the division by
-    2 (2j)!, an exact phi's conversion and the product; a series phi's
-    error is in phi_bound. The J_max + 1 additions and lhs - rhs each
-    round by eps times at most A or |lhs| < 2. In all, the residual
-    loses under A (2 J_max d + (J_max + 8) eps) + 2 eps
-    < (A + 1) 4 J_max 10^-w: inside the dust while J_max < 2.5e7.
     """
     u = Fraction(u)
     if k < 1:
@@ -754,45 +753,38 @@ def identity_check_expansion(
     scale = 10**work
     # the lhs first: past its work budget it refuses before pi is computed
     total, lhs_radius, lhs_terms = _reciprocal_power_sum(k, u, scale)
-    pi = _rounded_pi(work, _pi)
+    bits = _bits_for(work)
+    pi_square = _pi_power_ball(1, bits)
     # exact phi_0..phi_{m_next}; m_next indexes the first omitted term
     m_next = 2 * (J_max + 1) - 2 * k
     exact_phi = phi_coefficients(u, m_next)
 
-    lhs = _fixed_decimal(total, work)
-    with _decimal_context(work + 5):
-        rhs = Decimal(0)
-        abs_acc = Decimal(0)
-        phi_bound = Decimal(0)
-        for j in range(J_max + 1):
-            mi = 2 * j - 2 * k
-            coeff = pi ** (2 * j) / (2 * math.factorial(2 * j))
-            if mi >= 0:
-                phi_dec = _rational_decimal(exact_phi[mi], work + 5)
-            else:
-                pe = phi_series(mi, u, precision + 5)
-                phi_dec = pe.value.value
-                phi_bound += coeff * pe.error_bound.value
-            term = coeff * phi_dec
-            rhs += term if j % 2 else -term
-            abs_acc += abs(term)
-        residual = lhs - rhs
-        # machine dust of the Decimal accumulation (derived in the docstring)
-        rhs_dust = (abs_acc + 1) * Decimal(10) ** (8 - work)
+    power, power_radius, factorial = 1 << bits, 0, 2  # pi^(2j) 2^bits and 2 (2j)!
+    rhs, radius = 0, lhs_radius
+    for j in range(J_max + 2):
+        if j:
+            power, power_radius = _ball_product(power, power_radius, *pi_square, bits)
+            factorial *= (2 * j - 1) * 2 * j
+        mi = 2 * j - 2 * k
+        if mi < 0:
+            what = lambda: f"phi_{mi}({u}) to {work} digits needs"
+            phi, phi_radius, _ = _cvz_decimal(mi, u.denominator, u.numerator, work, what)
+        else:
+            a, b = exact_phi[mi].as_integer_ratio()
+            phi, phi_radius = _ball_quotient(a * scale, 0, b)
+        if j > J_max:
+            break
+        product = _ball_product(power, power_radius, abs(phi), phi_radius, bits)
+        term, term_radius = _ball_quotient(*product, factorial)
+        rhs += term if (j % 2 == 1) == (phi >= 0) else -term
+        radius += term_radius
 
     if tolerance is None:
-        envelope = _expansion_tail_envelope(k, u, J_max, pi)
-        tolerance = _exact_sum(envelope, rhs_dust, phi_bound, _fixed_decimal(lhs_radius, work))
-    tol = HighPrecisionReal(Decimal(tolerance), 15)
-
-    # actual first omitted term, from the exact phi route (2(J+1) >= 2k)
-    exact_next = exact_phi[m_next]
-    with _decimal_context(30):
-        first_omitted = (
-            pi ** (2 * (J_max + 1))
-            / (2 * math.factorial(2 * (J_max + 1)))
-            * abs(_rational_decimal(exact_next, 30))
-        )
+        envelope = _expansion_tail_envelope(k, u, J_max, work)
+        tolerance = _fixed_decimal(envelope + radius, work) if envelope else Decimal("Infinity")
+    # the actual first omitted term, j = J_max + 1, with its exact phi
+    # (2(J+1) >= 2k) a/b, at the pi power's midpoint
+    first_omitted = _rational_decimal(Fraction(power * abs(a), factorial * b << bits), 15)
 
     return VerificationReport(
         identity_name="cosine_series_rearrangement",
@@ -802,16 +794,16 @@ def identity_check_expansion(
             "jmax": J_max,
             "precision": precision,
             "lhs_terms": lhs_terms,
-            "first_omitted": round_significant(first_omitted, 15),
+            "first_omitted": first_omitted,
         },
-        lhs=round_significant(lhs, precision),
-        rhs=round_significant(rhs, precision),
-        residual=HighPrecisionReal(residual, precision),
-        tolerance=tol,
+        lhs=round_significant(_fixed_decimal(total, work), precision),
+        rhs=round_significant(_fixed_decimal(rhs, work), precision),
+        residual=HighPrecisionReal(_fixed_decimal(total - rhs, work), precision),
+        tolerance=HighPrecisionReal(Decimal(tolerance), 15),
     )
 
 
-def _pole_constant(b_up: Decimal, inv_b_up: Decimal, pi_up: Decimal, M: int) -> Decimal:
+def _pole_constant(b_up: Fraction, inv_b_up: Fraction, pi_up: Fraction, M: int) -> Fraction:
     """Upper bound on C_M = 4 sum_{n>=0} (R_0/R_n)^(M+1), M >= 2.
 
     2e^t/(e^t + u) has simple poles of residue 2 at
@@ -833,16 +825,19 @@ def _pole_constant(b_up: Decimal, inv_b_up: Decimal, pi_up: Decimal, M: int) -> 
 
         C_M <= 4 + 2 (b + 1/b) min(b, pi/2, sqrt(pi/(2(M-1)))),
 
-    rounded up here from upper bounds on b, 1/b and pi; the 1e-20 slop
-    covers the half-even sqrt.
+    evaluated exactly on the rationals b_up >= b, inv_b_up >= 1/b and
+    pi_up >= pi. The square root is bounded on the denominator t of
+    pi_up: sqrt(x) <= sqrt(ceil(x t^2))/t < (isqrt(ceil(x t^2)) + 1)/t.
     """
-    with _decimal_context(40, ROUND_CEILING):
-        wallis_up = (pi_up / (2 * (M - 1))).sqrt() * (1 + Decimal("1e-20"))
-        return 4 + 2 * (b_up + inv_b_up) * min(b_up, pi_up / 2, wallis_up)
+    t, x = pi_up.denominator, pi_up / (2 * (M - 1))
+    wallis_up = Fraction(math.isqrt(_ceil_div(x.numerator * t * t, x.denominator)) + 1, t)
+    return 4 + 2 * (b_up + inv_b_up) * min(b_up, pi_up / 2, wallis_up)
 
 
-def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, pi_value: Decimal) -> Decimal:
-    """Certified bound on the dropped j > J_max tail of the rearrangement.
+def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, work: int) -> int | None:
+    """Certified bound on the dropped j > J_max tail of the rearrangement,
+    rounded up to ulps of 10^-work, or None where no finite bound is
+    certified at that scale.
 
     The j-term is pi^(2j)/(2j)! * |phi_M(u)|/2 with M = 2j - 2k, and
     |phi_M(u)| <= C M!/R^(M+1), R = R_0, with C the bound of
@@ -850,39 +845,40 @@ def _expansion_tail_envelope(k: int, u: Fraction, J_max: int, pi_value: Decimal)
     or 8 wherever that bound is at most 8. The per-term envelope
     (C/2) * M! * pi^(2j) / (R^(M+1) * (2j)!) has a term ratio below
     q = (pi/R)^2 < 1; the tail is the first envelope term over (1 - q).
-    Directed rounding keeps every intermediate on the safe side; the
-    1e-20 slop absorbs the rounding of the supplied pi (correct to at
-    least 24 digits) and the half-even ln/sqrt results, which ignore
-    the context rounding mode.
+    With N = 2 (J_max + 1) and M = N - 2k, pi^N/R^(M+1) = q^(N/2) R^(2k-1),
+    so the tail is (C/2) M!/N! q^(N/2) R^(2k-1)/(1 - q).
+
+    Every input is an integer bound at the binary scale T = 2^bits of
+    ``_bits_for(work)``, taken from the safe end of its ball: pi from
+    the ``_pi`` ball (within _PI_RADIUS ulps), and ln u from ``_ln_ball``
+    at work digits, floored for its lower end and ceiled for its upper
+    end. So R^2 T^2 >= ln_low^2 + pi_low^2 =: S, 1 - q >= (S - pi_up^2)/S,
+    which must be positive, R T < isqrt(ln_up^2 + pi_up^2) + 1, and
+    q T^2 <= ceil(pi_up^2 T^2/S), whose power by ``_ball_power`` at the
+    scale T^2, where its floors stay far below one ulp of the result, is
+    at most its ball's upper end. One exact division, rounded up, ends it.
     """
-    slop = Decimal("1e-20")
-    with _decimal_context(40, ROUND_FLOOR) as ctx:
-        pi_low = round_significant(pi_value, 35) * (1 - slop)
-        ln_low = _rational_decimal(u, 40, ROUND_FLOOR).ln() * (1 - slop)
-        r2_low = ln_low * ln_low + pi_low * pi_low
-        r_low = r2_low.sqrt()
-        ctx.rounding = ROUND_CEILING
-        pi_up = round_significant(pi_value, 35) * (1 + slop)
-        ln_up = _rational_decimal(u, 40, ROUND_CEILING).ln() * (1 + slop)
-        q_up = pi_up * pi_up / r2_low
-        ctx.rounding = ROUND_FLOOR
-        one_minus_q = 1 - q_up
-        if one_minus_q <= 0:
-            # u so close to 1 that 40 digits cannot separate R from pi;
-            # no finite certified bound is available at this working
-            # precision, and a report judged against it fails.
-            return Decimal("Infinity")
-        ctx.rounding = ROUND_CEILING
-        m_next = 2 * (J_max + 1) - 2 * k
-        c_up = _pole_constant(ln_up / pi_low, pi_up / ln_low, pi_up, m_next)
-        half_c = 4 if c_up <= 8 else Fraction(c_up) / 2
-        ratio = Fraction(math.factorial(m_next), math.factorial(2 * (J_max + 1))) * half_c
-        envelope = (
-            _rational_decimal(ratio, 40, ROUND_CEILING)
-            * pi_up ** (2 * (J_max + 1))
-            / r_low ** (m_next + 1)
-        )
-        return envelope / one_minus_q
+    bits = _bits_for(work)
+    pi = _pi(1 << bits)[0]
+    pi_low, pi_up = pi - _PI_RADIUS, pi + _PI_RADIUS
+    ln, ln_radius = _ln_ball(u, work)
+    ln_low = (max(ln - ln_radius, 0) << bits) // 10**work
+    ln_up = _ceil_div(ln + ln_radius << bits, 10**work)
+    r2_low = ln_low * ln_low + pi_low * pi_low
+    gap = r2_low - pi_up * pi_up
+    if gap <= 0:
+        # u so close to 1 that this scale cannot separate R from pi; a
+        # report judged against no finite bound fails
+        return None
+    m_next = 2 * (J_max + 1) - 2 * k
+    b_up, inv_b_up = Fraction(ln_up, pi_low), Fraction(pi_up, ln_low)
+    c_up = _pole_constant(b_up, inv_b_up, Fraction(pi_up, 1 << bits), m_next)
+    ratio = Fraction(math.factorial(m_next), math.factorial(2 * (J_max + 1)))
+    a, b = ((4 if c_up <= 8 else c_up / 2) * ratio).as_integer_ratio()
+    q_power = sum(_ball_power(_ceil_div(pi_up**2 << 2 * bits, r2_low), 0, J_max + 1, 2 * bits))
+    r_up = math.isqrt(ln_up * ln_up + pi_up * pi_up) + 1
+    tail = a * q_power * r_up ** (2 * k - 1) * r2_low * 10**work
+    return _ceil_div(tail, b * gap << (2 * k + 1) * bits)
 
 
 def recurrence_cross_check(k_max: int) -> VerificationReport:
@@ -976,18 +972,23 @@ def run_suite(
     return _SUITE_RUNS[name](kmax, digits, jmax, tolerance)
 
 
-def _two_eta(m: int, digits: int) -> tuple[HighPrecisionReal, Decimal]:
-    """2 eta(m) = 2(1 - 2^(1-m)) zeta(m) = phi_-m(1) and its error bound.
+def _two_eta(m: int, digits: int) -> tuple[int, int]:
+    """2 eta(m) = 2(1 - 2^(1-m)) zeta(m) = phi_-m(1) as a ball (value,
+    radius) in ulps of 10^-(digits + 10).
 
-    The phi suite's limit target at odd m, where the recurrence gives no
-    closed form: ``_cvz_sum`` at y = 1, to ``digits + 10`` decimals.
-    Raises SeriesBudgetError, before summing, past MAX_SERIES_WORK.
+    The phi suite's limit target at even m is the same number from the
+    zeta ball; at odd m, where the recurrence gives no closed form, it is
+    ``_cvz_sum`` at y = 1. Raises SeriesBudgetError, before summing, past
+    MAX_SERIES_WORK.
     """
     if m < 1:
         raise ValueError("eta(m) needs m >= 1")
-    work = digits + 10
-    value, radius, _ = _cvz_decimal(-m, 1, 1, work, lambda: f"2 eta({m}) to {digits} digits needs")
-    return HighPrecisionReal(_fixed_decimal(value, work), digits), _fixed_decimal(radius, work)
+    if m % 2 == 0:
+        # 2 (1 - 2^(1-m)) = (2^(m-1) - 1)/2^(m-2)
+        value, radius = _zeta_even_ball(m // 2, digits + 10, _bits_for(digits + 10))
+        return _ball_quotient(((1 << m - 1) - 1) * value, ((1 << m - 1) - 1) * radius, 1 << m - 2)
+    what = lambda: f"2 eta({m}) to {digits} digits needs"
+    return _cvz_decimal(-m, 1, 1, digits + 10, what)[:2]
 
 
 def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationReport]:
@@ -1023,23 +1024,21 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
         for i, u in enumerate(PHI_SAMPLE_US)
         for m, exact in enumerate(phi_coefficients(u, ms[-1]))
     ]
+    # the limits in ulps of 10^-places: the target's ball, and a tolerance
+    # of twice the polylog gap, the series bound and the target's radius;
+    # the gaps first, as their logarithms sum with other kernel weights
+    places = digits + 10
+    scale = 10**places
     for m in PHI_LIMIT_MS:
-        if m % 2 == 0:
-            factor = Fraction(2) * (1 - Fraction(1, 2 ** (m - 1)))
-            zeta_m = Decimal(zeta_even_decimal(m // 2, digits + 5))
-            target_dec = _context(digits + 5).multiply(_rational_decimal(factor, digits + 5), zeta_m)
-            target = HighPrecisionReal(target_dec, digits)
-            target_bound = Decimal(f"1e-{digits}")
-        else:
-            target, target_bound = _two_eta(m, digits)
-        for delta in ABEL_DELTAS:
+        value, target_radius = _two_eta(m, digits)
+        target = HighPrecisionReal(_fixed_decimal(value, places), digits)
+        gaps = [_ceil_ulps(_polylog_gap(m, delta), scale) for delta in ABEL_DELTAS]
+        for delta, gap in zip(ABEL_DELTAS, gaps):
             u = 1 + delta
             evaluation = phi_series(-m, u, digits)
-            # the gap is at most twice the polylog gap; its two copies add exactly
-            gap = _polylog_gap(m, delta)
-            bound = _exact_sum(gap, gap, evaluation.error_bound.value, target_bound)
+            bound = 2 * gap + target_radius + _ceil_ulps(evaluation.error_bound.value, scale)
             reports.append(
                 compare("phi_negative_index_limit", m, u, evaluation, target, digits,
-                        HighPrecisionReal(bound, 15))
+                        HighPrecisionReal(_fixed_decimal(bound, places), 15))
             )
     return reports

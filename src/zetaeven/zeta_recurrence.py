@@ -32,7 +32,8 @@ from _thread import allocate_lock
 from fractions import Fraction
 
 from .numeric_core import (
-    _PI_RADIUS, _fixed_decimal, _pi, _rounds_alike, positional_str, round_significant,
+    _PI_RADIUS, _ball_power, _ball_product, _bits_for, _fixed_decimal, _pi, _rounds_alike,
+    positional_str, round_significant,
 )
 
 __all__ = [
@@ -147,37 +148,16 @@ def zeta_even_table(k_max: int) -> ZetaEvenTable:
 _ZETA_GUARD = 10
 
 
-def _ball_product(x: int, ex: int, y: int, ey: int, bits: int) -> tuple[int, int]:
-    """The ball of X Y from the balls x +- ex of X and y +- ey of Y, all
-    fixed-point numbers at scale 2^bits with x, y >= 0.
-
-    With X 2^bits = x + d and Y 2^bits = y + f, |d| <= ex, |f| <= ey,
-
-        X Y 2^bits = (x y + x f + y d + d f) / 2^bits,
-
-    so the floor of x y / 2^bits, which loses under 1 ulp, is within
-    (x ey + y ex + ex ey) / 2^bits + 1 ulps of X Y 2^bits.
-    """
-    return x * y >> bits, -(-(x * ey + y * ex + ex * ey) >> bits) + 1
-
-
 def _pi_power_ball(k: int, bits: int) -> tuple[int, int]:
     """pi^(2k) at scale 2^bits as a ball (value, radius).
 
     pi is read once per scale, through the ``_pi`` memo: Chudnovsky's
     value, within _PI_RADIUS ulps of pi 2^bits. Its square is raised to
-    the k-th power by square-and-multiply over the bits of k, each
-    product a ``_ball_product``, so the radius follows every floor and
-    both factors' radii exactly.
+    the k-th power by square-and-multiply (``_ball_power``), so the
+    radius follows every floor and both factors' radii exactly.
     """
     p = _pi(1 << bits)[0]
-    square, e_square = _ball_product(p, _PI_RADIUS, p, _PI_RADIUS, bits)
-    value, radius = square, e_square
-    for i in range(k.bit_length() - 2, -1, -1):
-        value, radius = _ball_product(value, radius, value, radius, bits)
-        if k >> i & 1:
-            value, radius = _ball_product(value, radius, square, e_square, bits)
-    return value, radius
+    return _ball_power(*_ball_product(p, _PI_RADIUS, p, _PI_RADIUS, bits), k, bits)
 
 
 def _zeta_even_ball(k: int, places: int, bits: int) -> tuple[int, int]:
@@ -229,8 +209,7 @@ def zeta_even_decimal(k: int, digits: int) -> str:
     guard = _ZETA_GUARD
     while True:
         places = digits - 1 + guard
-        # 1701/512 > log2(10), so 2^bits >= 10^(places + 1)
-        value, radius = _zeta_even_ball(k, places, -(-(places + 1) * 1701 // 512))
+        value, radius = _zeta_even_ball(k, places, _bits_for(places))
         if _rounds_alike(value, radius, digits):
             return positional_str(round_significant(_fixed_decimal(value, places), digits))
         if guard >= 8 * _ZETA_GUARD:

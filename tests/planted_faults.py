@@ -1,0 +1,117 @@
+"""Planted faults: each row breaks one certified bound in a copy of src/
+and names the tests that must then fail.
+
+A row is (file under src/, exact snippet, replacement, test ids, reason).
+``run_row`` copies ``src/`` to a temporary directory, requires the snippet
+to occur exactly once in its file, so that a moved or reworded line fails
+loudly instead of passing, puts the replacement in its place and runs the
+named tests in one ``python -m pytest`` child with PYTHONPATH on the copy.
+Rows run one at a time, never in parallel. Each child must end with
+pytest's "tests failed" status: a bound whose fault no test sees is not
+tested, and a mistyped test id is a usage error, not a failure.
+
+A change to a bound updates its row in the same change; removing a row
+is a change to a check.
+
+    python tests/planted_faults.py    # run every row, with its wall time
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+NUMERIC = "zetaeven/numeric_core.py"
+VERIFIER = "zetaeven/series_verifier.py"
+BALLS = "tests/test_numeric_core.py::TestBalls::"
+EXPANSION = "tests/test_series_verifier.py::TestExpansionIdentity::"
+
+ROWS = (
+    (
+        NUMERIC,
+        "    return _ball_quotient(value, radius, 2)",
+        "    return value // 2, 0",
+        (BALLS + "test_ln_ball_holds_mpmaths_ln",),
+        "the ln ball without its radius",
+    ),
+    (
+        VERIFIER,
+        "    r2_low = ln_low * ln_low + pi_low * pi_low",
+        "    r2_low = ln_up * ln_up + pi_low * pi_low",
+        (EXPANSION + "test_envelope_holds_for_any_ball_of_ln_u",),
+        "the tail envelope's R taken from the upper end of the ln ball",
+    ),
+    (
+        VERIFIER,
+        "    wallis_up = Fraction(math.isqrt(_ceil_div(x.numerator * t * t, x.denominator)) + 1, t)",
+        "    wallis_up = Fraction(math.isqrt(_ceil_div(x.numerator * t * t, x.denominator)), t)",
+        ("tests/test_series_verifier.py::TestPoleConstant::test_exact_inputs_give_an_upper_bound",),
+        "the pole constant's upper square root not bumped past isqrt",
+    ),
+    (
+        NUMERIC,
+        "    return x // n, -(-ex // n) + 1",
+        "    return x // n, -(-ex // n)",
+        (BALLS + "test_ball_quotient_holds_every_quotient_of_the_ball",),
+        "the floor of each c_j phi step (a _ball_quotient by 2 (2j)!) without its ulp",
+    ),
+    (
+        VERIFIER,
+        "        balls.append((target - total, radius + target_radius))",
+        "        balls.append((target - total, radius))",
+        ("tests/test_series_verifier.py::TestToleranceSums::test_composite_tolerances_are_exact_sums",),
+        "the abel target without its ball radius",
+    ),
+    (
+        NUMERIC,
+        "    return x * y >> bits, -(-(x * ey + y * ex + ex * ey) >> bits) + 1",
+        "    return x * y >> bits, -(-(x * ey + y * ex + ex * ey) >> bits)",
+        (BALLS + "test_ball_product_holds_every_product_of_the_balls",),
+        "_ball_product without its +1",
+    ),
+)
+
+# pytest's exit status when tests ran and some failed
+TESTS_FAILED = 1
+
+
+def run_row(row) -> subprocess.CompletedProcess:
+    """The named tests of one row, run against a copy of src/ with its fault."""
+    file, snippet, replacement, tests, reason = row
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = src / file
+        text = path.read_text()
+        count = text.count(snippet)
+        if count != 1:
+            raise AssertionError(f"{reason}: the snippet occurs {count} times in {file}")
+        path.write_text(text.replace(snippet, replacement))
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+
+
+def survivors() -> list[str]:
+    """The reasons of the rows whose tests did not fail."""
+    return [row[4] for row in ROWS if run_row(row).returncode != TESTS_FAILED]
+
+
+if __name__ == "__main__":
+    start = time.perf_counter()
+    for row in ROWS:
+        began = time.perf_counter()
+        status = run_row(row).returncode
+        verdict = "caught" if status == TESTS_FAILED else f"NOT caught (pytest exit {status})"
+        print(f"{time.perf_counter() - began:6.1f} s  {verdict}: {row[4]}")
+    print(f"{time.perf_counter() - start:6.1f} s  for {len(ROWS)} rows")

@@ -5,6 +5,8 @@ from decimal import (
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zetaeven import numeric_core
 from zetaeven.numeric_core import (
@@ -120,6 +122,54 @@ class TestComputePi:
         )
         with pytest.raises(PiAgreementError, match=message):
             compute_pi(20)
+
+
+class TestBalls:
+    """The integer balls: each operation's result holds every value its
+    operands' balls allow."""
+
+    @given(
+        x=st.integers(0, 2**200), y=st.integers(0, 2**200),
+        ex=st.integers(0, 2**40), ey=st.integers(0, 2**40), bits=st.integers(1, 160),
+    )
+    @example(x=2**10 - 1, y=2**10 - 1, ex=0, ey=0, bits=10)
+    @example(x=3, y=5, ex=1, ey=2, bits=1)
+    def test_ball_product_holds_every_product_of_the_balls(self, x, y, ex, ey, bits):
+        # |X Y 2^bits - w| <= e for X, Y anywhere in their balls; the
+        # product is bilinear, so its extremes are at the corners
+        ex, ey = min(ex, x), min(ey, y)
+        w, e = numeric_core._ball_product(x, ex, y, ey, bits)
+        for cx in (x - ex, x + ex):
+            for cy in (y - ey, y + ey):
+                assert abs(Fraction(cx * cy, 2**bits) - w) <= e
+
+    @given(x=st.integers(-(2**200), 2**200), ex=st.integers(0, 2**60), n=st.integers(1, 2**70))
+    @example(x=2**10 - 1, ex=2**10, n=2**10)  # the floor's ulp on top of ex/n
+    @example(x=6, ex=0, n=7)
+    def test_ball_quotient_holds_every_quotient_of_the_ball(self, x, ex, n):
+        w, e = numeric_core._ball_quotient(x, ex, n)
+        for end in (x - ex, x + ex):
+            assert abs(Fraction(end, n) - w) <= e
+
+    @given(
+        num=st.integers(1, 10**60), den=st.integers(1, 10**60), digits=st.integers(1, 100)
+    )
+    @example(num=10**45 + 1, den=10**45, digits=50)  # x = 1 + 10^-45
+    @example(num=10**45, den=10**45 + 1, digits=50)
+    @example(num=1, den=1, digits=10)
+    @example(num=2, den=1, digits=50)
+    @example(num=10**60 - 1, den=1, digits=100)
+    @example(num=1, den=10**60 - 1, digits=100)
+    def test_ln_ball_holds_mpmaths_ln(self, num, den, digits):
+        # rationals in (10^-60, 10^60), on both sides of 1; mpmath at 60
+        # more digits is the true ln to far below one ulp of the ball
+        mpmath = pytest.importorskip("mpmath")
+        value, radius = numeric_core._ln_ball(Fraction(num, den), digits)
+        with mpmath.workdps(digits + 60):
+            true = mpmath.log(mpmath.mpf(num) / den) * mpmath.mpf(10) ** digits
+        assert value - radius <= true <= value + radius
+        # and tight: a few ulps, and a few more per power of 2 taken out
+        assert radius <= 5 + 2 * abs(num.bit_length() - den.bit_length())
 
 
 class TestRoundHalfEven:

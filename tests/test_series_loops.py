@@ -14,6 +14,14 @@ must return the identical ``(value, radius, terms)``.
 phi_series decides Ziv's rounding test on the integers; the Decimal
 decision it replaced is kept here, and the two must agree on every ball.
 
+The verifier's bounds are integer balls and exact rationals now. The
+Decimal expressions they replaced (the polylog gap, the pole constant,
+the tail envelope and the rearrangement's rhs loop, with their slops
+and their rhs dust) are kept here, and over a grid each new upper bound
+must lie at least at the old value less the old slop and at most a
+relative 10^-15 above it, and the rhs ball must agree with the old loop
+within the old dust.
+
 For m >= 0, ``phi_coefficients`` is an exact oracle that needs no
 mpmath and reaches every u: phi_series must lie within its bound of it
 and print its correctly rounded decimal, near u = 1 too. For m < 0,
@@ -22,7 +30,7 @@ cannot reach.
 """
 
 import math
-from decimal import ROUND_CEILING, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
@@ -31,8 +39,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from zetaeven import series_verifier
 from zetaeven.numeric_core import (
-    HighPrecisionReal, _fixed_decimal, _rational_decimal, _round_significant_int, _rounds_alike,
-    round_significant,
+    HighPrecisionReal, _context, _fixed_decimal, _rational_decimal, _round_significant_int,
+    _rounds_alike, compute_pi, round_significant,
 )
 from zetaeven.series_verifier import (
     ABEL_DELTAS,
@@ -44,9 +52,13 @@ from zetaeven.series_verifier import (
     _cvz_sum,
     _cvz_terms,
     _cvz_weights,
+    _expansion_tail_envelope,
+    _pole_constant,
+    _polylog_gap,
     _terms_before_floor,
     _reciprocal_power_sum,
     _two_eta,
+    identity_check_expansion,
     phi_coefficients,
     phi_series,
 )
@@ -335,8 +347,8 @@ def test_eta_partial(m):
     for N in (1, 2, 999, 10**5):
         value, _ = reference_eta_partial(m, N)
         dust = Fraction(2 * N, 10 ** (60 + len(str(N))))
-        gap = abs(F(target.value) + 2 * F(value.value))
-        assert gap <= Fraction(2, (N + 1) ** m) + F(radius) + dust, (m, N)
+        gap = abs(F(target, 10**60) + 2 * F(value.value))
+        assert gap <= Fraction(2, (N + 1) ** m) + F(radius, 10**60) + dust, (m, N)
 
 
 REFERENCE_F_CASES = (
@@ -454,3 +466,147 @@ def test_integer_ziv_test_matches_the_decimal_one(value, radius, digits, precisi
     for end in (value - radius, value + radius):
         rounded = round_significant(_fixed_decimal(end, digits), precision)
         assert _fixed_decimal(_round_significant_int(end, precision), digits) == rounded, end
+
+
+def decimal_context(prec, rounding=ROUND_HALF_EVEN):
+    """A private copy of the package's decimal context, entered, as the
+    verifier once wrote its bounds."""
+    return localcontext(_context(prec, rounding))
+
+
+def reference_polylog_gap(s, delta):
+    """_polylog_gap as a 40-digit Decimal expression, rounded half-even."""
+    d = _rational_decimal(delta, 40)
+    with decimal_context(40):
+        if s == 2:
+            return d * (1 + d + (1 / d).ln())
+        return d * (1 + Decimal(1) / (s - 2))
+
+
+def reference_pole_constant(b_up, inv_b_up, pi_up, M):
+    """_pole_constant at 40 digits rounded up; the 1e-20 slop covers the
+    half-even sqrt."""
+    with decimal_context(40, ROUND_CEILING):
+        wallis_up = (pi_up / (2 * (M - 1))).sqrt() * (1 + Decimal("1e-20"))
+        return 4 + 2 * (b_up + inv_b_up) * min(b_up, pi_up / 2, wallis_up)
+
+
+def reference_tail_envelope(k, u, J_max, pi_value):
+    """_expansion_tail_envelope at 40 digits with directed rounding, its
+    1e-20 slop absorbing the supplied pi and the half-even ln and sqrt."""
+    slop = Decimal("1e-20")
+    with decimal_context(40, ROUND_FLOOR) as ctx:
+        pi_low = round_significant(pi_value, 35) * (1 - slop)
+        ln_low = _rational_decimal(u, 40, ROUND_FLOOR).ln() * (1 - slop)
+        r2_low = ln_low * ln_low + pi_low * pi_low
+        r_low = r2_low.sqrt()
+        ctx.rounding = ROUND_CEILING
+        pi_up = round_significant(pi_value, 35) * (1 + slop)
+        ln_up = _rational_decimal(u, 40, ROUND_CEILING).ln() * (1 + slop)
+        q_up = pi_up * pi_up / r2_low
+        ctx.rounding = ROUND_FLOOR
+        one_minus_q = 1 - q_up
+        if one_minus_q <= 0:
+            return Decimal("Infinity")
+        ctx.rounding = ROUND_CEILING
+        m_next = 2 * (J_max + 1) - 2 * k
+        c_up = reference_pole_constant(ln_up / pi_low, pi_up / ln_low, pi_up, m_next)
+        half_c = 4 if c_up <= 8 else Fraction(c_up) / 2
+        ratio = Fraction(math.factorial(m_next), math.factorial(2 * (J_max + 1))) * half_c
+        envelope = (
+            _rational_decimal(ratio, 40, ROUND_CEILING)
+            * pi_up ** (2 * (J_max + 1))
+            / r_low ** (m_next + 1)
+        )
+        return envelope / one_minus_q
+
+
+def reference_expansion_residual(k, u, J_max, precision):
+    """lhs - rhs of identity_check_expansion with the rhs summed as Decimal
+    expressions at w + 5 digits, w = precision + 15, and what bounded its
+    arithmetic: the rhs dust (A + 1) 10^(8-w), A = sum_j |term_j|, plus
+    the series-phi bounds."""
+    work = precision + 15
+    total, _, _ = _reciprocal_power_sum(k, u, 10**work)
+    pi = compute_pi(work)
+    exact_phi = phi_coefficients(u, 2 * (J_max + 1) - 2 * k)
+    lhs = _fixed_decimal(total, work)
+    with decimal_context(work + 5):
+        rhs = abs_acc = phi_bound = Decimal(0)
+        for j in range(J_max + 1):
+            mi = 2 * j - 2 * k
+            coeff = pi ** (2 * j) / (2 * math.factorial(2 * j))
+            if mi >= 0:
+                phi_dec = _rational_decimal(exact_phi[mi], work + 5)
+            else:
+                pe = phi_series(mi, u, precision + 5)
+                phi_dec = pe.value.value
+                phi_bound += coeff * pe.error_bound.value
+            term = coeff * phi_dec
+            rhs += term if j % 2 else -term
+            abs_acc += abs(term)
+        residual = lhs - rhs
+        rhs_dust = (abs_acc + 1) * Decimal(10) ** (8 - work)
+    return residual, rhs_dust + phi_bound
+
+
+# the grid of the old-against-new bound comparisons
+BOUND_US = (F(1001, 1000), F(11, 10), F(3, 2), F(2), F(3), F(7), F(10**40))
+GAP_DELTAS = tuple(F(1, 10**e) for e in range(1, 13))
+
+
+def assert_tight_upper_bound(new, old, slop, ulp=0):
+    """new (an exact rational) at least the old bound less its slop, and
+    at most a relative 10^-15 (plus one ulp of a final rounding up) above it."""
+    old = F(old)
+    assert old - slop <= new <= old * (1 + F(1, 10**15)) + ulp, (float(new), float(old))
+
+
+def test_polylog_gap_against_the_decimal_expression():
+    # the old value rounded each of its few operations at 40 digits
+    for s in (2, 3, 4, 6, 10):
+        for delta in GAP_DELTAS:
+            old = reference_polylog_gap(s, delta)
+            assert_tight_upper_bound(_polylog_gap(s, delta), old, F(old) / 10**38)
+
+
+def test_pole_constant_against_the_decimal_expression():
+    # the same b, 1/b and pi bounds into both; the old slop is 1e-20 relative
+    for u in BOUND_US:
+        with decimal_context(60):
+            pi = compute_pi(60)
+            b = (Decimal(u.numerator).ln() - Decimal(u.denominator).ln()) / pi
+            inputs = (b, 1 / b, pi)
+        for M in (2, 3, 4, 10, 50, 92, 400):
+            old = reference_pole_constant(*inputs, M)
+            new = _pole_constant(*map(F, inputs), M)
+            assert_tight_upper_bound(new, old, F(old) / 10**19)
+
+
+@pytest.mark.parametrize("u", BOUND_US, ids=str)
+def test_tail_envelope_against_the_decimal_expression(u):
+    # at the default report's 65 decimals, for every J from k to 200; the
+    # old slop of 1e-20 on pi and ln u enters pi^(2J+2), R^(M+1) and
+    # 1/(1 - q), q = (pi/R)^2, and the new bound's last ceiling adds an ulp
+    work = 65
+    pi = compute_pi(work)
+    ln_u = math.log(u.numerator) - math.log(u.denominator)
+    one_minus_q = ln_u * ln_u / (ln_u * ln_u + math.pi * math.pi)
+    for k in (1, 2, 3):
+        for J in range(k, 201):
+            old = reference_tail_envelope(k, u, J, pi)
+            slop = F(old) * F(5 / one_minus_q + 4 * J + 10) / 10**20
+            new = F(_expansion_tail_envelope(k, u, J, work), 10**work)
+            assert_tight_upper_bound(new, old, slop, F(1, 10**work))
+
+
+@pytest.mark.parametrize("k, u", EXPANSION_CASES, ids=str)
+def test_rhs_ball_against_the_decimal_loop(k, u):
+    # the residual of the rhs ball against the Decimal loop's: they differ
+    # by less than the old dust and series bounds plus the ball's radius
+    for J, precision in ((k, 15), (6, 15), (25, 20), (25, 50), (40, 30), (200, 80)):
+        work = precision + 15
+        report = identity_check_expansion(k, u, J, precision)
+        radius = F(report.tolerance.value) - F(_expansion_tail_envelope(k, u, J, work), 10**work)
+        old, old_bound = reference_expansion_residual(k, u, J, precision)
+        assert abs(F(report.residual.value) - F(old)) <= F(old_bound) + radius, (J, precision)

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from decimal import Context, Decimal, Inexact, localcontext
+from decimal import Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import zetaeven
-from zetaeven import series_verifier
+from zetaeven import numeric_core, series_verifier
 from zetaeven.euler_bernoulli import euler_polynomial, euler_polynomial_eval
-from zetaeven.numeric_core import HighPrecisionReal, compute_pi
+from zetaeven.numeric_core import HighPrecisionReal, _bits_for, _ln_ball, _pi
 from zetaeven.powerseries import exp_series, series_div
 from zetaeven.reports import VerificationReport, render_value
 from zetaeven.series_verifier import (
@@ -29,6 +29,7 @@ from zetaeven.series_verifier import (
     _expansion_tail_envelope,
     _pole_constant,
     _polylog_gap,
+    _ceil_ulps,
     _reciprocal_power_sum,
     _term_digits,
     _two_eta,
@@ -40,7 +41,7 @@ from zetaeven.series_verifier import (
     phi_taylor_coeff,
     run_suite,
 )
-from zetaeven.zeta_recurrence import zeta_even_decimal
+from zetaeven.zeta_recurrence import _zeta_even_ball, zeta_even_decimal
 
 F = Fraction
 # pi to 60 decimals, kept apart from numeric_core.compute_pi
@@ -354,16 +355,17 @@ class TestTwoEta:
         assert abs(F(value, 2**60) - F(Decimal(zeta_even_decimal(1, 30)))) <= F(radius, 2**60)
 
     def test_converges_to_minus_half_zeta_two(self):
-        # 2 eta(2) = zeta(2), the limit of -2 sum_{n<=N} (-1)^n/n^2
-        value, bound = _two_eta(2, 50)
+        # 2 eta(2) = zeta(2), the limit of -2 sum_{n<=N} (-1)^n/n^2: a
+        # ball in ulps of 10^-60, from the zeta ball at even m
+        value, radius = _two_eta(2, 50)
         target = Decimal(zeta_even_decimal(1, 80))
-        assert abs(F(value.value) - F(target)) <= F(bound) + F(1, 10**79)
-        assert bound < Decimal("1e-58")
+        assert abs(F(value, 10**60) - F(target)) <= F(radius, 10**60) + F(1, 10**79)
+        assert radius < 100
 
     def test_m_four_against_zeta_four(self):
-        value, bound = _two_eta(4, 50)
+        value, radius = _two_eta(4, 50)
         target = F(Decimal(zeta_even_decimal(2, 80))) * 7 / 4
-        assert abs(F(value.value) - target) <= F(bound) + F(1, 10**79)
+        assert abs(F(value, 10**60) - target) <= F(radius, 10**60) + F(1, 10**79)
 
     def test_domain_errors(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -497,7 +499,8 @@ class TestAbelLimit:
         assert good.parameters["monotone_from_below"] is True
         kernel_sum = series_verifier._reciprocal_power_sum
         scale = 10**30
-        target = int(F(Decimal(zeta_even_decimal(1, 25))) * scale)
+        # the suite's own target ball at 10^-30, with its radius
+        target, target_radius = _zeta_even_ball(1, 30, _bits_for(30))
 
         def planted(shift_for):
             def shifted(k, u, s, plan=None):
@@ -505,9 +508,9 @@ class TestAbelLimit:
                 return value + shift_for(u, value, radius), radius, terms
             return shifted
 
-        # the last residual left half a radius (plus the zeta ulp) above 0
+        # the last residual left half its ball's radius above 0
         def to_zero(u, value, radius):
-            return target - value - radius // 2 if u == 1 + self.DELTAS[-1] else 0
+            return target - value - (radius + target_radius) // 2 if u == 1 + self.DELTAS[-1] else 0
 
         # the middle residual shifted below the last one by more than its radius
         def past_next(u, value, radius):
@@ -567,13 +570,34 @@ class TestExpansionIdentity:
         assert abs(deep.residual.value) < abs(shallow.residual.value)
 
     def test_no_certified_tail_bound_fails(self):
-        # at u = 1 + 1e-45 the envelope's 40 digits cannot tell R from pi,
-        # so there is no finite bound, and the report judged against it fails
+        # at u = 1 + 1e-45 the envelope's 25 decimals (precision 10 plus
+        # 15) cannot tell R from pi, so there is no finite bound, and the
+        # report judged against it fails
         u = 1 + F(1, 10**45)
-        assert _expansion_tail_envelope(1, u, 1, compute_pi(25)) == Decimal("Infinity")
+        assert _expansion_tail_envelope(1, u, 1, 25) is None
         report = identity_check_expansion(1, u, 1, 10)
         assert not report.passed
         assert report.tolerance.value == Decimal("Infinity")
+
+    @pytest.mark.parametrize("u", (F(11, 10), F(3, 2)), ids=str)
+    def test_envelope_holds_for_any_ball_of_ln_u(self, monkeypatch, u):
+        # the envelope bounds its formula for every ball that holds ln u:
+        # here one 10^-3 wide with ln u at its lower or its upper end, so
+        # taking either end the wrong way shows
+        mpmath = pytest.importorskip("mpmath")
+        k, J, work = 1, 3, 30
+        value, radius = _ln_ball(u, work)
+        wide = 10 ** (work - 3)
+        with mpmath.workdps(60):
+            pi, ln = mpmath.pi, mpmath.log(mpmath.mpf(u.numerator) / u.denominator)
+            M, r2, b = 2 * (J + 1) - 2 * k, ln**2 + mpmath.pi**2, ln / mpmath.pi
+            c = 4 + 2 * (b + 1 / b) * min(b, pi / 2, mpmath.sqrt(pi / (2 * (M - 1))))
+            ratio = mpmath.factorial(M) / mpmath.factorial(2 * J + 2)
+            envelope = (4 if c <= 8 else c / 2) * ratio * pi ** (2 * J + 2) / r2 ** ((M + 1) / 2)
+            envelope *= mpmath.mpf(10) ** work / (1 - pi**2 / r2)
+        for shift in (wide - radius, radius - wide):
+            monkeypatch.setattr(series_verifier, "_ln_ball", lambda x, digits: (value + shift, wide))
+            assert _expansion_tail_envelope(k, u, J, work) >= envelope, shift
 
     def test_under_truncation_fails_near_first_omitted_term(self):
         report = identity_check_expansion(1, F(3, 2), 2, 50, tolerance="1e-30")
@@ -602,31 +626,25 @@ class TestExpansionIdentity:
 
     @pytest.mark.parametrize("u", (F(3, 2), F(2)), ids=str)
     def test_dust_bounds_the_arithmetic_at_j_max_200(self, u):
-        # 201 rounded pi powers and products at 80 digits; the actual
-        # Decimal error of the rhs is below 2e-12 of rhs_dust here
+        # 201 pi powers and products at 95 decimals: the true lhs - rhs,
+        # from mpmath alone, lies inside the report's residual ball, whose
+        # radius is the tolerance less the tail envelope
         mpmath = pytest.importorskip("mpmath")
         k, J_max, precision = 1, 200, 80
         work = precision + 15
         report = identity_check_expansion(k, u, J_max, precision)
-        _, lhs_radius, _ = _reciprocal_power_sum(k, u, 10**work)
-        with mpmath.workdps(work + 15):
+        radius = F(report.tolerance.value) * 10**work - _expansion_tail_envelope(k, u, J_max, work)
+        assert radius.denominator == 1 and 0 < radius < 10**4
+        radius, residual = int(radius), int(F(report.residual.value) * 10**work)
+        with mpmath.workdps(work + 30):
             lhs = mpmath.polylog(2 * k, mpmath.mpf(u.denominator) / u.numerator)
-            rhs = abs_terms = mpmath.mpf(0)
+            rhs = mpmath.mpf(0)
             for j in range(J_max + 1):
-                if j < k:
-                    # the check takes phi_(2j-2k) from phi_series, whose
-                    # own bound covers its error: the true sum uses it as is
-                    phi = mpmath.mpf(str(phi_series(2 * j - 2 * k, u, precision + 5).value.value))
-                else:
-                    phi = phi_mpmath(mpmath, 2 * j - 2 * k, u)
-                term = mpmath.pi ** (2 * j) / (2 * mpmath.factorial(2 * j)) * phi
+                coefficient = mpmath.pi ** (2 * j) / (2 * mpmath.factorial(2 * j))
+                term = coefficient * phi_mpmath(mpmath, 2 * j - 2 * k, u)
                 rhs += term if j % 2 else -term
-                abs_terms += abs(term)
-            ten = mpmath.mpf(10)
-            lhs_dust = lhs_radius * ten ** -work
-            rhs_dust = (abs_terms + 1) * ten ** (8 - work)
-            error = abs(mpmath.mpf(str(report.residual.value)) - (lhs - rhs))
-            assert error <= lhs_dust + rhs_dust
+            true = (lhs - rhs) * mpmath.mpf(10) ** work
+            assert abs(true - residual) <= radius, (true - residual, radius)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -643,9 +661,9 @@ def pole_constant(u, m):
     """_pole_constant at u, from b = ln(u)/pi rounded up and down."""
     with localcontext() as ctx:
         ctx.prec = 60
-        b = (Decimal(u.numerator).ln() - Decimal(u.denominator).ln()) / PI_60
-        slop = Decimal("1e-50")
-        return _pole_constant(b * (1 + slop), (1 + slop) / b, PI_60 * (1 + slop), m)
+        b = F((Decimal(u.numerator).ln() - Decimal(u.denominator).ln()) / PI_60)
+    slop = F(1, 10**50)
+    return _pole_constant(b * (1 + slop), (1 + slop) / b, F(PI_60) * (1 + slop), m)
 
 
 class TestPoleConstant:
@@ -670,14 +688,25 @@ class TestPoleConstant:
         for _, u in EXPANSION_CASES:
             assert pole_constant(u, 2) <= 8
 
+    def test_exact_inputs_give_an_upper_bound(self):
+        # b = 10, so the Wallis term is the least of the three: the bound
+        # less 4, over 2 (b + 1/b), must square to at least pi/(2(M-1)),
+        # with the square root taken on pi_up's own denominator
+        b = F(10)
+        for pi_up in (F(22, 7), F(355, 113), F(PI_60)):
+            for M in (2, 3, 10, 92, 400):
+                wallis = (_pole_constant(b, 1 / b, pi_up, M) - 4) / (2 * (b + 1 / b))
+                assert wallis < pi_up / 2
+                assert wallis**2 >= pi_up / (2 * (M - 1)), (pi_up, M)
+
 
 
 def limit_bound_parts(m, u, digits):
-    """The series bound plus the target bound in the phi suite's limit
-    tolerance at m, u: what its tolerance adds to the gap bound."""
+    """The series bound and the target's radius in the phi suite's limit
+    tolerance at m, u, in ulps of 10^-(digits + 10): what its tolerance
+    adds to twice the gap bound."""
     series = phi_series(-m, u, digits).error_bound.value
-    target = Decimal(f"1e-{digits}") if m % 2 == 0 else _two_eta(m, digits)[1]
-    return F(series) + F(target)
+    return _ceil_ulps(series, 10 ** (digits + 10)) + _two_eta(m, digits)[1]
 
 
 def limit_reports(digits):
@@ -690,28 +719,32 @@ def limit_reports(digits):
 
 
 def expansion_tolerance_parts(k, u, J, precision):
-    """The parts of identity_check_expansion's default tolerance, from the
-    derivation in its docstring: the tail envelope, the rhs dust, the
-    series-phi bound and the lhs radius."""
+    """The parts of identity_check_expansion's default tolerance, in ulps
+    of 10^-w, w = precision + 15, recomputed from the derivation in its
+    docstring: the tail envelope, the lhs radius and the radius of each
+    rhs term c_j phi, the pi-power ball times the phi ball over 2 (2j)!."""
     work = precision + 15
-    pi = compute_pi(work)
-    _, lhs_radius, _ = _reciprocal_power_sum(k, u, 10**work)
+    scale, bits = 10**work, _bits_for(work)
+    _, lhs_radius, _ = _reciprocal_power_sum(k, u, scale)
     exact_phi = phi_coefficients(u, 2 * J - 2 * k)
-    with localcontext(Context(prec=work + 5)):
-        abs_acc = phi_bound = Decimal(0)
-        for j in range(J + 1):
-            coeff = pi ** (2 * j) / (2 * factorial(2 * j))
-            if 2 * j >= 2 * k:
-                exact = exact_phi[2 * j - 2 * k]
-                phi = Decimal(exact.numerator) / Decimal(exact.denominator)
-            else:
-                evaluation = phi_series(2 * j - 2 * k, u, precision + 5)
-                phi = evaluation.value.value
-                phi_bound += coeff * evaluation.error_bound.value
-            abs_acc += abs(coeff * phi)
-        dust = (abs_acc + 1) * Decimal(10) ** (8 - work)
-    envelope = _expansion_tail_envelope(k, u, J, pi)
-    return F(envelope) + F(dust) + F(phi_bound) + F(lhs_radius, 10**work)
+    pi, pi_radius = _pi(1 << bits)[0], numeric_core._PI_RADIUS
+    pi_square = numeric_core._ball_product(pi, pi_radius, pi, pi_radius, bits)
+    power, factorial = (1 << bits, 0), 2
+    parts = [_expansion_tail_envelope(k, u, J, work), lhs_radius]
+    for j in range(J + 1):
+        if j:
+            power = numeric_core._ball_product(*power, *pi_square, bits)
+            factorial *= (2 * j - 1) * 2 * j
+        if 2 * j >= 2 * k:
+            exact = exact_phi[2 * j - 2 * k]
+            phi = (abs(exact.numerator) * scale // exact.denominator, 1)
+        else:
+            m = 2 * j - 2 * k
+            value, radius, _ = series_verifier._cvz_decimal(m, u.denominator, u.numerator, work, str)
+            phi = (abs(value), radius)
+        _, product_radius = numeric_core._ball_product(*power, *phi, bits)
+        parts.append(-(-product_radius // factorial) + 1)
+    return parts
 
 
 class TestAbelTypeTolerances:
@@ -726,6 +759,21 @@ class TestAbelTypeTolerances:
     DELTAS = [F(1, 10**e) for e in range(1, 13)]
     SS = (2, 3, 4, 6, 10)
 
+    def test_gap_bound_is_at_least_its_formula(self):
+        # s = 2: delta (1 + delta + ln(1/delta)) from mpmath at 100 digits
+        # (a 40-digit ln rounded half-even fell short of it by 1e-41 at
+        # delta = 1/10); s >= 3: delta (1 + 1/(s-2)), exactly or above
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(100):
+            for delta in self.DELTAS:
+                d = mpmath.mpf(delta.numerator) / delta.denominator
+                gap = F(_polylog_gap(2, delta))
+                formula = d * (1 + d + mpmath.log(1 / d))
+                assert mpmath.mpf(gap.numerator) / gap.denominator >= formula, delta
+        for s in self.SS[1:]:
+            for delta in self.DELTAS:
+                assert F(_polylog_gap(s, delta)) >= delta * (1 + F(1, s - 2)), (s, delta)
+
     def test_abel_tolerance_bounds_zeta_minus_polylog(self):
         # zeta(s) - Li_s(x), the abel suite's gap at s = 2k, within _polylog_gap
         mpmath = pytest.importorskip("mpmath")
@@ -734,7 +782,8 @@ class TestAbelTypeTolerances:
                 for delta in self.DELTAS:
                     x = mpmath.mpf(delta.denominator) / (delta.numerator + delta.denominator)
                     gap = mpmath.zeta(s) - mpmath.polylog(s, x)
-                    assert gap <= mpmath.mpf(str(_polylog_gap(s, delta))), (s, delta)
+                    bound = F(_polylog_gap(s, delta))
+                    assert gap <= mpmath.mpf(bound.numerator) / bound.denominator, (s, delta)
 
     def test_phi_limit_tolerance_bounds_eta_plus_polylog(self, monkeypatch):
         # |2 eta(s) - phi_-s(1 + delta)| = |2 eta(s) + 2 Li_s(-x)| within the
@@ -750,33 +799,39 @@ class TestAbelTypeTolerances:
                 for delta in self.DELTAS:
                     x = mpmath.mpf(delta.denominator) / (delta.numerator + delta.denominator)
                     u = 1 + delta
-                    limit_gap = F(reports[s, u].tolerance.value) - limit_bound_parts(s, u, 15)
+                    parts = F(limit_bound_parts(s, u, 15), 10**25)
+                    limit_gap = F(reports[s, u].tolerance.value) - parts
                     bound = mpmath.mpf(limit_gap.numerator) / limit_gap.denominator
                     assert abs(eta2 + 2 * mpmath.polylog(s, -x)) <= bound, (s, delta)
 
 
 class TestToleranceSums:
-    """Every composite tolerance is the exact sum of its proven parts,
-    recomputed here: rounding the sum could lift it above them."""
+    """Every composite tolerance is an integer number of ulps of its
+    report's one scale, the sum of its proven parts, recomputed here."""
 
     def test_composite_tolerances_are_exact_sums(self):
-        # abel: the gap bound plus the last residual ball's radius, which
-        # adds one ulp of the zeta value at precision + 5 digits
-        delta = ABEL_DELTAS[-1]
+        # abel, in ulps of 10^-20: the gap bound rounded up, plus the last
+        # residual ball's radius, the f_k radius and the zeta ball's
+        delta, scale = ABEL_DELTAS[-1], 10**20
         report = abel_limit_check(1, ABEL_DELTAS, 10)
-        _, radius, _ = _reciprocal_power_sum(1, 1 + delta, 10**20)
-        expected = F(_polylog_gap(2, delta)) + F(radius + 10**6, 10**20)
-        assert F(report.tolerance.value) == expected
-        # phi limit: twice the gap bound, the series bound, the target bound
-        report = limit_reports(24)[2, F(101, 100)]
-        expected = 2 * F(_polylog_gap(2, F(1, 100))) + limit_bound_parts(2, F(101, 100), 24)
-        assert F(report.tolerance.value) == expected
-        # expansion: envelope, rhs dust, series-phi bound and lhs radius
+        _, radius, _ = _reciprocal_power_sum(1, 1 + delta, scale)
+        _, target_radius = _zeta_even_ball(1, 20, _bits_for(20))
+        expected = _ceil_ulps(_polylog_gap(2, delta), scale) + radius + target_radius
+        assert F(report.tolerance.value) * scale == expected
+        # phi limit, in ulps of 10^-34: twice the gap bound, the series
+        # bound and the target's radius
+        report, scale = limit_reports(24)[2, F(101, 100)], 10**34
+        gap = _ceil_ulps(_polylog_gap(2, F(1, 100)), scale)
+        expected = 2 * gap + limit_bound_parts(2, F(101, 100), 24)
+        assert F(report.tolerance.value) * scale == expected
+        # expansion, in ulps of 10^-(precision + 15): the envelope, the lhs
+        # radius and every rhs term's radius
         for precision in (30, 50):
             for k, u in EXPANSION_CASES:
                 report = identity_check_expansion(k, u, 25, precision)
-                expected = expansion_tolerance_parts(k, u, 25, precision)
-                assert F(report.tolerance.value) == expected, (k, u, precision)
+                parts = expansion_tolerance_parts(k, u, 25, precision)
+                tolerance = F(report.tolerance.value) * 10 ** (precision + 15)
+                assert tolerance == sum(parts), (k, u, precision)
 
 
 class TestReports:

@@ -4,8 +4,6 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 import zetaeven.euler_bernoulli as eb
 import zetaeven.numeric_core as nc
@@ -152,9 +150,19 @@ class TestDecimal:
     def test_expansion_suite_computes_pi_once(self, pi_scales):
         for k, u in EXPANSION_CASES:
             identity_check_expansion(k, u, 4, 20)
-        # one working precision, digits + 15, shared by the three cases
-        # and read at compute_pi's scale, with its 12 guard digits
-        assert pi_scales == [10 ** (35 + 12)]
+        # one working precision, digits + 15, shared by the three cases,
+        # the rhs and the tail envelope: one binary scale past 10^36
+        assert pi_scales == [2**120]
+        assert 10**36 <= 2**120 < 2 * 10**36
+
+    @pytest.mark.parametrize("digits", [50, 80])
+    def test_verify_all_computes_pi_at_most_twice(self, pi_scales, digits):
+        # one binary scale for the expansion suite, past 10^(digits + 16),
+        # and one shared by the abel targets and the phi suite's even
+        # limits, past 10^(digits + 11)
+        for name in series_verifier.SUITES:
+            series_verifier.run_suite(name, digits=digits)
+        assert pi_scales == [2 ** nc._bits_for(digits + 15), 2 ** nc._bits_for(digits + 10)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -207,21 +215,6 @@ class TestCertifiedDecimal:
             exact = zeta_even_ratio(k) * v * 10**places / 2**bits
             assert exact.denominator > 1
             assert value - radius <= exact <= value + radius, k
-
-    @given(
-        x=st.integers(0, 2**200), y=st.integers(0, 2**200),
-        ex=st.integers(0, 2**40), ey=st.integers(0, 2**40), bits=st.integers(1, 160),
-    )
-    @example(x=2**10 - 1, y=2**10 - 1, ex=0, ey=0, bits=10)
-    @example(x=3, y=5, ex=1, ey=2, bits=1)
-    def test_ball_product_holds_every_product_of_the_balls(self, x, y, ex, ey, bits):
-        # |X Y 2^bits - w| <= e for X, Y anywhere in their balls; the
-        # product is bilinear, so its extremes are at the corners
-        ex, ey = min(ex, x), min(ey, y)
-        w, e = zr._ball_product(x, ex, y, ey, bits)
-        for cx in (x - ex, x + ex):
-            for cy in (y - ey, y + ey):
-                assert abs(F(cx * cy, 2**bits) - w) <= e
 
     def test_undecided_rounding_retries_with_more_guard(self, monkeypatch):
         # at a start guard of 1 digit, zeta(2k) to 20 digits straddles a

@@ -22,19 +22,22 @@ A real known only within a bound travels as an integer ball: a
 fixed-point value and a radius, both in ulps of one stated scale, with
 the true value within radius ulps of the value (the midpoint-radius
 balls of F. Johansson's Arb, IEEE Trans. Comput. 66, 2017). Products
-and powers (``_ball_product``, ``_ball_power``), divisions by an exact
-integer (``_ball_quotient``) and logarithms (``_ln_ball``) carry the
-radius exactly, so every bound the package certifies is an integer
-number of ulps, and only its printed rendering is a ``Decimal``.
+and powers (``_ball_product``, ``_ball_power``) and divisions by an
+exact integer (``_ball_quotient``) carry the radius exactly, so every
+bound the package certifies is an integer number of ulps, and only its
+printed rendering is a ``Decimal``. Every certified decimal -- pi,
+phi_m(u) and zeta(2k) -- is rounded by one loop, ``_ziv``, from a ball
+maker its caller supplies; it rounds only when both ends of the ball
+round alike.
 
 Pi is generated internally from two independent series, Chudnovsky's and
 Ramanujan's 1/pi series, each summed exactly by binary splitting and
 brought to fixed point with one integer square root and one floor
 division. The two values must agree before either is used
 (``_agreed_pi``), so no precomputed constant enters the trust base;
-``compute_pi`` rounds both on the integers and returns the one result
-as a plain ``Decimal``, and ``_pi`` keeps the agreed values of the few
-scales a run asks for.
+``compute_pi`` rounds Chudnovsky's value, a ball of ``_PI_RADIUS``
+ulps, through ``_ziv`` and returns a plain ``Decimal``, and ``_pi``
+keeps the agreed values of the few scales a run asks for.
 
 ``FrozenRecord`` is the base of the package's immutable value records
 (high-precision reals, Euler polynomials, phi evaluations, verification
@@ -311,7 +314,6 @@ def _pi_fixed(scale: int) -> tuple[int, int]:
     return chudnovsky, ramanujan
 
 
-_PI_GUARD = 12
 # each _pi_fixed value is within this many ulps of pi * scale
 _PI_RADIUS = 2
 
@@ -361,24 +363,52 @@ def _rounds_alike(value: int, radius: int, precision: int) -> bool:
     )
 
 
-def compute_pi(digits: int) -> Decimal:
-    """Pi rounded to ``digits`` significant digits.
+# Guard digits of every certified decimal: ``_ziv`` starts with them and
+# doubles them while the rounding is not decided, up to 8 times this start.
+_GUARD = 10
 
-    Internally evaluates Chudnovsky's and Ramanujan's series
-    independently (``_agreed_pi``); both the raw fixed-point values (at
-    guard precision) and the rounded results must agree, otherwise
-    PiAgreementError is raised -- disagreement would mean an arithmetic
-    bug, not a math fact. Both values lie in (3, 4) * 10^(digits +
-    _PI_GUARD), so each has digits + _PI_GUARD + 1 digits, of which
-    rounding drops the last _PI_GUARD + 1.
+
+def _ziv(ball, digits: int, what=None) -> tuple[tuple[int, int, int], bool]:
+    """Ziv's loop (A. Ziv, ACM TOMS 17, 1991) over the caller's ball
+    maker: ``ball(guard)`` gives a real as (value, radius, places), a ball
+    in ulps of 10^-places that holds ``digits + guard`` significant digits.
+
+    While the two ends of the ball round to different ``digits``-digit
+    decimals (``_rounds_alike``), the guard is doubled, up to 8 times its
+    start. Returns the last ball and whether its rounding is decided: if
+    it is, the true value, which lies between the ends, rounds as they do.
+    With ``what``, a ball still undecided at the cap raises ValueError
+    instead, whose message starts with ``what()``.
+    """
+    for guard in (_GUARD, 2 * _GUARD, 4 * _GUARD, 8 * _GUARD):
+        value, radius, places = ball(guard)
+        if _rounds_alike(value, radius, digits):
+            return (value, radius, places), True
+    if what:
+        raise ValueError(f"{what()}: its rounding is not decided at {guard} guard digits")
+    return (value, radius, places), False
+
+
+def compute_pi(digits: int) -> Decimal:
+    """Pi rounded to ``digits`` significant digits, every digit certified.
+
+    Chudnovsky's and Ramanujan's series are evaluated independently and
+    must agree (``_agreed_pi``), or PiAgreementError is raised --
+    disagreement would mean an arithmetic bug, not a math fact.
+    Chudnovsky's value, within ``_PI_RADIUS`` ulps of pi 10^places, is the
+    ball ``_ziv`` rounds: it is rounded only when both ends round alike.
+    Pi is irrational, so it is never a rounding tie and more guard digits
+    decide it; a ball still undecided at the cap raises ValueError. It is
+    not cached, so each call computes pi afresh.
     """
     if digits < 10:
         raise ValueError("digits must be >= 10")
-    values = _agreed_pi(10 ** (digits + _PI_GUARD))
-    chudnovsky, ramanujan = (_round_half_even(v, _PI_GUARD + 1) for v in values)
-    if chudnovsky != ramanujan:
-        raise PiAgreementError("pi formulae round differently at the requested precision")
-    return _fixed_decimal(chudnovsky, digits - 1)
+
+    def ball(guard):
+        return _agreed_pi(10 ** (digits - 1 + guard))[0], _PI_RADIUS, digits - 1 + guard
+
+    (value, _, places), _ = _ziv(ball, digits, lambda: f"pi to {digits} digits")
+    return round_significant(_fixed_decimal(value, places), digits)
 
 
 @lru_cache(maxsize=4)
@@ -432,41 +462,3 @@ def _ball_quotient(x: int, ex: int, n: int) -> tuple[int, int]:
     at the same scale: x / n is within ex / n of X / n, and its floor
     loses under 1 ulp more."""
     return x // n, -(-ex // n) + 1
-
-
-def _ln_ball(x, digits: int) -> tuple[int, int]:
-    """ln x for a rational x > 0 as a ball (value, radius) in ulps of
-    10^-digits.
-
-    ln x = -ln(1/x) for x < 1. For x >= 1 one reduction writes
-    x = 2^e (1 + y) with 0 <= y < 1, so that 2 ln x = 2 ln(1 + y) +
-    e 2 ln 2. Both logarithms are the one series kernel's alternating
-    sums at m = -1, 2 ln(1 + y) = phi_-1(1/y) =
-    2 sum_{n>=1} (-1)^(n+1) y^n/n (``series_verifier._cvz_decimal``, about
-    1.31 terms per digit whatever y), and 2 ln 2 the same at y = 1
-    (``_ln2_ball``). Their balls add, the ln 2 ball e times, and halving
-    floors once more.
-    """
-    # the kernel sits beside the series it sums, in a module that
-    # imports this one; it is looked up at the call
-    from .series_verifier import _cvz_decimal
-
-    if x < 1:
-        value, radius = _ln_ball(1 / x, digits)
-        return -value, radius
-    p, q = x.numerator, x.denominator
-    e = (p // q).bit_length() - 1
-    value, radius = (e * part for part in _ln2_ball(digits)) if e else (0, 0)
-    if p != q << e:  # y = p/(q 2^e) - 1, unreduced
-        v, r, _ = _cvz_decimal(-1, p - (q << e), q << e, digits, lambda: f"ln({x}) needs")
-        value, radius = value + v, radius + r
-    return _ball_quotient(value, radius, 2)
-
-
-@lru_cache(maxsize=4)
-def _ln2_ball(digits: int) -> tuple[int, int]:
-    """2 ln 2 = phi_-1(1) as the kernel's ball in ulps of 10^-digits, kept,
-    like ``_pi``, for the few precisions a run asks for."""
-    from .series_verifier import _cvz_decimal
-
-    return _cvz_decimal(-1, 1, 1, digits, lambda: f"ln(2) to {digits} digits needs")[:2]

@@ -32,12 +32,13 @@ from _thread import allocate_lock
 from collections.abc import Sequence
 from decimal import Decimal, ROUND_CEILING
 from fractions import Fraction
+from functools import lru_cache
 
 from .euler_bernoulli import bernoulli, zeta_even_via_euler
 from .numeric_core import (
     _PI_RADIUS, FrozenRecord, HighPrecisionReal, _ball_power, _ball_product, _ball_quotient,
-    _bits_for, _context, _decimal_digits, _fixed_decimal, _ln_ball, _pi, _rational_decimal,
-    _rounds_alike, round_significant,
+    _bits_for, _context, _decimal_digits, _fixed_decimal, _pi, _rational_decimal, _ziv,
+    round_significant,
 )
 from .reports import VerificationReport
 from .zeta_recurrence import _pi_power_ball, _zeta_even_ball, zeta_even_ratio
@@ -366,9 +367,35 @@ def _cvz_decimal(m: int, num: int, den: int, digits: int, what) -> tuple[int, in
     return value * ten >> bits, _ceil_div(radius * ten, 1 << bits) + 1, terms
 
 
-# Guard digits of phi_series, doubled while the rounding of the result to
-# its precision is not yet decided.
-_PHI_GUARD = 10
+def _ln_ball(x, digits: int) -> tuple[int, int]:
+    """ln x for a rational x > 0 as a ball (value, radius) in ulps of
+    10^-digits.
+
+    ln x = -ln(1/x) for x < 1. For x >= 1 one reduction writes
+    x = 2^e (1 + y) with 0 <= y < 1, so that 2 ln x = 2 ln(1 + y) +
+    e 2 ln 2. Both logarithms are the series kernel's alternating sums
+    at m = -1, 2 ln(1 + y) = phi_-1(1/y) = 2 sum_{n>=1} (-1)^(n+1) y^n/n
+    (``_cvz_decimal``, about 1.31 terms per digit whatever y), and 2 ln 2
+    the same at y = 1 (``_ln2_ball``). Their balls add, the ln 2 ball e
+    times, and halving floors once more.
+    """
+    if x < 1:
+        value, radius = _ln_ball(1 / x, digits)
+        return -value, radius
+    p, q = x.numerator, x.denominator
+    e = (p // q).bit_length() - 1
+    value, radius = (e * part for part in _ln2_ball(digits)) if e else (0, 0)
+    if p != q << e:  # y = p/(q 2^e) - 1, unreduced
+        v, r, _ = _cvz_decimal(-1, p - (q << e), q << e, digits, lambda: f"ln({x}) needs")
+        value, radius = value + v, radius + r
+    return _ball_quotient(value, radius, 2)
+
+
+@lru_cache(maxsize=4)
+def _ln2_ball(digits: int) -> tuple[int, int]:
+    """2 ln 2 = phi_-1(1) as the kernel's ball in ulps of 10^-digits, kept,
+    like ``numeric_core._pi``, for the few precisions a run asks for."""
+    return _cvz_decimal(-1, 1, 1, digits, lambda: f"ln(2) to {digits} digits needs")[:2]
 
 
 def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
@@ -377,15 +404,20 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
 
     For every m the sum is ``_cvz_sum`` at y = 1/u: about 1.31 terms per
     digit at any u > 1, and about m ln(2n^2)/1.76 more for m >= 1. The
-    result is the value with its radius, the error bound. While the two
-    ends of that ball round to different ``precision``-digit decimals,
-    the guard is doubled (Ziv's strategy), up to 8 times its start. For
-    m >= 0 phi_m(u) is rational and may sit on a rounding tie; the retry
-    ends there at that cap, with the value inside its ball. terms counts
-    every term summed, retries included. The test rounds both ends as
-    integers (``_rounds_alike``); only the result becomes a Decimal, and
-    its error bound is radius/10^digits, one division rounded up to 15
-    digits.
+    result is the value with its radius, the error bound, and the package's
+    one Ziv loop (``_ziv``) sums it again with more guard digits while the
+    two ends of that ball round apart. terms counts every term summed,
+    retries included. Only the result becomes a Decimal, and its error
+    bound is radius/10^digits, one division rounded up to 15 digits.
+
+    Undecided at the loop's cap. For m >= 0 phi_m(u) is rational and may
+    sit exactly on a rounding tie, which no guard decides: the value is
+    then the exact phi_m(u) (``phi_coefficients``) at the ball's scale,
+    cut toward zero and, when that loses a remainder, moved away from zero
+    past a last digit of 0 or 5 (ROUND_05UP). It stays inside the ball, and
+    rounding it to ``precision`` digits, ties to even, is the correct
+    rounding of the exact value, as its last digit is 0 or 5 only when it
+    is exact. For m < 0 a ball still undecided raises ValueError.
 
     Leading zeros. ``precision + guard`` significant digits need
     ``precision + guard + lead`` decimals where |phi_m(u)| >= 10^-lead.
@@ -411,22 +443,30 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
     if precision < 10:
         raise ValueError("precision must be >= 10")
     lead = math.ceil(_ceil_div(p, q).bit_length() * _LOG10_2)
-    guard = _PHI_GUARD
     terms = 0
-    while True:
-        digits = precision + guard + lead
-        value, radius, used = _cvz_decimal(
-            m, q, p, digits, lambda: f"phi_{m}({u}) to {precision} digits needs"
-        )
-        terms += used
-        certain = abs(value) - radius  # |phi_m(u)| >= certain 10^-digits
-        if certain < 10 ** (precision + guard):
+    needs = lambda: f"phi_{m}({u}) to {precision} digits needs"
+
+    def ball(guard):
+        nonlocal lead, terms
+        while True:
+            digits = precision + guard + lead
+            value, radius, used = _cvz_decimal(m, q, p, digits, needs)
+            terms += used
+            certain = abs(value) - radius  # |phi_m(u)| >= certain 10^-digits
+            if certain >= 10 ** (precision + guard):
+                return value, radius, digits
             # one spare digit, so that the next pass clears this test
             lead = digits + 2 - _decimal_digits(certain) if certain > 0 else lead + digits
-            continue
-        if _rounds_alike(value, radius, precision) or guard >= 8 * _PHI_GUARD:
-            break
-        guard *= 2
+
+    # only a rational phi_m(u), m >= 0, may be left undecided (a tie)
+    what = None if m >= 0 else lambda: f"phi_{m}({u}) to {precision} digits"
+    (value, radius, digits), decided = _ziv(ball, precision, what)
+    if not decided:
+        exact = phi_coefficients(u, m)[m]
+        value, rest = divmod(abs(exact.numerator) * 10**digits, exact.denominator)
+        if rest and value % 5 == 0:
+            value += 1
+        value = value if exact > 0 else -value
     return PhiEvaluation(
         m=m,
         u=u,

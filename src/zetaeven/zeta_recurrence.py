@@ -32,7 +32,7 @@ from _thread import allocate_lock
 from fractions import Fraction
 
 from .numeric_core import (
-    _PI_RADIUS, _ball_power, _ball_product, _bits_for, _fixed_decimal, _pi, _rounds_alike,
+    _PI_RADIUS, _ball_power, _ball_product, _bits_for, _fixed_decimal, _pi, _ziv,
     positional_str, round_significant,
 )
 
@@ -143,11 +143,6 @@ def zeta_even_table(k_max: int) -> ZetaEvenTable:
     return table
 
 
-# Guard digits of zeta_even_decimal, doubled while the rounding of the
-# ball to the requested digits is not yet decided.
-_ZETA_GUARD = 10
-
-
 def _pi_power_ball(k: int, bits: int) -> tuple[int, int]:
     """pi^(2k) at scale 2^bits as a ball (value, radius).
 
@@ -194,9 +189,9 @@ def zeta_even_decimal(k: int, digits: int) -> str:
     radius stays under k/4 + 2 ulps of 10^-places.
 
     The ball is printed only when both its ends round to the same
-    ``digits`` digits (Ziv's test, ``_rounds_alike``): the true value
-    lies between them, so it rounds alike too. While they differ, the
-    guard is doubled, up to 8 times its start. zeta(2k) is irrational,
+    ``digits`` digits: the true value lies between them, so it rounds
+    alike too. The package's one Ziv loop (``_ziv``) doubles the guard
+    while they differ, up to 8 times its start. zeta(2k) is irrational,
     so it is never a rounding tie and more guard digits decide it; a
     ball still undecided at the cap raises ValueError. Every step is on
     integers until the one decimal printed, so no int <-> str
@@ -206,15 +201,10 @@ def zeta_even_decimal(k: int, digits: int) -> str:
         raise ValueError("k must be >= 1")
     if digits < 10:
         raise ValueError("digits must be >= 10")
-    guard = _ZETA_GUARD
-    while True:
+
+    def ball(guard):
         places = digits - 1 + guard
-        value, radius = _zeta_even_ball(k, places, _bits_for(places))
-        if _rounds_alike(value, radius, digits):
-            return positional_str(round_significant(_fixed_decimal(value, places), digits))
-        if guard >= 8 * _ZETA_GUARD:
-            raise ValueError(
-                f"zeta({2 * k}) to {digits} digits: its rounding is not decided"
-                f" at {guard} guard digits"
-            )
-        guard *= 2
+        return (*_zeta_even_ball(k, places, _bits_for(places)), places)
+
+    (value, _, places), _ = _ziv(ball, digits, lambda: f"zeta({2 * k}) to {digits} digits")
+    return positional_str(round_significant(_fixed_decimal(value, places), digits))

@@ -30,10 +30,12 @@ NUMERIC = "zetaeven/numeric_core.py"
 VERIFIER = "zetaeven/series_verifier.py"
 BALLS = "tests/test_numeric_core.py::TestBalls::"
 EXPANSION = "tests/test_series_verifier.py::TestExpansionIdentity::"
+PI = "tests/test_numeric_core.py::TestComputePi::"
+PI_STRADDLE = PI + "test_a_ball_that_straddles_a_tie_is_retried"
 
 ROWS = (
     (
-        NUMERIC,
+        VERIFIER,
         "    return _ball_quotient(value, radius, 2)",
         "    return value // 2, 0",
         (BALLS + "test_ln_ball_holds_mpmaths_ln",),
@@ -73,6 +75,38 @@ ROWS = (
         "    return x * y >> bits, -(-(x * ey + y * ex + ex * ey) >> bits)",
         (BALLS + "test_ball_product_holds_every_product_of_the_balls",),
         "_ball_product without its +1",
+    ),
+    (
+        NUMERIC,
+        "    return q + (2 * r + q % 2 > unit)",
+        "    return q + (2 * r > unit)",
+        ("tests/test_numeric_core.py::TestRoundHalfEven",),
+        "Ziv's test rounding a tie down whatever the parity of the quotient",
+    ),
+    (
+        NUMERIC,
+        "        if _rounds_alike(value, radius, digits):",
+        "        if _rounds_alike(value, 0, digits):",
+        (
+            PI_STRADDLE,
+            "tests/test_zeta_recurrence.py::TestCertifiedDecimal"
+            "::test_undecided_rounding_retries_with_more_guard",
+        ),
+        "Ziv's loop rounding the midpoint without the ball's radius",
+    ),
+    (
+        NUMERIC,
+        "        return _agreed_pi(10 ** (digits - 1 + guard))[0], _PI_RADIUS, digits - 1 + guard",
+        "        return _agreed_pi(10 ** (digits - 1 + guard))[0], 0, digits - 1 + guard",
+        (PI_STRADDLE,),
+        "compute_pi's ball without pi's radius",
+    ),
+    (
+        NUMERIC,
+        "    if abs(chudnovsky - ramanujan) > 2 * _PI_RADIUS:",
+        "    if abs(chudnovsky - ramanujan) > 2 * _PI_RADIUS + 1:",
+        (PI + "test_formulae_that_disagree_raise",),
+        "the two pi values allowed one ulp more than twice their radius apart",
     ),
 )
 

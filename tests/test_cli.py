@@ -497,7 +497,7 @@ class TestPhiCorrectRounding:
         # one guard digit leaves the rounding open in many cases: each is
         # summed again with twice the guard digits until it is decided
         mpmath = pytest.importorskip("mpmath")
-        monkeypatch.setattr(series_verifier, "_PHI_GUARD", 1)
+        monkeypatch.setattr(numeric_core, "_GUARD", 1)
         calls = []
         kernel = series_verifier._cvz_decimal
 
@@ -561,9 +561,43 @@ class TestPhiCorrectRounding:
         code, out, _ = run_cli(capsys, "phi", "--m", "0", "--u", str(u), "--digits", "10")
         value, bound, _ = parse_phi_line(out.strip())
         assert code == 0
-        assert value in (Decimal("0.1234567890"), Decimal("0.1234567891"))
+        assert value == Decimal("0.1234567890")  # the tie, rounded to the even digit
         # the printed bound plus half an ulp of the 10 printed digits
         assert abs(Fraction(value) - tie) <= Fraction(bound) + Fraction(5, 10**11)
+
+    def test_exact_ties_round_half_to_even(self, capsys):
+        # phi_m(u), m >= 0, is rational; where it is a decimal of d + 1
+        # significant digits ending in 5, it sits exactly on the tie at d
+        # digits, which no guard decides. It prints the exact value rounded
+        # half to even: phi_14(3) = -1268610513/262144 =
+        # -4839.365055084228515625 is -4839.36505508422851562 at 21 digits.
+        ties = []
+        for u in ("3", "7", "15", "19", "31", "3/2", "5/3", "13/7"):
+            for m, exact in enumerate(phi_coefficients(Fraction(u), 30)):
+                for digits in range(10, 60):
+                    wider = round_exact(exact, digits + 1)
+                    if wider == exact and wider.as_tuple().digits[-1] == 5:
+                        ties.append((u, m, digits, round_exact(exact, digits)))
+        assert len(ties) >= 60 and ("3", 14, 21, Decimal("-4839.36505508422851562")) in ties
+        for u, m, digits, want in ties:
+            code, out, _ = run_cli(capsys, "phi", "--m", str(m), "--u", u, "--digits", str(digits))
+            assert code == 0
+            assert parse_phi_line(out.strip())[0] == want, (u, m, digits)
+
+    def test_planted_undecided_rounding(self, capsys, monkeypatch):
+        # with Ziv's test planted to never decide, m >= 0 prints the exact
+        # phi_m(u) rounded correctly, and m < 0 exits 2 with one line
+        monkeypatch.setattr(numeric_core, "_rounds_alike", lambda *args: False)
+        for u in ROUNDING_US:
+            exact = phi_coefficients(Fraction(u), 7)
+            for m in range(8):
+                code, out, _ = run_cli(capsys, "phi", "--m", str(m), "--u", u, "--digits", "20")
+                assert code == 0
+                assert parse_phi_line(out.strip())[0] == round_exact(exact[m], 20), (m, u)
+        code, out, err = run_cli(capsys, "phi", "--m", "-2", "--u", "3", "--digits", "20")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "phi_-2(3) to 20 digits: its rounding is not decided at 80 guard digits" in err
 
 
 class TestParser:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zetaeven import numeric_core
+from zetaeven import numeric_core, series_verifier
 from zetaeven.numeric_core import (
     HighPrecisionReal,
     PiAgreementError,
@@ -109,19 +109,39 @@ class TestComputePi:
         [
             # pi itself, and a second value 10^6 + 1 ulps away: past the raw bound
             (314159265358979323846, (0, 10**6 + 1), "disagree"),
-            # one ulp either side of the tie between the 20-digit values
-            # ...384 and ...385: within the raw bound, but rounded apart
-            (314159265358979323845, (-1, 1), "round differently"),
+            # 5 ulps apart, one past the 2 _PI_RADIUS the two values may differ by
+            (314159265358979323846, (0, 5), "disagree by more than 4 ulps"),
         ],
     )
     def test_formulae_that_disagree_raise(self, monkeypatch, digits_21, offsets, message):
-        scale = 10 ** (20 + numeric_core._PI_GUARD)  # the working scale of compute_pi(20)
+        scale = 10 ** (19 + numeric_core._GUARD)  # the first working scale of compute_pi(20)
         value = digits_21 * scale // 10**20
         monkeypatch.setattr(
             numeric_core, "_pi_fixed", lambda s: tuple(value + d for d in offsets)
         )
         with pytest.raises(PiAgreementError, match=message):
             compute_pi(20)
+
+    def test_a_ball_that_straddles_a_tie_is_retried(self, monkeypatch):
+        # at the first scale both values sit 1 ulp past the tie between the
+        # 20-digit ...384 and ...385, on the side away from pi: within the
+        # raw bound and rounded alike, but their ball of _PI_RADIUS ulps
+        # straddles the tie, so the retry at twice the guard digits, with
+        # the true values, decides ...385
+        pi_fixed = numeric_core._pi_fixed
+        scales = []
+
+        def planted(scale):
+            scales.append(scale)
+            if len(scales) > 1:
+                return pi_fixed(scale)
+            unit = scale // 10**19  # one unit in the 20th digit of pi * scale
+            tie = pi_fixed(scale)[0] // unit * unit + unit // 2
+            return tie - 1, tie - 1
+
+        monkeypatch.setattr(numeric_core, "_pi_fixed", planted)
+        assert compute_pi(20) == round_significant(Decimal(PI_50), 20)
+        assert len(scales) == 2
 
 
 class TestBalls:
@@ -164,7 +184,7 @@ class TestBalls:
         # rationals in (10^-60, 10^60), on both sides of 1; mpmath at 60
         # more digits is the true ln to far below one ulp of the ball
         mpmath = pytest.importorskip("mpmath")
-        value, radius = numeric_core._ln_ball(Fraction(num, den), digits)
+        value, radius = series_verifier._ln_ball(Fraction(num, den), digits)
         with mpmath.workdps(digits + 60):
             true = mpmath.log(mpmath.mpf(num) / den) * mpmath.mpf(10) ** digits
         assert value - radius <= true <= value + radius

@@ -14,7 +14,7 @@ import pytest
 import zetaeven
 from zetaeven import numeric_core, series_verifier
 from zetaeven.euler_bernoulli import euler_polynomial, euler_polynomial_eval
-from zetaeven.numeric_core import HighPrecisionReal, _bits_for, _ln_ball, _pi
+from zetaeven.numeric_core import HighPrecisionReal, _bits_for, _pi
 from zetaeven.powerseries import exp_series, series_div
 from zetaeven.reports import VerificationReport, render_value
 from zetaeven.series_verifier import (
@@ -27,6 +27,7 @@ from zetaeven.series_verifier import (
     _cvz_terms,
     _cvz_weights,
     _expansion_tail_envelope,
+    _ln_ball,
     _pole_constant,
     _polylog_gap,
     _ceil_ulps,

@@ -144,7 +144,7 @@ class TestDecimal:
         # one binary scale per working precision, whatever k: the least
         # 2^bits >= 10^(digits + guard) by 1701/512 > log2(10)
         assert pi_scales == [2**133]
-        assert 10 ** (30 + zr._ZETA_GUARD) <= 2**133 < 2 * 10 ** (30 + zr._ZETA_GUARD)
+        assert 10 ** (30 + nc._GUARD) <= 2**133 < 2 * 10 ** (30 + nc._GUARD)
         assert first == again
 
     def test_expansion_suite_computes_pi_once(self, pi_scales):
@@ -198,7 +198,7 @@ class TestCertifiedDecimal:
         # where pi's radius counts most; mpmath at 60 more digits is the
         # true value to far below one ulp of the ball
         mpmath = pytest.importorskip("mpmath")
-        places = digits - 1 + zr._ZETA_GUARD
+        places = digits - 1 + nc._GUARD
         with mpmath.workdps(places + 60):
             true = int(mpmath.nint(mpmath.zeta(2 * k) * mpmath.mpf(10) ** (places + 50)))
         for bits in (-(-(places + 1) * 1701 // 512), -(-places * 1701 // 512)):
@@ -222,14 +222,14 @@ class TestCertifiedDecimal:
         # decides it, and alike
         expected = [zeta_even_decimal(k, 20) for k in (1, 5, 8)]
         decisions = []
-        alike = zr._rounds_alike
+        alike = nc._rounds_alike
 
         def recording(value, radius, precision):
             decisions.append(alike(value, radius, precision))
             return decisions[-1]
 
-        monkeypatch.setattr(zr, "_ZETA_GUARD", 1)
-        monkeypatch.setattr(zr, "_rounds_alike", recording)
+        monkeypatch.setattr(nc, "_GUARD", 1)
+        monkeypatch.setattr(nc, "_rounds_alike", recording)
         for k, want in zip((1, 5, 8), expected):
             decisions.clear()
             assert zeta_even_decimal(k, 20) == want
@@ -239,7 +239,7 @@ class TestCertifiedDecimal:
         from zetaeven import cli
 
         tries = []
-        monkeypatch.setattr(zr, "_rounds_alike", lambda *args: tries.append(args) or False)
+        monkeypatch.setattr(nc, "_rounds_alike", lambda *args: tries.append(args) or False)
         with pytest.raises(ValueError, match="not decided at 80 guard digits"):
             zeta_even_decimal(3, 20)
         # guards 10, 20, 40 and 80: up to 8 times the start

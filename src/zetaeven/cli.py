@@ -44,12 +44,6 @@ import time
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, InvalidOperation
 from fractions import Fraction
 
-from .euler_bernoulli import EulerPolynomial, bernoulli, euler_polynomial, euler_polynomial_eval
-from .numeric_core import _decimal_digits
-from .reports import VerificationReport, json_line
-from .series_verifier import SUITES, phi_series, phi_taylor_coeff, run_suite
-from .zeta_recurrence import ZetaEvenTable, zeta_even_decimal, zeta_even_ratio
-
 __all__ = ["main"]
 
 FIELD_ORDER = (
@@ -76,6 +70,8 @@ def _emit(records: list[dict], plain_lines: list[str], fmt: str, out) -> None:
             out.write(line + "\n")
         return
     if fmt == "json-lines":
+        from .reports import json_line
+
         for rec in records:
             out.write(json_line({key: rec[key] for key in FIELD_ORDER if key in rec}) + "\n")
         return
@@ -105,8 +101,8 @@ def _rational_fields(value: Fraction) -> dict:
 _REPORT_FIELDS = {"k_max": "k", "precision": "digits", "lhs_terms": "terms"}
 
 
-def _report_record(report: VerificationReport) -> dict:
-    """Map a report onto the fixed output vocabulary (names go to stderr).
+def _report_record(report) -> dict:
+    """Map a VerificationReport onto the fixed output vocabulary (names go to stderr).
 
     Parameters outside FIELD_ORDER stay in the record; ``_emit`` drops them.
     """
@@ -118,7 +114,8 @@ def _report_record(report: VerificationReport) -> dict:
     return rec
 
 
-def _report_plain(report: VerificationReport) -> str:
+def _report_plain(report) -> str:
+    """One plain line for a VerificationReport."""
     tag = "PASS" if report.passed else "FAIL"
     params = " ".join(f"{k}={v}" for k, v in report.parameters.items())
     return (
@@ -127,7 +124,8 @@ def _report_plain(report: VerificationReport) -> str:
     )
 
 
-def _poly_plain(poly: EulerPolynomial) -> str:
+def _poly_plain(poly) -> str:
+    """An EulerPolynomial written out, highest power first."""
     parts: list[str] = []
     for j in range(poly.degree, -1, -1):
         c = poly.coefficients[j]
@@ -154,6 +152,8 @@ def _poly_plain(poly: EulerPolynomial) -> str:
 
 
 def _cmd_zeta(k, kmax, exact, digits, fmt) -> int:
+    from .zeta_recurrence import zeta_even_decimal, zeta_even_ratio
+
     ks = range(1, kmax + 1) if kmax is not None else [k]
     records, lines = [], []
     for k in ks:
@@ -170,6 +170,8 @@ def _cmd_zeta(k, kmax, exact, digits, fmt) -> int:
 
 
 def _cmd_bernoulli(n, fmt) -> int:
+    from .euler_bernoulli import bernoulli
+
     value = bernoulli(n)
     records = [{"kind": "bernoulli", "n": n, **_rational_fields(value)}]
     _emit(records, [f"B_{n} = {value}"], fmt, sys.stdout)
@@ -177,6 +179,8 @@ def _cmd_bernoulli(n, fmt) -> int:
 
 
 def _cmd_euler_poly(m, at, fmt) -> int:
+    from .euler_bernoulli import euler_polynomial, euler_polynomial_eval
+
     poly = euler_polynomial(m)
     if at is not None:
         value = euler_polynomial_eval(poly, at)
@@ -193,6 +197,8 @@ def _cmd_euler_poly(m, at, fmt) -> int:
 
 
 def _cmd_phi(m, u, route, digits, fmt) -> int:
+    from .series_verifier import phi_series, phi_taylor_coeff
+
     if route == "taylor":
         value = phi_taylor_coeff(m, u)
         records = [{"kind": "phi", "m": m, "u": str(u), **_rational_fields(value)}]
@@ -220,6 +226,8 @@ def _cmd_phi(m, u, route, digits, fmt) -> int:
 
 
 def _cmd_verify(suite, fmt, **knobs) -> int:
+    from .series_verifier import SUITES, run_suite
+
     # knobs left out stay out, so run_suite's defaults apply
     knobs = {name: value for name, value in knobs.items() if value is not None}
     names = SUITES if suite == "all" else (suite,)
@@ -237,6 +245,9 @@ def _cmd_verify(suite, fmt, **knobs) -> int:
 def _cmd_bench(kmax, fmt) -> int:
     if fmt != "plain":
         raise ValueError("bench prints wall-clock timings; plain format only")
+    from .numeric_core import _decimal_digits
+    from .zeta_recurrence import ZetaEvenTable
+
     table = ZetaEvenTable()
     total = 0.0
     for k in range(1, kmax + 1):
@@ -300,6 +311,17 @@ def _choice(*options: str):
     return choose
 
 
+def _suite_names() -> tuple[str, ...]:
+    # imported only for --suite and --help, so no other command loads the verifier
+    from .series_verifier import SUITES
+
+    return SUITES
+
+
+def _suite(text: str) -> str:
+    return _choice(*_suite_names(), "all")(text)
+
+
 # ------------------------------------------------------------------- table
 
 _FORMAT = ("--format", "fmt", _choice("plain", "json-lines", "csv"), "plain",
@@ -307,7 +329,8 @@ _FORMAT = ("--format", "fmt", _choice("plain", "json-lines", "csv"), "plain",
 
 # command -> (handler, summary, flags, required groups, exclusive groups).
 # A flag is (name, dest, converter, default, help); the handler gets one
-# keyword argument per flag, named by dest. A converter of None makes a
+# keyword argument per flag, named by dest. A help that is a function is
+# called for its text when --help prints it. A converter of None makes a
 # switch, which takes no value and is True when given. A required group
 # needs one of its flags, an exclusive group allows at most one.
 COMMANDS = {
@@ -361,8 +384,7 @@ COMMANDS = {
         _cmd_verify,
         "run identity-check suites; a knob left out takes the library default",
         (
-            ("--suite", "suite", _choice(*SUITES, "all"), "all",
-             ", ".join(SUITES) + " or all"),
+            ("--suite", "suite", _suite, "all", lambda: ", ".join(_suite_names()) + " or all"),
             ("--kmax", "kmax", _int, None, "recurrence cross-check depth"),
             ("--digits", "digits", _int, None, "working precision"),
             ("--jmax", "jmax", _int, None, "expansion truncation order"),
@@ -473,6 +495,7 @@ def _help(command: str | None = None) -> int:
         _, summary, flags, required, exclusive = COMMANDS[name]
         lines += ["", f"{name}: {summary}"]
         for flag, _, convert, default, text in flags:
+            text = text() if callable(text) else text
             usage = flag if convert is None else f"{flag} {flag[2:].upper()}"
             if default is not None and default is not False:
                 text += f" (default {default})"

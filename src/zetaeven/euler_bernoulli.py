@@ -36,6 +36,8 @@ __all__ = [
     "zeta_even_via_euler",
 ]
 
+_ZERO = Fraction(0)  # every odd B_m past B_1
+
 
 class BernoulliTable:
     """Memoized Bernoulli numbers B_0..B_max_index.
@@ -49,14 +51,16 @@ class BernoulliTable:
     small-integer multiply-adds ("Fast computation of Bernoulli, Tangent
     and Secant numbers", 2011). That table cannot be extended in place,
     so a request beyond it rebuilds it at least twice as long: a run of
-    growing requests costs a constant times the last one.
+    growing requests costs a constant times the last one. B_2h itself is
+    a reduced Fraction built on its first read, so a request for B_n
+    alone reduces no B_m below it.
 
     Extension is serialized behind a lock; reads of already-computed
     prefixes are safe from any thread.
     """
 
     def __init__(self) -> None:
-        self._values: list[Fraction] = [Fraction(1)]
+        self._values: list[Fraction | None] = [Fraction(1)]  # position m: B_m, None until read
         self._tangents: list[int] = [0]  # position h holds T_h
         self._lock = allocate_lock()
 
@@ -66,14 +70,21 @@ class BernoulliTable:
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(self._values)
+        return tuple(self.value(m) for m in range(len(self._values)))
 
     def value(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("Bernoulli index must be >= 0")
         if n > self.max_index:
             self._extend_to(n)
-        return self._values[n]
+        value = self._values[n]
+        if value is None:
+            # threads that race here build equal Fractions; any one may stay
+            h = n // 2
+            power = 4**h
+            signed = n * self._tangents[h] if h % 2 else -n * self._tangents[h]
+            value = self._values[n] = Fraction(signed, power * (power - 1))
+        return value
 
     def _extend_to(self, n: int) -> None:
         with self._lock:
@@ -81,15 +92,7 @@ class BernoulliTable:
             if n // 2 >= len(self._tangents):
                 self._tangents = _tangent_numbers(max(n // 2, 2 * (len(self._tangents) - 1)))
             for m in range(len(values), n + 1):
-                if m == 1:
-                    values.append(Fraction(-1, 2))
-                elif m % 2:
-                    values.append(Fraction(0))
-                else:
-                    h = m // 2
-                    power = 4**h
-                    signed = m * self._tangents[h] if h % 2 else -m * self._tangents[h]
-                    values.append(Fraction(signed, power * (power - 1)))
+                values.append(Fraction(-1, 2) if m == 1 else _ZERO if m % 2 else None)
 
 
 def _tangent_numbers(count: int) -> list[int]:

@@ -23,6 +23,11 @@ integers, not about rounded floats.
 Every verify suite is built here (``run_suite``), the recurrence suite
 included: the one place in the library that compares the recurrence
 route with the classical Bernoulli formula.
+
+The exact routes and ``reports`` are imported inside the checks that
+use them, so a phi evaluation loads only this module and
+``numeric_core``; the ``VerificationReport`` in annotations is never
+evaluated (PEP 563).
 """
 
 from __future__ import annotations
@@ -34,14 +39,11 @@ from decimal import Decimal, ROUND_CEILING
 from fractions import Fraction
 from functools import lru_cache
 
-from .euler_bernoulli import bernoulli, zeta_even_via_euler
 from .numeric_core import (
     _PI_RADIUS, FrozenRecord, HighPrecisionReal, _ball_power, _ball_product, _ball_quotient,
     _bits_for, _context, _decimal_digits, _fixed_decimal, _pi, _rational_decimal, _ziv,
     round_significant,
 )
-from .reports import VerificationReport
-from .zeta_recurrence import _pi_power_ball, _zeta_even_ball, zeta_even_ratio
 
 __all__ = [
     "MAX_SERIES_WORK",
@@ -700,6 +702,8 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
         raise ValueError("every delta must be positive")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must decrease strictly")
+    from .reports import VerificationReport
+    from .zeta_recurrence import _zeta_even_ball
 
     places = precision + 10
     scale = 10**places
@@ -788,6 +792,8 @@ def identity_check_expansion(
         raise ValueError("J_max must be at least k so the tail envelope applies")
     if precision < 10:
         raise ValueError("precision must be >= 10")
+    from .reports import VerificationReport
+    from .zeta_recurrence import _pi_power_ball
 
     work = precision + 15
     scale = 10**work
@@ -935,6 +941,10 @@ def recurrence_cross_check(k_max: int) -> VerificationReport:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    from .euler_bernoulli import bernoulli, zeta_even_via_euler
+    from .reports import VerificationReport
+    from .zeta_recurrence import zeta_even_ratio
+
     # the Bernoulli table is built once, for k_max, not doubled k by k
     bernoulli(2 * k_max)
     mismatches = []
@@ -1024,6 +1034,8 @@ def _two_eta(m: int, digits: int) -> tuple[int, int]:
     if m < 1:
         raise ValueError("eta(m) needs m >= 1")
     if m % 2 == 0:
+        from .zeta_recurrence import _zeta_even_ball
+
         # 2 (1 - 2^(1-m)) = (2^(m-1) - 1)/2^(m-2)
         value, radius = _zeta_even_ball(m // 2, digits + 10, _bits_for(digits + 10))
         return _ball_quotient(((1 << m - 1) - 1) * value, ((1 << m - 1) - 1) * radius, 1 << m - 2)
@@ -1034,6 +1046,7 @@ def _two_eta(m: int, digits: int) -> tuple[int, int]:
 def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationReport]:
     """phi_series against the exact coefficients at the sample u, then
     phi_-m(1 + delta) against its limit 2 eta(m) at u = 1."""
+    from .reports import VerificationReport
 
     def compare(identity, m, u, evaluation, rhs, prec, bound):
         # the residual of evaluation against rhs (an exact Fraction or a

@@ -58,9 +58,12 @@ class ZetaEvenTable:
     The s_m share one common denominator D (the lcm of their reduced
     denominators), and the table keeps each term with its weight: before
     step k it holds the integers C(2k, 2m) D s_m for m < k, so the
-    bracket D B_k is D - 4 times their sum, and each k costs two reduced
-    Fractions (r_k and s_k). Moving to k + 1, with D grown to
-    D' = D grow, multiplies every term by grow (2k+1)(2k+2) and divides
+    bracket D B_k is D - 4 times their sum, and each k reduces one
+    Fraction, s_k. r_k is kept as its unreduced integer pair and reduced
+    on its first read: its gcd, of 4^(k-1) D B_k against
+    D (4^k - 1) (2k)!, is the costliest Fraction step, and a read of r_k
+    alone never pays it for the r_m below. Moving to k + 1, with D grown
+    to D' = D grow, multiplies every term by grow (2k+1)(2k+2) and divides
     it by (2k+2-2m)(2k+1-2m), as in Brent and Harvey's tangent table;
     the division is exact because its quotient is C(2k+2, 2m) D' s_m,
     a binomial times an integer numerator. Nothing here uses Bernoulli
@@ -72,7 +75,8 @@ class ZetaEvenTable:
     """
 
     def __init__(self) -> None:
-        self._ratios: list[Fraction] = []  # position k-1 holds r_k
+        # position k-1 holds r_k: a (numerator, denominator) pair until read
+        self._ratios: list[Fraction | tuple[int, int]] = []
         self._terms: list[int] = []  # position m-1 holds C(2k, 2m) D s_m for k = max_k + 1
         self._s_denominator = 1  # D
         self._factorial = 1  # (2k)! for k = max_k
@@ -88,11 +92,15 @@ class ZetaEvenTable:
             raise ValueError("k must be >= 1")
         if k > len(self._ratios):
             self._extend_to(k)
-        return self._ratios[k - 1]
+        ratio = self._ratios[k - 1]
+        if type(ratio) is tuple:
+            # threads that race here build equal Fractions; any one may stay
+            ratio = self._ratios[k - 1] = Fraction(*ratio)
+        return ratio
 
     def ratios(self) -> tuple[Fraction, ...]:
         """Snapshot of all computed ratios, r_1 first."""
-        return tuple(self._ratios)
+        return tuple(self.ratio(k) for k in range(1, len(self._ratios) + 1))
 
     def _extend_to(self, k_max: int) -> None:
         with self._lock:
@@ -106,7 +114,7 @@ class ZetaEvenTable:
                 quarter = 4 ** (k - 1)  # 4^k / 4
                 base = denominator * (4 * quarter - 1)  # D (4^k - 1)
                 self._factorial *= (n - 1) * n
-                self._ratios.append(Fraction((t if k % 2 else -t) * quarter, base * self._factorial))
+                self._ratios.append(((t if k % 2 else -t) * quarter, base * self._factorial))
                 s_k = Fraction(t * (2 * quarter - 1), 4 * base)
                 # grow D to a multiple of s_k's denominator and step every
                 # term from C(2k, 2m) D s_m to C(2k+2, 2m) D' s_m

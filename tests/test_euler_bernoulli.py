@@ -67,6 +67,19 @@ class TestBernoulli:
             fresh.value(n)
             assert fresh.max_index == n
 
+    @pytest.mark.parametrize(
+        "order",
+        (range(60, -1, -1), (60, 0, 59, 1, 30, 2), (7, 40, 6, 41, 5)),
+        ids=("descending", "high-first", "interleaved"),
+    )
+    def test_any_read_order_matches_the_oracle(self, order):
+        # B_n is built on its first read, whichever read extended the table
+        oracle = bernoulli_by_series_division(60)
+        table = BernoulliTable()
+        for n in order:
+            assert table.value(n) == oracle[n], n
+        assert list(table.values) == oracle[: table.max_index + 1]
+
     def test_growing_requests_rebuild_the_tangent_table_rarely(self, monkeypatch):
         # the cross-check asks for B_2, B_4, ..., B_2K in turn; rebuilding the
         # O(K^2) tangent table for each would make that loop O(K^3)

@@ -105,6 +105,19 @@ def test_table_matches_the_reference_loop_in_jumps(reference_ratios):
     assert ZetaEvenTable().ratio(400) == reference_ratios[-1]
 
 
+@pytest.mark.parametrize(
+    "order",
+    (range(400, 0, -1), (400, 1, 399, 2, 200, 55, 110, 3), (7, 300, 6, 301, 5)),
+    ids=("descending", "high-first", "interleaved"),
+)
+def test_table_matches_the_reference_loop_in_any_read_order(reference_ratios, order):
+    # r_k is reduced on its first read, whichever read extended the table
+    table = ZetaEvenTable()
+    for k in order:
+        assert table.ratio(k) == reference_ratios[k - 1], k
+    assert table.ratios() == reference_ratios[: table.max_k]
+
+
 @pytest.mark.slow
 def test_table_matches_the_reference_loop_to_1000():
     table, reference = ZetaEvenTable(), ReferenceTable()

@@ -72,8 +72,12 @@ def race(make_table, read, snapshot, indices, rounds):
     (
         (ZetaEvenTable, ZetaEvenTable.ratio, ZetaEvenTable.ratios, range(1, 81), 20),
         (BernoulliTable, BernoulliTable.value, lambda table: table.values, range(0, 241, 2), 30),
+        # high indices first: the first read extends the whole table, and
+        # the others race to build the values it left unbuilt
+        (ZetaEvenTable, ZetaEvenTable.ratio, ZetaEvenTable.ratios, range(80, 0, -1), 20),
+        (BernoulliTable, BernoulliTable.value, lambda table: table.values, range(240, -1, -2), 30),
     ),
-    ids=("zeta", "bernoulli"),
+    ids=("zeta", "bernoulli", "zeta-high-first", "bernoulli-high-first"),
 )
 def test_racing_threads_build_the_sequential_table(make_table, read, snapshot, indices, rounds):
     assert race(make_table, read, snapshot, list(indices), rounds) is None

@@ -278,9 +278,8 @@ class TestCrossCheck:
         # a recurrence value wrong at k = 9 alone fails the cross-multiplied
         # comparison there and nowhere else
         wrong = zeta_even_ratio(9) * (1 + F(1, 10**30))
-        monkeypatch.setattr(
-            series_verifier, "zeta_even_ratio", lambda k: wrong if k == 9 else zeta_even_ratio(k)
-        )
+        # the check imports the recurrence's function when it runs
+        monkeypatch.setattr(zr, "zeta_even_ratio", lambda k: wrong if k == 9 else zeta_even_ratio(k))
         report = recurrence_cross_check(12)
         assert not report.passed
         assert report.parameters["mismatch_indices"] == "9"

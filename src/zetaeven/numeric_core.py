@@ -13,10 +13,11 @@ Every decimal operation in the package runs in one context per
 base context, made once and cached, so no result depends on the
 caller's decimal context. The cached contexts are shared, so they are
 used as the receiver (``ctx.divide(a, b)``, ``ctx.plus(x)``) and never
-entered or changed. An exact value becomes a ``Decimal`` one way only:
-a fixed-point integer through ``_fixed_decimal`` (exactly, by a power
-of ten) and a rational through ``_rational_decimal`` (one division,
-rounded to a stated precision).
+entered or changed, and only this module calls ``_context``: the others
+convert and round through the functions below. An exact value becomes a
+``Decimal`` one way only: a fixed-point integer through
+``_fixed_decimal`` (exactly, by a power of ten) and a rational through
+``_rational_decimal`` (one division, rounded to a stated precision).
 
 A real known only within a bound travels as an integer ball: a
 fixed-point value and a radius, both in ulps of one stated scale, with

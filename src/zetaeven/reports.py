@@ -9,6 +9,12 @@ full decimal values: rounding either side first could turn a residual
 just above its tolerance into a pass. A NaN or infinite residual or
 tolerance fails: an infinite tolerance certifies nothing.
 
+Every builder of reports follows one rounding rule. A residual is
+computed exactly, from exact operands; only the finished residual is
+rounded, away from zero, and only where it does not terminate at the
+digits it keeps. A tolerance is rounded only up. So rounding can fail
+a report but never pass one.
+
 A report whose check failed for a structural reason (for example a
 residual sequence that was supposed to decrease but did not) carries
 tolerance -1; no magnitude satisfies |residual| <= -1, so such reports

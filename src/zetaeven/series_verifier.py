@@ -35,13 +35,13 @@ from __future__ import annotations
 import math
 from _thread import allocate_lock
 from collections.abc import Sequence
-from decimal import Decimal, ROUND_CEILING
+from decimal import Decimal, ROUND_CEILING, ROUND_UP
 from fractions import Fraction
 from functools import lru_cache
 
 from .numeric_core import (
     _PI_RADIUS, FrozenRecord, HighPrecisionReal, _ball_power, _ball_product, _ball_quotient,
-    _bits_for, _context, _decimal_digits, _fixed_decimal, _pi, _rational_decimal, _ziv,
+    _bits_for, _decimal_digits, _fixed_decimal, _pi, _rational_decimal, _ziv,
     round_significant,
 )
 
@@ -475,7 +475,7 @@ def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:
         value=HighPrecisionReal(_fixed_decimal(value, digits), precision),
         terms_used=terms,
         error_bound=HighPrecisionReal(
-            _context(15, ROUND_CEILING).divide(radius, 10**digits), 15
+            _rational_decimal(Fraction(radius, 10**digits), 15, ROUND_CEILING), 15
         ),
     )
 
@@ -594,14 +594,12 @@ def _reciprocal_plan(k: int, u: Fraction, scale: int) -> tuple[int, int]:
     return bits, n
 
 
-def _reciprocal_power_sum(
-    k: int, u: Fraction, scale: int, plan: tuple[int, int] | None = None
-) -> tuple[int, int, int]:
+def _reciprocal_power_sum(k: int, u: Fraction, scale: int) -> tuple[int, int, int]:
     """Fixed-point f_k(u) = Li_2k(x), x = 1/u: ``(value, radius, terms)``.
 
     value and radius are in ulps of 1/scale, and f_k(u) lies within
-    radius of value; terms counts the weighted terms summed. ``plan`` is
-    ``_reciprocal_plan(k, u, scale)`` when the caller has made it already.
+    radius of value; terms counts the weighted terms summed. Its plan,
+    ``_reciprocal_plan``, checks the work budget before any level is summed.
 
     Lewin's duplication formula (L. Lewin, "Polylogarithms and
     Associated Functions", 1981; DLMF 25.12),
@@ -628,7 +626,7 @@ def _reciprocal_power_sum(
     (Li_s(t) <= zeta(s) t <= 2t). Converting to the caller's scale adds 1.
     """
     s = 2 * k
-    bits, n = plan or _reciprocal_plan(k, u, scale)
+    bits, n = _reciprocal_plan(k, u, scale)
     one = 1 << bits
     num, den = u.denominator, u.numerator
     total = radius = terms = level = 0
@@ -708,13 +706,12 @@ def abel_limit_check(k: int, deltas: Sequence, precision: int = 50) -> Verificat
     places = precision + 10
     scale = 10**places
     # the smallest delta costs the most work: refuse it before any sum
-    last_plan = _reciprocal_plan(k, 1 + deltas[-1], scale)
+    _reciprocal_plan(k, 1 + deltas[-1], scale)
     target, target_radius = _zeta_even_ball(k, places, _bits_for(places))
     balls: list[tuple[int, int]] = []
     term_counts: list[int] = []
     for d in deltas:
-        plan = last_plan if d == deltas[-1] else None
-        total, radius, terms = _reciprocal_power_sum(k, 1 + d, scale, plan)
+        total, radius, terms = _reciprocal_power_sum(k, 1 + d, scale)
         balls.append((target - total, radius + target_radius))
         term_counts.append(terms)
 
@@ -1045,15 +1042,28 @@ def _two_eta(m: int, digits: int) -> tuple[int, int]:
 
 def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationReport]:
     """phi_series against the exact coefficients at the sample u, then
-    phi_-m(1 + delta) against its limit 2 eta(m) at u = 1."""
+    phi_-m(1 + delta) against its limit 2 eta(m) at u = 1.
+
+    Each residual is lhs - rhs on exact operands: the evaluation's value,
+    an exact fixed-point Decimal, minus the exact target, the
+    ``phi_coefficients`` Fraction or, for a limit, the midpoint of the
+    ``_two_eta`` ball. The exact values reach about 1e8, where even 55
+    significant digits of the target would carry more absolute error
+    than the series' own bound, so nothing is rounded before the
+    subtraction. The finished residual is rounded once, to digits + 30
+    significant digits and away from zero, which changes it only where it
+    does not terminate within them; so its magnitude is never below the
+    true one, and rounding can fail a report but never pass one. An
+    exactly zero residual keeps the evaluation's scale.
+    """
     from .reports import VerificationReport
 
-    def compare(identity, m, u, evaluation, rhs, prec, bound):
-        # the residual of evaluation against rhs (an exact Fraction or a
-        # limit target) at prec digits, judged against bound (a 15-digit
-        # HighPrecisionReal) or the override
-        target = _rational_decimal(rhs, prec) if isinstance(rhs, Fraction) else rhs.value
-        residual = _context(prec).subtract(evaluation.value.value, target)
+    def compare(identity, m, u, evaluation, exact, rhs, bound):
+        # judged against bound (a 15-digit HighPrecisionReal) or the override
+        value = evaluation.value.value
+        residual = Fraction(value) - exact
+        residual = (_rational_decimal(residual, digits + 30, ROUND_UP) if residual
+                    else _fixed_decimal(0, -value.as_tuple().exponent))
         return VerificationReport(
             identity_name=identity,
             parameters={"m": m, "u": u, "precision": digits, "terms": evaluation.terms_used},
@@ -1068,11 +1078,8 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
     # the longest sum (u = 3/2) first; reported u-major
     ms = range(21)
     evaluations = [[phi_series(m, u, digits) for u in PHI_SAMPLE_US] for m in ms]
-    # the exact side must not be quantized: these values reach ~1e8, where
-    # even 55 significant digits would inject more absolute error than the
-    # series' own bound
     reports = [
-        compare("phi_series_vs_coefficients", m, u, evaluations[m][i], exact, digits + 30,
+        compare("phi_series_vs_coefficients", m, u, evaluations[m][i], exact, exact,
                 evaluations[m][i].error_bound)
         for i, u in enumerate(PHI_SAMPLE_US)
         for m, exact in enumerate(phi_coefficients(u, ms[-1]))
@@ -1084,14 +1091,14 @@ def _phi_suite(digits: int, tolerance: Decimal | None) -> list[VerificationRepor
     scale = 10**places
     for m in PHI_LIMIT_MS:
         value, target_radius = _two_eta(m, digits)
-        target = HighPrecisionReal(_fixed_decimal(value, places), digits)
+        target = round_significant(_fixed_decimal(value, places), digits)
         gaps = [_ceil_ulps(_polylog_gap(m, delta), scale) for delta in ABEL_DELTAS]
         for delta, gap in zip(ABEL_DELTAS, gaps):
             u = 1 + delta
             evaluation = phi_series(-m, u, digits)
             bound = 2 * gap + target_radius + _ceil_ulps(evaluation.error_bound.value, scale)
             reports.append(
-                compare("phi_negative_index_limit", m, u, evaluation, target, digits,
-                        HighPrecisionReal(_fixed_decimal(bound, places), 15))
+                compare("phi_negative_index_limit", m, u, evaluation, Fraction(value, scale),
+                        target, HighPrecisionReal(_fixed_decimal(bound, places), 15))
             )
     return reports

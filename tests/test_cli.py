@@ -254,6 +254,19 @@ class TestVerify:
         assert len(records) == 63 + 12
         assert all(r["passed"] for r in records)
 
+    def test_rounding_never_passes_a_limit_residual_past_its_tolerance(self, capsys):
+        # the m = 2, u = 101/100 limit residual is -0.01374466510853923123423
+        # 03275191412044551692135690493530...: 3.5e-53 past this tolerance,
+        # which is that residual rounded to 50 digits
+        tolerance = "0.013744665108539231234230327519141204455169213569049"
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "phi", "--tolerance", tolerance,
+            "--format", "json-lines",
+        )
+        assert code == 1
+        (record,) = [r for r in json_records(out) if r["m"] == 2 and r["u"] == "101/100"]
+        assert record["passed"] is False
+
     def test_all_is_run_suite_over_every_suite(self, capsys):
         knobs = {"kmax": 10, "digits": 15, "jmax": 8}
         flags = [f"--{name}={value}" for name, value in knobs.items()]

@@ -1,8 +1,10 @@
+import ast
 from decimal import (
     ROUND_CEILING, ROUND_DOWN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal, Inexact, Rounded,
     localcontext,
 )
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -256,3 +258,18 @@ def test_no_result_depends_on_the_callers_decimal_context(caller):
     with localcontext(caller):
         results = sample_results()
     assert [i for i, (a, b) in enumerate(zip(results, expected)) if a != b] == []
+
+
+def test_only_numeric_core_calls_the_decimal_contexts():
+    # the other modules convert and round through numeric_core's functions
+    src = Path(numeric_core.__file__).resolve().parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        names = {
+            getattr(node, field, None)
+            for node in ast.walk(ast.parse(path.read_text()))
+            for field in ("id", "name", "attr")
+        }
+        if "_context" in names:
+            callers.append(path.name)
+    assert callers == ["numeric_core.py"]

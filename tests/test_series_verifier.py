@@ -504,8 +504,8 @@ class TestAbelLimit:
         target, target_radius = _zeta_even_ball(1, 30, _bits_for(30))
 
         def planted(shift_for):
-            def shifted(k, u, s, plan=None):
-                value, radius, terms = kernel_sum(k, u, s, plan)
+            def shifted(k, u, s):
+                value, radius, terms = kernel_sum(k, u, s)
                 return value + shift_for(u, value, radius), radius, terms
             return shifted
 
@@ -833,6 +833,89 @@ class TestToleranceSums:
                 parts = expansion_tolerance_parts(k, u, 25, precision)
                 tolerance = F(report.tolerance.value) * 10 ** (precision + 15)
                 assert tolerance == sum(parts), (k, u, precision)
+
+
+def terminating_digits(x):
+    """The significant digits of the Fraction x != 0 as a decimal, or None
+    where it does not terminate."""
+    b = x.denominator
+    twos = fives = 0
+    while b % 2 == 0:
+        b, twos = b // 2, twos + 1
+    while b % 5 == 0:
+        b, fives = b // 5, fives + 1
+    if b != 1:
+        return None
+    n = abs(x.numerator) * 10 ** max(twos, fives) // x.denominator
+    while n % 10 == 0:
+        n //= 10
+    return len(str(n))
+
+
+def half_even(x, digits):
+    """The Fraction x != 0 rounded to ``digits`` significant digits, ties
+    to even, as a Fraction."""
+    e = len(str(abs(x.numerator) // x.denominator or 1)) - digits
+    while abs(x) < F(10) ** (e + digits - 1):
+        e -= 1
+    return round(x / F(10) ** e) * F(10) ** e
+
+
+class TestPhiSuiteResiduals:
+    """Every phi-suite residual is the exact lhs - rhs, rounded once away
+    from zero to digits + 30 significant digits, so rounding can fail a
+    report but never pass one."""
+
+    @pytest.mark.parametrize("digits", (10, 24, 50, 80))
+    def test_each_residual_is_the_exact_one_rounded_away_from_zero(self, monkeypatch, digits):
+        evaluations, targets = {}, {}
+
+        def recording_phi(m, u, precision):
+            evaluations[m, u] = series(m, u, precision)
+            return evaluations[m, u]
+
+        def recording_eta(m, digits):
+            targets[m] = eta(m, digits)
+            return targets[m]
+
+        series, eta = series_verifier.phi_series, series_verifier._two_eta
+        monkeypatch.setattr(series_verifier, "phi_series", recording_phi)
+        monkeypatch.setattr(series_verifier, "_two_eta", recording_eta)
+        reports = run_suite("phi", digits=digits)
+        assert len(reports) == 75
+        zeros = 0
+        for report in reports:
+            m, u = report.parameters["m"], F(report.parameters["u"])
+            if report.identity_name == "phi_series_vs_coefficients":
+                value = evaluations[m, u].value.value
+                target = phi_coefficients(u, m)[m]
+            else:
+                value = evaluations[-m, u].value.value
+                target = F(targets[m][0], 10 ** (digits + 10))
+            exact = F(value) - target
+            residual = report.residual
+            where = (report.identity_name, m, u)
+            if exact == 0:
+                # an exact zero at the evaluation's scale
+                zeros += 1
+                assert residual.value == 0 and residual.value.as_tuple().exponent == (
+                    value.as_tuple().exponent
+                ), where
+                continue
+            size = F(residual.value.copy_abs())  # abs() would round
+            assert size >= abs(exact) and (residual.value < 0) == (exact < 0), where
+            assert F(residual.rounded()) == half_even(exact, digits), where
+            places = terminating_digits(exact)
+            if places is not None and places <= digits + 30:
+                assert F(residual.value) == exact, where
+            else:
+                # ROUND_UP at digits + 30: the next smaller magnitude of
+                # that many digits lies below |exact|
+                assert len(residual.value.as_tuple().digits) == digits + 30, where
+                ulp = F(10) ** residual.value.as_tuple().exponent
+                assert size - ulp < abs(exact), where
+                assert len(residual.rounded().as_tuple().digits) == digits, where
+        assert zeros > 0
 
 
 class TestReports:

@@ -22,10 +22,9 @@ consume |B_2k|, so the B_1 sign convention never reaches them.
 from __future__ import annotations
 
 import math
-from _thread import allocate_lock
 from fractions import Fraction
 
-from .numeric_core import FrozenRecord
+from .numeric_core import FrozenRecord, _ExactTable
 
 __all__ = [
     "BernoulliTable",
@@ -36,11 +35,10 @@ __all__ = [
     "zeta_even_via_euler",
 ]
 
-_ZERO = Fraction(0)  # every odd B_m past B_1
 
-
-class BernoulliTable:
-    """Memoized Bernoulli numbers B_0..B_max_index.
+class BernoulliTable(_ExactTable):
+    """Memoized Bernoulli numbers B_0..B_max_index, entry m of an
+    ``_ExactTable``.
 
     Even-index values come from the integer tangent numbers T_h
     (tan z = sum T_h z^(2h-1)/(2h-1)!) through
@@ -51,48 +49,37 @@ class BernoulliTable:
     small-integer multiply-adds ("Fast computation of Bernoulli, Tangent
     and Secant numbers", 2011). That table cannot be extended in place,
     so a request beyond it rebuilds it at least twice as long: a run of
-    growing requests costs a constant times the last one. B_2h itself is
-    a reduced Fraction built on its first read, so a request for B_n
+    growing requests costs a constant times the last one. Each B_m is
+    appended as the unreduced pair of that formula, so a read of B_n
     alone reduces no B_m below it.
-
-    Extension is serialized behind a lock; reads of already-computed
-    prefixes are safe from any thread.
     """
 
     def __init__(self) -> None:
-        self._values: list[Fraction | None] = [Fraction(1)]  # position m: B_m, None until read
+        super().__init__()
         self._tangents: list[int] = [0]  # position h holds T_h
-        self._lock = allocate_lock()
+        self._entries.append((1, 1))  # B_0
 
     @property
     def max_index(self) -> int:
-        return len(self._values) - 1
+        return len(self._entries) - 1
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(self.value(m) for m in range(len(self._values)))
+        return tuple(map(self._read, range(len(self._entries))))
 
     def value(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("Bernoulli index must be >= 0")
-        if n > self.max_index:
-            self._extend_to(n)
-        value = self._values[n]
-        if value is None:
-            # threads that race here build equal Fractions; any one may stay
-            h = n // 2
-            power = 4**h
-            signed = n * self._tangents[h] if h % 2 else -n * self._tangents[h]
-            value = self._values[n] = Fraction(signed, power * (power - 1))
-        return value
+        return self._read(n)
 
-    def _extend_to(self, n: int) -> None:
-        with self._lock:
-            values = self._values
-            if n // 2 >= len(self._tangents):
-                self._tangents = _tangent_numbers(max(n // 2, 2 * (len(self._tangents) - 1)))
-            for m in range(len(values), n + 1):
-                values.append(Fraction(-1, 2) if m == 1 else _ZERO if m % 2 else None)
+    def _extend_to(self, size: int) -> None:
+        h_max = (size - 1) // 2
+        if h_max >= len(self._tangents):
+            self._tangents = _tangent_numbers(max(h_max, 2 * (len(self._tangents) - 1)))
+        for m in range(len(self._entries), size):
+            h = m // 2  # an even m = 2h has B_m = (-1)^(h-1) m T_h / (2^m (2^m - 1))
+            self._entries.append((-1, 2) if m == 1 else (0, 1) if m % 2 else
+                                 ((m if h % 2 else -m) * self._tangents[h], ((1 << m) - 1) << m))
 
 
 def _tangent_numbers(count: int) -> list[int]:

@@ -42,14 +42,19 @@ keeps the agreed values of the few scales a run asks for.
 
 ``FrozenRecord`` is the base of the package's immutable value records
 (high-precision reals, Euler polynomials, phi evaluations, verification
-reports).
+reports), and ``_ExactTable`` the base of the two exact memo tables (the
+recurrence's r_k, the Bernoulli numbers): a list of unreduced integer
+pairs, extended behind one lock and each reduced to a ``Fraction`` on
+its first read, so a read of one entry pays no gcd for the others.
 """
 
 from __future__ import annotations
 
 import math
+from _thread import allocate_lock
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from decimal import DivisionByZero, InvalidOperation, Overflow
+from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
@@ -161,6 +166,40 @@ class FrozenRecord:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class _ExactTable:
+    """An exact memo table of rationals, extended on demand.
+
+    Entry i is kept as the (numerator, denominator) pair, denominator
+    > 0, that the subclass's ``_extend_to(size)`` appended, and becomes
+    a reduced ``Fraction`` on its first read (``_read``); ``_pair`` gives
+    its integers, reduced or not, and reduces nothing. ``_extend_to``
+    appends entries until the table holds ``size`` of them and runs with
+    the table's lock already held: the lock is not reentrant, so
+    ``_extend_to`` never takes it itself. Reads of completed entries are
+    safe from any thread.
+    """
+
+    def __init__(self) -> None:
+        self._entries: list[Fraction | tuple[int, int]] = []
+        self._lock = allocate_lock()
+
+    def _pair(self, i: int) -> tuple[int, int]:
+        """Entry i as its integers, extending the table if needed."""
+        if i >= len(self._entries):
+            with self._lock:
+                self._extend_to(i + 1)
+        entry = self._entries[i]
+        return entry if type(entry) is tuple else entry.as_integer_ratio()
+
+    def _read(self, i: int) -> Fraction:
+        """Entry i as a reduced Fraction, extending the table if needed."""
+        entry = self._entries[i] if i < len(self._entries) else self._pair(i)
+        if type(entry) is tuple:
+            # threads that race here build equal Fractions; any one may stay
+            entry = self._entries[i] = Fraction(*entry)
+        return entry
 
 
 class HighPrecisionReal(FrozenRecord):

@@ -931,24 +931,27 @@ def recurrence_cross_check(k_max: int) -> VerificationReport:
     the report's residual is the number of mismatching indices and the
     tolerance is zero. Expected: zero mismatches for every k.
 
-    With r_k = a/b and B_2k = p/q in lowest terms, r_k equals the
-    classical 2^(2k-1) |B_2k|/(2k)! exactly when a q (2k)! =
-    2^(2k-1) |p| b: one cross-multiplication, with (2k)! stepped along,
-    where a Fraction of the classical value would take a gcd per k.
+    With r_k = a/b and B_2k = p/q, b, q > 0, r_k equals the classical
+    2^(2k-1) |B_2k|/(2k)! exactly when a q (2k)! = 2^(2k-1) |p| b: one
+    cross-multiplication, with (2k)! stepped along, which holds whether
+    or not the pairs are reduced. So it reads both tables' unreduced
+    pairs (``_pair``), and only the entries the report prints become
+    Fractions.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    from .euler_bernoulli import bernoulli, zeta_even_via_euler
+    from .euler_bernoulli import _default_bernoulli, bernoulli, zeta_even_via_euler
     from .reports import VerificationReport
-    from .zeta_recurrence import zeta_even_ratio
+    from .zeta_recurrence import _shared_table, zeta_even_ratio
 
-    # the Bernoulli table is built once, for k_max, not doubled k by k
+    # each table is built once, for k_max, not extended k by k
+    zeta_even_ratio(k_max)
     bernoulli(2 * k_max)
     mismatches = []
     factorial = 1  # (2k)!
     for k in range(1, k_max + 1):
         factorial *= (2 * k - 1) * 2 * k
-        (a, b), (p, q) = zeta_even_ratio(k).as_integer_ratio(), bernoulli(2 * k).as_integer_ratio()
+        (a, b), (p, q) = _shared_table._pair(k - 1), _default_bernoulli._pair(2 * k)
         if a * q * factorial != abs(p) * b << 2 * k - 1:
             mismatches.append(k)
     first_bad = mismatches[0] if mismatches else k_max

@@ -28,11 +28,10 @@ r_k pi^(2k), and prints only when both ends of the ball round alike.
 from __future__ import annotations
 
 import math
-from _thread import allocate_lock
 from fractions import Fraction
 
 from .numeric_core import (
-    _PI_RADIUS, _ball_power, _ball_product, _bits_for, _fixed_decimal, _pi, _ziv,
+    _PI_RADIUS, _ExactTable, _ball_power, _ball_product, _bits_for, _fixed_decimal, _pi, _ziv,
     positional_str, round_significant,
 )
 
@@ -44,12 +43,13 @@ __all__ = [
 ]
 
 
-class ZetaEvenTable:
-    """Memoized ratios r_k = zeta(2k)/pi^(2k) for k = 1..max_k.
+class ZetaEvenTable(_ExactTable):
+    """Memoized ratios r_k = zeta(2k)/pi^(2k) for k = 1..max_k, entry
+    k - 1 of an ``_ExactTable``.
 
-    Entries are exact Fractions. The recurrence runs on the signed
-    s_m = (-1)^(m+1) (1/2 - 4^-m) (2m)! r_m, where dividing r_m by
-    (2k-2m)! becomes multiplying s_m by C(2k, 2m) and no sign is left:
+    The recurrence runs on the signed s_m = (-1)^(m+1) (1/2 - 4^-m) (2m)! r_m,
+    where dividing r_m by (2k-2m)! becomes multiplying s_m by C(2k, 2m)
+    and no sign is left:
 
         B_k = 1 - 4 sum_{m<k} C(2k, 2m) s_m,
         s_k = (2 4^(k-1) - 1) B_k / (4 (4^k - 1)),
@@ -59,73 +59,60 @@ class ZetaEvenTable:
     denominators), and the table keeps each term with its weight: before
     step k it holds the integers C(2k, 2m) D s_m for m < k, so the
     bracket D B_k is D - 4 times their sum, and each k reduces one
-    Fraction, s_k. r_k is kept as its unreduced integer pair and reduced
-    on its first read: its gcd, of 4^(k-1) D B_k against
-    D (4^k - 1) (2k)!, is the costliest Fraction step, and a read of r_k
-    alone never pays it for the r_m below. Moving to k + 1, with D grown
+    Fraction, s_k. r_k is appended as its unreduced pair: its gcd, of
+    4^(k-1) D B_k against D (4^k - 1) (2k)!, is the costliest Fraction
+    step, paid only by a read of r_k. Moving to k + 1, with D grown
     to D' = D grow, multiplies every term by grow (2k+1)(2k+2) and divides
     it by (2k+2-2m)(2k+1-2m), as in Brent and Harvey's tangent table;
     the division is exact because its quotient is C(2k+2, 2m) D' s_m,
     a binomial times an integer numerator. Nothing here uses Bernoulli
     or tangent numbers, which keeps the route independent of the
     classical formula it is checked against.
-
-    Extension is serialized behind a lock; reads of completed entries
-    are safe from any thread.
     """
 
     def __init__(self) -> None:
-        # position k-1 holds r_k: a (numerator, denominator) pair until read
-        self._ratios: list[Fraction | tuple[int, int]] = []
+        super().__init__()
         self._terms: list[int] = []  # position m-1 holds C(2k, 2m) D s_m for k = max_k + 1
         self._s_denominator = 1  # D
         self._factorial = 1  # (2k)! for k = max_k
-        self._lock = allocate_lock()
 
     @property
     def max_k(self) -> int:
-        return len(self._ratios)
+        return len(self._entries)
 
     def ratio(self, k: int) -> Fraction:
         """Exact r_k, extending the table if needed."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if k > len(self._ratios):
-            self._extend_to(k)
-        ratio = self._ratios[k - 1]
-        if type(ratio) is tuple:
-            # threads that race here build equal Fractions; any one may stay
-            ratio = self._ratios[k - 1] = Fraction(*ratio)
-        return ratio
+        return self._read(k - 1)
 
     def ratios(self) -> tuple[Fraction, ...]:
         """Snapshot of all computed ratios, r_1 first."""
-        return tuple(self.ratio(k) for k in range(1, len(self._ratios) + 1))
+        return tuple(map(self._read, range(len(self._entries))))
 
     def _extend_to(self, k_max: int) -> None:
-        with self._lock:
-            terms = self._terms
-            while len(self._ratios) < k_max:
-                k = len(self._ratios) + 1
-                n = 2 * k
-                # the bracket t = D B_k gives both r_k and s_k
-                denominator = self._s_denominator
-                t = denominator - 4 * sum(terms)
-                quarter = 4 ** (k - 1)  # 4^k / 4
-                base = denominator * (4 * quarter - 1)  # D (4^k - 1)
-                self._factorial *= (n - 1) * n
-                self._ratios.append(((t if k % 2 else -t) * quarter, base * self._factorial))
-                s_k = Fraction(t * (2 * quarter - 1), 4 * base)
-                # grow D to a multiple of s_k's denominator and step every
-                # term from C(2k, 2m) D s_m to C(2k+2, 2m) D' s_m
-                grow = s_k.denominator // math.gcd(denominator, s_k.denominator)
-                denominator *= grow
-                self._s_denominator = denominator
-                scale = grow * (n + 1) * (n + 2)
-                # term m is divided by i (i - 1), i = 2k + 2 - 2m, and the
-                # new term m = k has weight C(2k+2, 2k) = (k + 1)(2k + 1)
-                terms[:] = [term * scale // (i * (i - 1)) for i, term in zip(range(n, 2, -2), terms)]
-                terms.append((k + 1) * (n + 1) * s_k.numerator * (denominator // s_k.denominator))
+        terms = self._terms
+        while len(self._entries) < k_max:
+            k = len(self._entries) + 1
+            n = 2 * k
+            # the bracket t = D B_k gives both r_k and s_k
+            denominator = self._s_denominator
+            t = denominator - 4 * sum(terms)
+            quarter = 4 ** (k - 1)  # 4^k / 4
+            base = denominator * (4 * quarter - 1)  # D (4^k - 1)
+            self._factorial *= (n - 1) * n
+            self._entries.append(((t if k % 2 else -t) * quarter, base * self._factorial))
+            s_k = Fraction(t * (2 * quarter - 1), 4 * base)
+            # grow D to a multiple of s_k's denominator and step every
+            # term from C(2k, 2m) D s_m to C(2k+2, 2m) D' s_m
+            grow = s_k.denominator // math.gcd(denominator, s_k.denominator)
+            denominator *= grow
+            self._s_denominator = denominator
+            scale = grow * (n + 1) * (n + 2)
+            # term m is divided by i (i - 1), i = 2k + 2 - 2m, and the
+            # new term m = k has weight C(2k+2, 2k) = (k + 1)(2k + 1)
+            terms[:] = [term * scale // (i * (i - 1)) for i, term in zip(range(n, 2, -2), terms)]
+            terms.append((k + 1) * (n + 1) * s_k.numerator * (denominator // s_k.denominator))
 
 
 _shared_table = ZetaEvenTable()
@@ -174,8 +161,7 @@ def _zeta_even_ball(k: int, places: int, bits: int) -> tuple[int, int]:
     so the floor of a 10^places v / (b 2^bits) is within
     a 10^places e / (b 2^bits) + 1 of it: the last floor costs one more.
     """
-    ratio = zeta_even_ratio(k)
-    a, b = ratio.numerator, ratio.denominator
+    a, b = zeta_even_ratio(k).as_integer_ratio()
     v, e = _pi_power_ball(k, bits)
     scaled = a * 10**places
     return scaled * v // b >> bits, -(-scaled * e // b >> bits) + 1

@@ -32,6 +32,7 @@ BALLS = "tests/test_numeric_core.py::TestBalls::"
 EXPANSION = "tests/test_series_verifier.py::TestExpansionIdentity::"
 PI = "tests/test_numeric_core.py::TestComputePi::"
 PI_STRADDLE = PI + "test_a_ball_that_straddles_a_tie_is_retried"
+CROSS_CHECK = "tests/test_zeta_recurrence.py::TestCrossCheck::"
 
 ROWS = (
     (
@@ -117,6 +118,17 @@ ROWS = (
             "::test_rounding_never_passes_a_limit_residual_past_its_tolerance",
         ),
         "the phi suite's residual rounded half to even to digits digits before its verdict",
+    ),
+    (
+        VERIFIER,
+        "        if a * q * factorial != abs(p) * b << 2 * k - 1:",
+        "        if a * q * factorial != abs(p) * b << 2 * k:",
+        (
+            CROSS_CHECK + "test_passes_and_records_depth",
+            CROSS_CHECK + "test_mismatch_names_its_index",
+            CROSS_CHECK + "test_planted_ratio_fault_is_a_mismatch",
+        ),
+        "the recurrence cross-check's cross-multiplication off by a shift of one",
     ),
 )
 

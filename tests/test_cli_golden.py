@@ -5,16 +5,25 @@ stderr (the full-precision JSON line of every failed report) and its
 exit status are pinned here, in ``cli_golden.json``. A change that
 alters what the CLI prints shows up as a diff of that file.
 
+The same argvs, run once more in one child process under
+``sys.setprofile``, show which functions of ``src/zetaeven`` the CLI
+never calls; those must be exactly the ones ``UNREACHED`` lists, each
+with the reason it stays.
+
     python tests/test_cli_golden.py --write   # regenerate the file
 """
 
+import ast
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PHI_US = ("1001/1000", "11/10", "3/2", "7")
 
@@ -52,6 +61,17 @@ ARGVS = (
         for u in _PHI_US
         for digits in ("10", "50")
     ),
+    # usage errors and refused inputs: exit 2 with one stderr line
+    (),
+    ("zeta", "--x", "1"),
+    ("bernoulli",),
+    ("zeta", "--k", "1", "--exact", "--digits", "20"),
+    ("zeta", "--kmax", "0"),
+    ("phi", "--m", "1", "--u", "1/0"),
+    ("verify", "--suite", "phi", "--tolerance", "nan"),
+    ("bernoulli", "--n", "-1"),
+    ("verify", "--suite", "recurrence", "--kmax", "0"),
+    ("phi", "--m", "1", "--u", "3", "--digits", "200000"),
 )
 
 
@@ -76,6 +96,90 @@ def test_stdout_matches_golden_file():
     assert [entry["argv"] for entry in golden] == [list(argv) for argv in ARGVS]
     for entry in golden:
         assert record(entry["argv"]) == entry, " ".join(entry["argv"])
+
+
+# The two commands whose output the golden file does not pin (bench
+# times itself; --help lists every flag), run only for reachability.
+UNPINNED_ARGVS = (("--help",), ("bench", "--kmax", "3"))
+
+# Functions of src/zetaeven that no argv above calls, as module.qualname,
+# each with the reason it stays.
+UNREACHED = {
+    "__init__.__dir__": "library API: dir(zetaeven) binds the lazy exports",
+    "euler_bernoulli.BernoulliTable.max_index": "library API: the table's size",
+    "euler_bernoulli.BernoulliTable.values": "library API: a snapshot of the table",
+    "euler_bernoulli.EulerPolynomial.__hash__": "library API: polynomials as dict keys",
+    "numeric_core.FrozenRecord.__eq__": "library API: records compare field-wise",
+    "numeric_core.FrozenRecord.__repr__": "library API: records print their fields",
+    "numeric_core.FrozenRecord.__setattr__": "library API: records refuse assignment",
+    "numeric_core.FrozenRecord._values": "library API: the fields __eq__ compares",
+    "numeric_core.HighPrecisionReal.__repr__": "library API: a value prints its digits",
+    "numeric_core.compute_pi": "library API: pi to any digits",
+    "numeric_core.compute_pi.<locals>.ball": "library API: compute_pi's ball maker",
+    "powerseries.exp_series": "the tracer's pin: perfbench/tracer.py wraps powerseries",
+    "powerseries.scaled_exp_series": "the tracer's pin: perfbench/tracer.py wraps powerseries",
+    "powerseries.series_div": "the tracer's pin: perfbench/tracer.py wraps powerseries",
+    "powerseries.series_mul": "the tracer's pin: perfbench/tracer.py wraps powerseries",
+    "powerseries.series_recip": "the tracer's pin: perfbench/tracer.py wraps powerseries",
+    "reports.VerificationReport.from_line": "library API: a report line read back",
+    "series_verifier.direct_zeta_partial": "acceptance criterion 7: the integral-test brackets",
+    "zeta_recurrence.ZetaEvenTable.max_k": "the tracer's pin: perfbench/tracer.py reads it",
+    "zeta_recurrence.ZetaEvenTable.ratios": "library API: a snapshot of the table",
+    "zeta_recurrence.zeta_even_table": "library API: a fresh table to k_max",
+}
+
+# Runs every argv under a profile hook, the package's imports included,
+# and prints the (file, first line, name) of each Python function called.
+_PROFILE = """
+import json, sys
+from test_cli_golden import ARGVS, UNPINNED_ARGVS, record
+called = set()
+def hook(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        called.add((code.co_filename, code.co_firstlineno, code.co_name))
+sys.setprofile(hook)
+for argv in ARGVS + UNPINNED_ARGVS:
+    record(argv)
+sys.setprofile(None)
+print(json.dumps(sorted(called)))
+"""
+
+
+def _functions():
+    """{(file, first line, name): module.qualname} of every def in src/zetaeven;
+    a decorated function's code starts at its first decorator."""
+    functions = {}
+
+    def walk(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                functions[(file, first, child.name)] = prefix + child.name
+                walk(child, file, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, file, f"{prefix}{child.name}.")
+
+    for path in sorted((SRC / "zetaeven").glob("*.py")):
+        walk(ast.parse(path.read_text()), str(path), f"{path.stem}.")
+    return functions
+
+
+def test_unreached_functions_are_the_listed_ones():
+    child = subprocess.run(
+        [sys.executable, "-B", "-c", _PROFILE],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).parent,
+        env={**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{Path(__file__).parent}"},
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    called = {tuple(key) for key in json.loads(child.stdout)}
+    functions = _functions()
+    unreached = {name for key, name in functions.items() if key not in called}
+    assert sorted(unreached - set(UNREACHED)) == [], "newly unreached: remove or list them"
+    assert sorted(set(UNREACHED) - unreached) == [], "listed but reached, or gone"
 
 
 if __name__ == "__main__":

@@ -22,40 +22,40 @@ F = Fraction
 
 
 class ReferenceTable(ZetaEvenTable):
-    """The table with its stepped-binomial inner loop."""
+    """The table with its stepped-binomial inner loop, which appends
+    reduced Fractions; the base table calls it with its lock held."""
 
     def __init__(self) -> None:
         super().__init__()
         self._s_numerators: list[int] = []  # position m-1 holds s_m * _s_denominator
 
     def _extend_to(self, k_max: int) -> None:
-        with self._lock:
-            numerators = self._s_numerators
-            while len(self._ratios) < k_max:
-                k = len(self._ratios) + 1
-                n = 2 * k
-                # acc = D * sum_{m<k} C(2k, 2m) s_m, with the binomial
-                # C(2k, j + 2) stepped up from C(2k, j)
-                acc = 0
-                binom = 1
-                for j, numerator in zip(range(0, n, 2), numerators):
-                    binom = binom * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
-                    acc += binom * numerator
-                # the bracket t = D B_k gives both r_k and s_k
-                denominator = self._s_denominator
-                t = denominator - 4 * acc
-                quarter = 4 ** (k - 1)  # 4^k / 4
-                base = denominator * (4 * quarter - 1)  # D (4^k - 1)
-                self._factorial *= (n - 1) * n
-                self._ratios.append(Fraction((t if k % 2 else -t) * quarter, base * self._factorial))
-                s_k = Fraction(t * (2 * quarter - 1), 4 * base)
-                # put s_k on the common denominator, growing it if needed
-                grow = s_k.denominator // math.gcd(denominator, s_k.denominator)
-                if grow > 1:
-                    numerators[:] = [s * grow for s in numerators]
-                    denominator *= grow
-                    self._s_denominator = denominator
-                numerators.append(s_k.numerator * (denominator // s_k.denominator))
+        numerators = self._s_numerators
+        while len(self._entries) < k_max:
+            k = len(self._entries) + 1
+            n = 2 * k
+            # acc = D * sum_{m<k} C(2k, 2m) s_m, with the binomial
+            # C(2k, j + 2) stepped up from C(2k, j)
+            acc = 0
+            binom = 1
+            for j, numerator in zip(range(0, n, 2), numerators):
+                binom = binom * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
+                acc += binom * numerator
+            # the bracket t = D B_k gives both r_k and s_k
+            denominator = self._s_denominator
+            t = denominator - 4 * acc
+            quarter = 4 ** (k - 1)  # 4^k / 4
+            base = denominator * (4 * quarter - 1)  # D (4^k - 1)
+            self._factorial *= (n - 1) * n
+            self._entries.append(Fraction((t if k % 2 else -t) * quarter, base * self._factorial))
+            s_k = Fraction(t * (2 * quarter - 1), 4 * base)
+            # put s_k on the common denominator, growing it if needed
+            grow = s_k.denominator // math.gcd(denominator, s_k.denominator)
+            if grow > 1:
+                numerators[:] = [s * grow for s in numerators]
+                denominator *= grow
+                self._s_denominator = denominator
+            numerators.append(s_k.numerator * (denominator // s_k.denominator))
 
 
 def reference_phi_coefficients(u, m_max: int) -> list[Fraction]:

@@ -1,9 +1,10 @@
 """The memo tables extend safely when several threads ask at once.
 
-``ZetaEvenTable`` and ``BernoulliTable`` serialize extension behind a
-lock. Here 8 threads race to extend one fresh table, with the
-interpreter switching threads every microsecond, and every value they
-read, and the table left behind, must equal a table built in one thread.
+``ZetaEvenTable`` and ``BernoulliTable`` serialize extension behind the
+lock of their base, ``numeric_core._ExactTable``. Here 8 threads race to
+extend one fresh table, with the interpreter switching threads every
+microsecond, and every value or unreduced pair they read, and the table
+left behind, must equal a table built in one thread.
 The series kernel's one scaled-weight list (``_cvz_scaled``) is raced
 the same way through ``phi_series``, and so are the decimal contexts
 that every thread shares (``numeric_core._context``): created on first
@@ -67,6 +68,18 @@ def race(make_table, read, snapshot, indices, rounds):
     return None
 
 
+# Thread t reads the indices at positions t, t + 8, t + 16, ..., which
+# share their residue mod 8 (mod 16 for the even Bernoulli indices): the
+# threads of four residues read unreduced pairs, the other four values,
+# so no pair a thread reads is one that another reduces.
+def zeta_pair_or_ratio(table, k):
+    return table._pair(k - 1) if k % 8 < 4 else table.ratio(k)
+
+
+def bernoulli_pair_or_value(table, n):
+    return table._pair(n) if n % 16 < 8 else table.value(n)
+
+
 @pytest.mark.parametrize(
     "make_table, read, snapshot, indices, rounds",
     (
@@ -76,8 +89,16 @@ def race(make_table, read, snapshot, indices, rounds):
         # the others race to build the values it left unbuilt
         (ZetaEvenTable, ZetaEvenTable.ratio, ZetaEvenTable.ratios, range(80, 0, -1), 20),
         (BernoulliTable, BernoulliTable.value, lambda table: table.values, range(240, -1, -2), 30),
+        # half the threads read pairs, which extend the table too
+        (ZetaEvenTable, zeta_pair_or_ratio, ZetaEvenTable.ratios, range(1, 81), 20),
+        (BernoulliTable, bernoulli_pair_or_value, lambda table: table.values, range(0, 241, 2), 30),
+        (ZetaEvenTable, zeta_pair_or_ratio, ZetaEvenTable.ratios, range(80, 0, -1), 20),
+        (BernoulliTable, bernoulli_pair_or_value, lambda table: table.values, range(240, -1, -2), 30),
     ),
-    ids=("zeta", "bernoulli", "zeta-high-first", "bernoulli-high-first"),
+    ids=(
+        "zeta", "bernoulli", "zeta-high-first", "bernoulli-high-first",
+        "zeta-pairs", "bernoulli-pairs", "zeta-pairs-high-first", "bernoulli-pairs-high-first",
+    ),
 )
 def test_racing_threads_build_the_sequential_table(make_table, read, snapshot, indices, rounds):
     assert race(make_table, read, snapshot, list(indices), rounds) is None

@@ -261,12 +261,14 @@ class TestCrossCheck:
 
     def test_mismatch_names_its_index(self, monkeypatch):
         # a Bernoulli route wrong at k = 7 alone (B_14 off in the shared
-        # table): the report fails, names 7 and compares the two routes'
-        # values there
-        value = eb._default_bernoulli.value
-        monkeypatch.setattr(
-            eb._default_bernoulli, "value", lambda n: value(n) + F(1, 10**40) if n == 14 else value(n)
-        )
+        # table, in its values and in the pairs the check compares): the
+        # report fails, names 7 and compares the two routes' values there
+        table = eb._default_bernoulli
+        value, pair = table.value, table._pair
+        planted = value(14) + F(1, 10**40)
+        monkeypatch.setattr(table, "value", lambda n: planted if n == 14 else value(n))
+        planted_pair = planted.as_integer_ratio()
+        monkeypatch.setattr(table, "_pair", lambda n: planted_pair if n == 14 else pair(n))
         wrong = zeta_even_via_euler(7)
         report = recurrence_cross_check(12)
         assert not report.passed
@@ -278,8 +280,12 @@ class TestCrossCheck:
         # a recurrence value wrong at k = 9 alone fails the cross-multiplied
         # comparison there and nowhere else
         wrong = zeta_even_ratio(9) * (1 + F(1, 10**30))
-        # the check imports the recurrence's function when it runs
+        # the check imports the recurrence's function when it runs, and
+        # compares the shared table's pairs, at position k - 1
+        table = zr._shared_table
+        pair, wrong_pair = table._pair, wrong.as_integer_ratio()
         monkeypatch.setattr(zr, "zeta_even_ratio", lambda k: wrong if k == 9 else zeta_even_ratio(k))
+        monkeypatch.setattr(table, "_pair", lambda i: wrong_pair if i == 8 else pair(i))
         report = recurrence_cross_check(12)
         assert not report.passed
         assert report.parameters["mismatch_indices"] == "9"
@@ -299,6 +305,22 @@ class TestCrossCheck:
         monkeypatch.setattr(eb, "_tangent_numbers", lambda count: builds.append(count) or tangents(count))
         assert recurrence_cross_check(116).passed
         assert builds == [116]
+
+    def test_reduces_only_the_entries_it_prints(self, monkeypatch):
+        # fresh shared tables: the check compares unreduced pairs, and only
+        # r_116 and B_232, which the passing report prints, become Fractions
+        monkeypatch.setattr(zr, "_shared_table", ZetaEvenTable())
+        monkeypatch.setattr(eb, "_default_bernoulli", BernoulliTable())
+        assert recurrence_cross_check(116).passed
+        for table, printed in ((zr._shared_table, 115), (eb._default_bernoulli, 232)):
+            entries = table._entries
+            assert len(entries) == printed + 1
+            assert [i for i, entry in enumerate(entries) if type(entry) is F] == [printed]
+            assert table._pair(printed) == table._read(printed).as_integer_ratio()
+            # the pairs left unreduced hold their entry's value over a positive denominator
+            for i in (1, 40, printed - 1):
+                (a, b), (p, q) = table._pair(i), table._read(i).as_integer_ratio()
+                assert b > 0 and a * q == p * b, i
 
     def test_line_round_trip(self):
         report = recurrence_cross_check(12)

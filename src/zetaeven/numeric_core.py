@@ -10,10 +10,12 @@ Two value kinds underpin everything else here:
 
 Every decimal operation in the package runs in one context per
 ``(prec, rounding)``, ``_context(prec, rounding)``: a copy of one fixed
-base context, made once and cached, so no result depends on the
-caller's decimal context. The cached contexts are shared, so they are
-used as the receiver (``ctx.divide(a, b)``, ``ctx.plus(x)``) and never
-entered or changed, and only this module calls ``_context``: the others
+base context, made once and kept by ``functools.lru_cache`` (the memo
+of ``_pi`` here and of ``series_verifier._ln2_ball`` too), so no result
+depends on the caller's decimal context. The cached contexts are
+shared, so they are used as the receiver (``ctx.divide(a, b)``,
+``ctx.plus(x)``) and never entered or changed, and only this module
+calls ``_context``: the others
 convert and round through the functions below. An exact value becomes a
 ``Decimal`` one way only: a fixed-point integer through
 ``_fixed_decimal`` (exactly, by a power of ten) and a rational through
@@ -80,29 +82,23 @@ _BASE_CONTEXT = Context(
 )
 
 
-# (prec, rounding) -> its context; see _context
-_contexts: dict[tuple[int, str], Context] = {}
-# a caller that asks for ever new precisions empties the cache now and then
-_MAX_CONTEXTS = 256
-
-
-def _context(prec: int, rounding: str = ROUND_HALF_EVEN) -> Context:
+@lru_cache(maxsize=256)
+def _context(prec: int, rounding: str) -> Context:
     """The context of ``prec`` digits and ``rounding``: a copy of
-    ``_BASE_CONTEXT``, made on the first call for the pair and then
-    cached, so nothing of the caller's decimal context (precision,
-    rounding, exponent range, traps, flags) reaches the result.
+    ``_BASE_CONTEXT``, made on the first call for the pair and then kept
+    by ``lru_cache`` (the 256 pairs last used; a caller that asks for
+    ever new precisions evicts the oldest). The rounding has no default,
+    so each pair has one cache key. Nothing of the caller's decimal
+    context (precision, rounding, exponent range, traps, flags) reaches
+    the result.
 
     It is shared by every caller and thread: call its methods, and never
-    enter it or change its settings. Its flags record what its operations
-    signalled and are never read."""
-    ctx = _contexts.get((prec, rounding))
-    if ctx is None:
-        ctx = _BASE_CONTEXT.copy()
-        ctx.prec = prec
-        ctx.rounding = rounding
-        if len(_contexts) >= _MAX_CONTEXTS:
-            _contexts.clear()
-        ctx = _contexts.setdefault((prec, rounding), ctx)
+    enter it or change its settings. Two threads that miss the same pair
+    at once may each get a copy of their own, equal in every setting.
+    Its flags record what its operations signalled and are never read."""
+    ctx = _BASE_CONTEXT.copy()
+    ctx.prec = prec
+    ctx.rounding = rounding
     return ctx
 
 
@@ -111,7 +107,7 @@ def _fixed_decimal(total: int, digits: int) -> Decimal:
     rounding it keeps as many significant digits as it is asked for.
     Scaling by a power of ten needs only the digits of total, so at the
     largest precision it is exact and costs no more."""
-    return _context(MAX_PREC).scaleb(total, -digits)
+    return _context(MAX_PREC, ROUND_HALF_EVEN).scaleb(total, -digits)
 
 
 def _rational_decimal(x, prec: int, rounding: str = ROUND_HALF_EVEN) -> Decimal:
@@ -124,7 +120,7 @@ def round_significant(value: Decimal, digits: int) -> Decimal:
     """Round to ``digits`` significant digits, ties to even."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    return _context(digits).plus(value)
+    return _context(digits, ROUND_HALF_EVEN).plus(value)
 
 
 def positional_str(value: Decimal) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import zetaeven
-from zetaeven import cli, euler_bernoulli, numeric_core, series_verifier
+from zetaeven import cli, euler_bernoulli, numeric_core, series_verifier, zeta_recurrence
 from zetaeven.euler_bernoulli import euler_polynomial
 from zetaeven.numeric_core import round_significant
 from zetaeven.reports import VerificationReport, json_line
@@ -398,10 +398,13 @@ class TestExitCodes:
             assert run_cli(capsys, "verify", *flags) == (2, "", message), flags
 
     def test_abel_past_the_budget_exits_two_before_any_sum(self, capsys, monkeypatch):
+        # nor before the zeta target and its pi, which come after the sums
         def refuse(*args):
-            raise AssertionError("f_k was summed before the budget check")
+            raise AssertionError("f_k, zeta(2k) or pi was computed before the budget check")
 
         monkeypatch.setattr(series_verifier, "_cvz_sum", refuse)
+        monkeypatch.setattr(zeta_recurrence, "_zeta_even_ball", refuse)
+        monkeypatch.setattr(zeta_recurrence, "_pi", refuse)
         code, out, err = run_cli(capsys, "verify", "--suite", "abel", "--digits", "5000")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "over the budget" in err

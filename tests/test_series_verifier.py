@@ -465,6 +465,20 @@ class TestAbelLimit:
         with pytest.raises(SeriesBudgetError, match="over the budget"):
             abel_limit_check(1, self.DELTAS, 5000)
 
+    def test_plans_each_f_k_sum_once(self, monkeypatch):
+        # one budget check per f_k(1 + delta), three deltas at each of the
+        # suite's two k: the sum that plans it, and nothing before it
+        check = series_verifier._check_work
+        messages = []
+
+        def counting(what, work):
+            messages.append(what())
+            check(what, work)
+
+        monkeypatch.setattr(series_verifier, "_check_work", counting)
+        run_suite("abel", digits=30)
+        assert sum(message.startswith("f_") for message in messages) == 6, messages
+
     def test_budget_estimate_bounds_the_terms_summed(self, monkeypatch):
         # the work the kernel's pre-sum check estimates is at least the
         # work then done: terms summed times their digit size

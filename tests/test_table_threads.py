@@ -140,7 +140,7 @@ DECIMAL_CASES = [
 
 def fresh_contexts():
     # the threads then race to create the contexts as well as to read them
-    numeric_core._contexts.clear()
+    numeric_core._context.cache_clear()
     series_verifier._cvz_cache = None
 
 
@@ -151,7 +151,6 @@ def read_decimal(_, i):
 
 def test_racing_threads_share_the_decimal_contexts(monkeypatch):
     monkeypatch.setattr(series_verifier, "_cvz_cache", None)
-    monkeypatch.setattr(numeric_core, "_contexts", {})
     indices = list(range(2 * len(DECIMAL_CASES)))
     assert race(fresh_contexts, read_decimal, lambda _: None, indices, 300) is None
 
@@ -159,15 +158,26 @@ def test_racing_threads_share_the_decimal_contexts(monkeypatch):
 def test_cached_contexts_keep_their_settings(monkeypatch):
     # every suite and every case above reads the shared contexts; none may
     # change the precision or rounding of its key, or the base's traps and
-    # exponent range
-    monkeypatch.setattr(numeric_core, "_contexts", {})
+    # exponent range. A wrapper records each context handed out; the cache
+    # starts empty, so none is evicted before it is compared.
+    cached = numeric_core._context
+    cached.cache_clear()
+    handed_out = []
+
+    def recording(prec, rounding):
+        ctx = cached(prec, rounding)
+        handed_out.append(((prec, rounding), ctx))
+        return ctx
+
+    monkeypatch.setattr(numeric_core, "_context", recording)
     for name in SUITES:
         run_suite(name, digits=20)
     for function, args in DECIMAL_CASES:
         function(*args)
     base = numeric_core._BASE_CONTEXT
-    assert len(numeric_core._contexts) > 10
-    for (prec, rounding), ctx in numeric_core._contexts.items():
+    assert len(dict(handed_out)) > 10
+    for (prec, rounding), ctx in handed_out:
+        assert ctx is cached(prec, rounding), (prec, rounding)
         assert (ctx.prec, ctx.rounding) == (prec, rounding)
         assert (ctx.Emin, ctx.Emax) == (base.Emin, base.Emax)
         assert ctx.traps == base.traps, (prec, rounding)

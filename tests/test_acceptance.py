@@ -10,8 +10,10 @@ bracket of zeta(2) that pins its 12-digit rendering. Their tests (the
 claim instead, derived without the code under test: the power-series
 generating function for E_m(1), the pole expansion of the omitted
 rearrangement tail, a two-sided integral bracket for the Abel gap, and
-the asymptotic tail 1/N - 1/(2N^2) of zeta(2). The README's "Tests"
-section carries the analysis.
+the asymptotic tail 1/N - 1/(2N^2) of zeta(2). None of them was
+loosened: each fails on a planted fault in the code it checks. Each
+test's docstring says why the literal number cannot be reached and what
+is checked in its place.
 """
 
 import sys
@@ -89,12 +91,17 @@ def test_criterion_3_bernoulli_structure():
 
 
 def test_criterion_4_evaluation_at_one_as_promised():
-    # The claim sheet read "E_m(1) = 0 for 1 <= m <= 100". That is false
-    # at odd m: 2e^t/(e^t+1) = 1 + tanh(t/2), and tanh(t/2) is odd with
-    # nonzero odd coefficients (E_1(1) = 1/2, E_3(1) = -1/4, ...). The
-    # true statement checked here: E_0(1) = 1 and every E_m(1), m <= 100,
-    # equals m! [t^m] 2e^t/(e^t+1) from the power-series oracle, so it
-    # vanishes at every even m >= 2 and at none of the 50 odd m.
+    """E_m(1) vanishes at every even m >= 2 and at no odd m <= 100.
+
+    The claim sheet read "E_m(1) = 0 for 1 <= m <= 100". That is true
+    only at even indices: 2e^t/(e^t+1) = 1 + tanh(t/2), and tanh(t/2) is
+    odd, so the odd-index values are its nonzero coefficients (E_1(1) =
+    1/2, E_3(1) = -1/4, E_5(1) = 1/2, ...). Checked instead: E_0(1) = 1
+    and every E_m(1), m <= 100, equals m! [t^m] 2e^t/(e^t+1) exactly, with
+    the coefficients taken from the power-series oracle. So E_m(1)
+    vanishes at every even m >= 2 and at none of the 50 odd m. The
+    reflection identity E_m(1-x) = (-1)^m E_m(x) has its own check.
+    """
     one = F(1)
     e = exp_series(100)
     oracle = series_div([2 * c for c in e], [e[0] + 1] + e[1:])
@@ -179,13 +186,24 @@ def _rearrangement_tail(k, u, J_max):
 
 
 def test_criterion_5_rearrangement_tolerance_as_promised():
-    # The claim sheet read "residual below 1e-30 at J_max = 25". The raw
-    # residual is the omitted tail, whose j-terms decay only at rate
-    # (pi/R)^2 with R^2 = ln^2 u + pi^2 (0.9836 at u = 3/2): it measures
-    # 5.7e-3 / 5.7e-6 / 3.9e-8 here, and 1e-30 would need J_max in the
-    # thousands. The true statement checked here: the residual equals the
-    # tail computed independently from the pole expansion of phi to within
-    # 1e-30, and it sits inside the report's certified envelope.
+    """The residual at J_max = 25 is the omitted tail, to 1e-30.
+
+    The claim sheet read "residual below 1e-30 at J_max = 25". The j-terms
+    decay only geometrically, at rate (pi/R)^2 with R^2 = ln^2 u + pi^2,
+    because phi_M(u) itself grows like M!/R^(M+1) (the generating
+    function's nearest poles sit at ln u +- i pi) and cancels the
+    1/(2j)!. At u = 3/2 that ratio is 0.984: the residuals at J_max = 25
+    measure 5.7e-3 / 5.7e-6 / 3.9e-8 for the three pinned cases, and
+    1e-30 would need J_max in the thousands. Checked instead: the
+    residual is the omitted tail. ``_rearrangement_tail`` computes it
+    from the pole expansion phi_M(u) = -2 M! sum_n (ln u + (2n+1) i
+    pi)^-(M+1) (exact for M >= 1; three conjugate pole pairs, 70 digits,
+    its own 80-digit pi), and |residual - tail| must be below 1e-30; it
+    measures about 4e-45. The report must also pass, so the residual sits
+    inside the proven truncation envelope. The deliberate
+    under-truncation check (J_max = 2 must fail by roughly its first
+    omitted term) is the next test.
+    """
     results = []
     ok = True
     for k, u in EXPANSION_CASES:
@@ -238,12 +256,19 @@ def _dilog_gap_bracket(delta):
 
 
 def test_criterion_6_abel_k1_as_promised():
-    # The claim sheet read "final residual below 1e-3 at delta = 1e-4".
-    # The true gap zeta(2) - Li2(1/(1+delta)) is about eps(1 + ln(1/eps))
-    # with eps = delta/(1+delta), which at delta = 1e-4 is 1.0210e-3:
-    # above 1e-3 by 2 percent. The true statement checked here: the
-    # residuals decrease strictly, and each lies in the integral bracket
-    # eps(1 + ln(1/eps)) <= gap <= (1+delta) eps(1 + ln(1/eps)).
+    """At k = 1 the Abel residuals decrease and each lies in its bracket.
+
+    The claim sheet read "final residual below 1e-3 at k = 1, delta =
+    1e-4". The true gap zeta(2) - Li2(x), x = 1/(1+delta), behaves like
+    eps (1 + ln(1/eps)) with eps = delta/(1+delta), which at delta = 1e-4
+    is 1.0210e-3: over the target by 2 percent. Checked instead: the
+    residuals decrease strictly, and each lies in the two-sided bracket
+    eps (1 + ln(1/eps)) <= gap <= (1+delta) eps (1 + ln(1/eps)), which
+    follows from gap = int_x^1 ln(1/(1-t))/t dt and 1 <= 1/t <= 1+delta
+    on [x, 1] (``_dilog_gap_bracket``). At delta = 1e-4 the residual
+    1.02099049e-3 sits in [1.02094194e-3, 1.02104404e-3]. The same check
+    at k = 2 passes the literal < 1e-3 outright (1.20e-4, the next test).
+    """
     residuals = _abel_residuals(1)
     decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
     brackets = [_dilog_gap_bracket(delta) for delta in ABEL_DELTAS]
@@ -274,6 +299,19 @@ def test_criterion_6_abel_k2():
 
 
 def test_criterion_7_bracketing():
+    """Every integral-test bracket holds zeta(2k); N = 10^6 pins 6 digits.
+
+    The claim sheet read "the N = 10^6, width-1e-6 bracket pins the
+    12-digit rendering of zeta(2)". A bracket 1e-6 wide cannot fix 12
+    digits. The tail of zeta(2) past N is 1/N - 1/(2N^2) + O(N^-3), so
+    the bracket is [zeta(2) - 1e-6, zeta(2)] + 5e-13, about
+    [1.64493306685, 1.64493406685]; the 12-digit 1.64493406685 lies
+    above its upper end 1.6449340668487... Checked instead: the bracket
+    is exactly 1e-6 wide, contains zeta(2), and both ends round to
+    1.64493 at 6 digits but to 1.644933 and 1.644934 at 7. Every bracket
+    of the grid k = 1..10, N = 100, 1000, 10^4 must contain zeta(2k)
+    under exact comparison with its 120-digit value.
+    """
     # zeta(2k) to 120 digits is within 1e-119 of the true value, far
     # inside the narrowest margin of the grid (about 4.5e-81 at k = 10,
     # N = 10^4), so exact comparison against it decides each bracket
@@ -284,11 +322,7 @@ def test_criterion_7_bracketing():
             value, tail_high = direct_zeta_partial(k, n)
             if not value.value < target < exact_sum(value.value, tail_high.value):
                 outside.append((k, n))
-    # the showcase: the N = 10^6 bracket is exactly 1e-6 wide. The tail
-    # of zeta(2) past N is 1/N - 1/(2N^2) + O(N^-3), so the bracket is
-    # [zeta(2) - 1e-6, zeta(2)] + 5e-13 = [1.64493306685, 1.64493406685]
-    # to 12 digits: both ends round to 1.64493 at 6 digits, but to
-    # 1.644933 and 1.644934 at 7. It pins 6 digits of zeta(2), not 12.
+    # the showcase: the N = 10^6 bracket pins 6 digits of zeta(2), not 12
     value, tail_high = direct_zeta_partial(1, 10**6)
     low, high = value.value, exact_sum(value.value, tail_high.value)
     zeta2 = Decimal(zeta_even_decimal(1, 120))

@@ -72,6 +72,21 @@ ARGVS = (
     ("bernoulli", "--n", "-1"),
     ("verify", "--suite", "recurrence", "--kmax", "0"),
     ("phi", "--m", "1", "--u", "3", "--digits", "200000"),
+    # answers again, exit 0 or 1
+    ("zeta", "--k", "2", "--exact", "--format", "json-lines"),
+    ("bernoulli", "--n", "3"),
+    # an exact tie, -1268610513/262144, printed half to even
+    ("phi", "--m", "14", "--u", "3", "--digits", "21"),
+    # a tolerance past the default decimal context's exponents
+    ("verify", "--suite", "expansion", "--jmax", "3", "--digits", "10", "--tolerance", "1e1000000"),
+    # 3.5e-53 short of the m = 2, u = 101/100 limit residual: that report
+    # fails, exit 1
+    ("verify", "--suite", "phi", "--tolerance",
+     "0.013744665108539231234230327519141204455169213569049", "--format", "json-lines"),
+    # the verifier's integer bounds past the sizes above
+    ("verify", "--suite", "abel", "--digits", "80", "--format", "json-lines"),
+    ("verify", "--suite", "expansion", "--jmax", "200", "--digits", "80", "--format", "json-lines"),
+    ("verify", "--suite", "recurrence", "--kmax", "300", "--format", "json-lines"),
 )
 
 

@@ -63,10 +63,6 @@ class BernoulliTable(_ExactTable):
     def max_index(self) -> int:
         return len(self._entries) - 1
 
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(map(self._read, range(len(self._entries))))
-
     def value(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("Bernoulli index must be >= 0")
@@ -116,9 +112,6 @@ class EulerPolynomial(FrozenRecord):
         if len(coefficients) != degree + 1:
             raise ValueError("coefficient count must be degree + 1")
         super().__init__(degree, coefficients)
-
-    def __hash__(self):
-        return hash(self._values())
 
 
 def euler_polynomial(m: int) -> EulerPolynomial:

@@ -11,12 +11,11 @@ Two value kinds underpin everything else here:
 Every decimal operation in the package runs in one context per
 ``(prec, rounding)``, ``_context(prec, rounding)``: a copy of one fixed
 base context, made once and kept by ``functools.lru_cache`` (the memo
-of ``_pi`` here and of ``series_verifier._ln2_ball`` too), so no result
-depends on the caller's decimal context. The cached contexts are
-shared, so they are used as the receiver (``ctx.divide(a, b)``,
-``ctx.plus(x)``) and never entered or changed, and only this module
-calls ``_context``: the others
-convert and round through the functions below. An exact value becomes a
+of ``_pi`` here too), so no result depends on the caller's decimal
+context. The cached contexts are shared, so they are used as the
+receiver (``ctx.divide(a, b)``, ``ctx.plus(x)``) and never entered or
+changed, and only this module calls ``_context``: the others convert
+and round through the functions below. An exact value becomes a
 ``Decimal`` one way only: a fixed-point integer through
 ``_fixed_decimal`` (exactly, by a power of ten) and a rational through
 ``_rational_decimal`` (one division, rounded to a stated precision).
@@ -134,10 +133,10 @@ class FrozenRecord:
     ``FrozenRecord.__init__(self, *values)`` sets the slots in order; a
     subclass checks its arguments first, then calls it. Instances
     compare field-wise (only with instances of the same class), print as
-    ``Name(field=value, ...)`` and refuse assignment. They are
-    unhashable unless the subclass defines ``__hash__``. This gives what
-    a frozen dataclass gives, without importing ``dataclasses`` (and with
-    it ``inspect`` and ``ast``) into every process that runs the CLI.
+    ``Name(field=value, ...)``, refuse assignment and are unhashable.
+    This gives what a frozen dataclass gives, without importing
+    ``dataclasses`` (and with it ``inspect`` and ``ast``) into every
+    process that runs the CLI.
     """
 
     __slots__ = ()
@@ -146,16 +145,16 @@ class FrozenRecord:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __setattr__(self, name, _value):
         raise AttributeError(f"{type(self).__name__} is immutable ({name})")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        # tuples compare identity first, so a field holding a NaN still
+        # equals itself
+        names = self.__slots__
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
 
     __hash__ = None
 

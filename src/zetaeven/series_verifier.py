@@ -37,7 +37,6 @@ from _thread import allocate_lock
 from collections.abc import Sequence
 from decimal import Decimal, ROUND_CEILING, ROUND_UP
 from fractions import Fraction
-from functools import lru_cache
 
 from .numeric_core import (
     _PI_RADIUS, FrozenRecord, HighPrecisionReal, _ball_power, _ball_product, _ball_quotient,
@@ -384,26 +383,22 @@ def _ln_ball(x, digits: int) -> tuple[int, int]:
     e 2 ln 2. Both logarithms are the series kernel's alternating sums
     at m = -1, 2 ln(1 + y) = phi_-1(1/y) = 2 sum_{n>=1} (-1)^(n+1) y^n/n
     (``_cvz_decimal``, about 1.31 terms per digit whatever y), and 2 ln 2
-    the same at y = 1 (``_ln2_ball``). Their balls add, the ln 2 ball e
-    times, and halving floors once more.
+    the same at y = 1. Their balls add, the ln 2 ball e times, and
+    halving floors once more.
     """
     if x < 1:
         value, radius = _ln_ball(1 / x, digits)
         return -value, radius
     p, q = x.numerator, x.denominator
     e = (p // q).bit_length() - 1
-    value, radius = (e * part for part in _ln2_ball(digits)) if e else (0, 0)
+    value = radius = 0
+    if e:
+        v, r, _ = _cvz_decimal(-1, 1, 1, digits, lambda: f"ln(2) to {digits} digits needs")
+        value, radius = e * v, e * r
     if p != q << e:  # y = p/(q 2^e) - 1, unreduced
         v, r, _ = _cvz_decimal(-1, p - (q << e), q << e, digits, lambda: f"ln({x}) needs")
         value, radius = value + v, radius + r
     return _ball_quotient(value, radius, 2)
-
-
-@lru_cache(maxsize=4)
-def _ln2_ball(digits: int) -> tuple[int, int]:
-    """2 ln 2 = phi_-1(1) as the kernel's ball in ulps of 10^-digits, kept,
-    like ``numeric_core._pi``, for the few precisions a run asks for."""
-    return _cvz_decimal(-1, 1, 1, digits, lambda: f"ln(2) to {digits} digits needs")[:2]
 
 
 def phi_series(m: int, u, precision: int = 50) -> PhiEvaluation:

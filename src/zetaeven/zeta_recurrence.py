@@ -38,7 +38,6 @@ from .numeric_core import (
 __all__ = [
     "ZetaEvenTable",
     "zeta_even_ratio",
-    "zeta_even_table",
     "zeta_even_decimal",
 ]
 
@@ -86,10 +85,6 @@ class ZetaEvenTable(_ExactTable):
             raise ValueError("k must be >= 1")
         return self._read(k - 1)
 
-    def ratios(self) -> tuple[Fraction, ...]:
-        """Snapshot of all computed ratios, r_1 first."""
-        return tuple(map(self._read, range(len(self._entries))))
-
     def _extend_to(self, k_max: int) -> None:
         terms = self._terms
         while len(self._entries) < k_max:
@@ -127,15 +122,6 @@ def zeta_even_ratio(k: int) -> Fraction:
     Fraction(1, 90)
     """
     return _shared_table.ratio(k)
-
-
-def zeta_even_table(k_max: int) -> ZetaEvenTable:
-    """A fresh table holding r_1..r_{k_max}."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    table = ZetaEvenTable()
-    table.ratio(k_max)
-    return table
 
 
 def _pi_power_ball(k: int, bits: int) -> tuple[int, int]:

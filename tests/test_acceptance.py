@@ -38,7 +38,7 @@ from zetaeven.series_verifier import (
     phi_series,
     phi_taylor_coeff,
 )
-from zetaeven.zeta_recurrence import zeta_even_decimal, zeta_even_table
+from zetaeven.zeta_recurrence import ZetaEvenTable, zeta_even_decimal
 
 from test_series_verifier import abs_error, exact_sum
 
@@ -60,11 +60,14 @@ def verdict(label, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def deep_table():
-    return zeta_even_table(200)
+    table = ZetaEvenTable()
+    table.ratio(200)
+    return table
 
 
 def test_criterion_1_worked_ratios():
-    ok = zeta_even_table(2).ratios() == (F(1, 6), F(1, 90))
+    table = ZetaEvenTable()
+    ok = (table.ratio(1), table.ratio(2)) == (F(1, 6), F(1, 90))
     assert verdict("criterion 1 (zeta(2) = pi^2/6, zeta(4) = pi^4/90)", ok)
 
 

@@ -122,15 +122,14 @@ UNPINNED_ARGVS = (("--help",), ("bench", "--kmax", "3"))
 UNREACHED = {
     "__init__.__dir__": "library API: dir(zetaeven) binds the lazy exports",
     "euler_bernoulli.BernoulliTable.max_index": "library API: the table's size",
-    "euler_bernoulli.BernoulliTable.values": "library API: a snapshot of the table",
-    "euler_bernoulli.EulerPolynomial.__hash__": "library API: polynomials as dict keys",
-    "numeric_core.FrozenRecord.__eq__": "library API: records compare field-wise",
+    # kept on purpose: TestReports::test_is_an_immutable_value in
+    # test_series_verifier.py relies on all three
+    "numeric_core.FrozenRecord.__eq__": "library API: records compare field-wise, a report read back equals its original",
     "numeric_core.FrozenRecord.__repr__": "library API: records print their fields",
-    "numeric_core.FrozenRecord.__setattr__": "library API: records refuse assignment",
-    "numeric_core.FrozenRecord._values": "library API: the fields __eq__ compares",
+    "numeric_core.FrozenRecord.__setattr__": "library API: records refuse assignment, so passed cannot contradict its numbers",
     "numeric_core.HighPrecisionReal.__repr__": "library API: a value prints its digits",
-    "numeric_core.compute_pi": "library API: pi to any digits",
-    "numeric_core.compute_pi.<locals>.ball": "library API: compute_pi's ball maker",
+    "numeric_core.compute_pi": "library API: pi to any digits; perfbench/sweep.py times it (pi_slope)",
+    "numeric_core.compute_pi.<locals>.ball": "compute_pi's ball maker: library API, timed by perfbench/sweep.py",
     "powerseries.exp_series": "the tracer's pin: perfbench/tracer.py wraps powerseries",
     "powerseries.scaled_exp_series": "the tracer's pin: perfbench/tracer.py wraps powerseries",
     "powerseries.series_div": "the tracer's pin: perfbench/tracer.py wraps powerseries",
@@ -139,8 +138,6 @@ UNREACHED = {
     "reports.VerificationReport.from_line": "library API: a report line read back",
     "series_verifier.direct_zeta_partial": "acceptance criterion 7: the integral-test brackets",
     "zeta_recurrence.ZetaEvenTable.max_k": "the tracer's pin: perfbench/tracer.py reads it",
-    "zeta_recurrence.ZetaEvenTable.ratios": "library API: a snapshot of the table",
-    "zeta_recurrence.zeta_even_table": "library API: a fresh table to k_max",
 }
 
 # Runs every argv under a profile hook, the package's imports included,

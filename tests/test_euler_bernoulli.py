@@ -30,6 +30,12 @@ def bernoulli_by_series_division(count):
     return [series[j] * factorial(j) for j in range(count + 1)]
 
 
+def values(table):
+    """The Bernoulli numbers a table holds, B_0 first, read without
+    extending it."""
+    return [table.value(n) for n in range(table.max_index + 1)]
+
+
 def euler_values_by_series_division(x, count):
     """Independent oracle: E_m(x) from dividing 2e^(xz) by e^z + 1."""
     denom = exp_series(count)
@@ -61,7 +67,7 @@ class TestBernoulli:
             top = max(n, table.max_index)
             assert table.value(n) == oracle[n]
             assert table.max_index == top
-            assert list(table.values) == oracle[: top + 1]
+            assert values(table) == oracle[: top + 1]
         for n in (0, 1, 2, 3, 12, 44):
             fresh = BernoulliTable()
             fresh.value(n)
@@ -78,7 +84,7 @@ class TestBernoulli:
         table = BernoulliTable()
         for n in order:
             assert table.value(n) == oracle[n], n
-        assert list(table.values) == oracle[: table.max_index + 1]
+        assert values(table) == oracle[: table.max_index + 1]
 
     def test_growing_requests_rebuild_the_tangent_table_rarely(self, monkeypatch):
         # the cross-check asks for B_2, B_4, ..., B_2K in turn; rebuilding the
@@ -108,7 +114,7 @@ class TestBernoulli:
         assert table.max_index == 0
         assert table.value(6) == F(1, 42)
         assert table.max_index == 6
-        assert table.values[:3] == (F(1), F(-1, 2), F(1, 6))
+        assert values(table)[:3] == [F(1), F(-1, 2), F(1, 6)]
         with pytest.raises(ValueError):
             table.value(-1)
 
@@ -185,8 +191,8 @@ class TestEulerPolynomials:
         assert p == EulerPolynomial(degree=2, coefficients=(F(0), F(-1), F(1)))
         assert p != EulerPolynomial(1, (F(-1, 2), F(1)))
         assert p != (2, p.coefficients)
-        assert hash(p) == hash(EulerPolynomial(2, p.coefficients))
-        assert len({p, euler_polynomial(2), euler_polynomial(1)}) == 2
+        with pytest.raises(TypeError):
+            hash(p)
         assert repr(p) == (
             "EulerPolynomial(degree=2, coefficients="
             "(Fraction(0, 1), Fraction(-1, 1), Fraction(1, 1)))"

@@ -82,11 +82,16 @@ def test_reference_table_gives_the_known_ratios():
     assert reference_phi_coefficients(1, 3) == [1, F(1, 2), 0, F(-1, 4)]
 
 
+def ratios(table):
+    """The ratios a table holds, r_1 first, read without extending it."""
+    return tuple(map(table.ratio, range(1, table.max_k + 1)))
+
+
 @pytest.fixture(scope="module")
 def reference_ratios():
     table = ReferenceTable()
     table.ratio(400)
-    return table.ratios()
+    return ratios(table)
 
 
 def test_table_matches_the_reference_loop_one_k_at_a_time(reference_ratios):
@@ -94,14 +99,14 @@ def test_table_matches_the_reference_loop_one_k_at_a_time(reference_ratios):
     table = ZetaEvenTable()
     for k in range(1, 401):
         assert table.ratio(k) == reference_ratios[k - 1], k
-    assert table.ratios() == reference_ratios
+    assert ratios(table) == reference_ratios
 
 
 def test_table_matches_the_reference_loop_in_jumps(reference_ratios):
     table = ZetaEvenTable()
     for k in (1, 2, 3, 7, 55, 110, 400):
         table.ratio(k)
-        assert table.ratios() == reference_ratios[:k], k
+        assert ratios(table) == reference_ratios[:k], k
     assert ZetaEvenTable().ratio(400) == reference_ratios[-1]
 
 
@@ -115,7 +120,7 @@ def test_table_matches_the_reference_loop_in_any_read_order(reference_ratios, or
     table = ZetaEvenTable()
     for k in order:
         assert table.ratio(k) == reference_ratios[k - 1], k
-    assert table.ratios() == reference_ratios[: table.max_k]
+    assert ratios(table) == reference_ratios[: table.max_k]
 
 
 @pytest.mark.slow
@@ -123,7 +128,7 @@ def test_table_matches_the_reference_loop_to_1000():
     table, reference = ZetaEvenTable(), ReferenceTable()
     table.ratio(1000)
     reference.ratio(1000)
-    assert table.ratios() == reference.ratios()
+    assert ratios(table) == ratios(reference)
 
 
 PHI_US = (1, F(9, 8), F(1001, 1000), F(3, 2), 2, 3, F(17, 5), F(7, 2), 10**40)

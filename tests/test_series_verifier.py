@@ -1042,6 +1042,8 @@ class TestReports:
         assert first == report()
         assert first == VerificationReport.from_line(first.to_line())
         assert first != report("2")
+        nan = report("NaN")  # fields compare identity first, as tuples do
+        assert nan == nan and nan != report("NaN")
         assert repr(first) == (
             "VerificationReport(identity_name='example', parameters={'u': '3/2'}, "
             "lhs='1/3', rhs='x', residual=HighPrecisionReal('0.5', digits=10), "

@@ -80,20 +80,29 @@ def bernoulli_pair_or_value(table, n):
     return table._pair(n) if n % 16 < 8 else table.value(n)
 
 
+# every entry a table holds, read without extending it
+def zeta_snapshot(table):
+    return tuple(map(table.ratio, range(1, table.max_k + 1)))
+
+
+def bernoulli_snapshot(table):
+    return tuple(map(table.value, range(table.max_index + 1)))
+
+
 @pytest.mark.parametrize(
     "make_table, read, snapshot, indices, rounds",
     (
-        (ZetaEvenTable, ZetaEvenTable.ratio, ZetaEvenTable.ratios, range(1, 81), 20),
-        (BernoulliTable, BernoulliTable.value, lambda table: table.values, range(0, 241, 2), 30),
+        (ZetaEvenTable, ZetaEvenTable.ratio, zeta_snapshot, range(1, 81), 20),
+        (BernoulliTable, BernoulliTable.value, bernoulli_snapshot, range(0, 241, 2), 30),
         # high indices first: the first read extends the whole table, and
         # the others race to build the values it left unbuilt
-        (ZetaEvenTable, ZetaEvenTable.ratio, ZetaEvenTable.ratios, range(80, 0, -1), 20),
-        (BernoulliTable, BernoulliTable.value, lambda table: table.values, range(240, -1, -2), 30),
+        (ZetaEvenTable, ZetaEvenTable.ratio, zeta_snapshot, range(80, 0, -1), 20),
+        (BernoulliTable, BernoulliTable.value, bernoulli_snapshot, range(240, -1, -2), 30),
         # half the threads read pairs, which extend the table too
-        (ZetaEvenTable, zeta_pair_or_ratio, ZetaEvenTable.ratios, range(1, 81), 20),
-        (BernoulliTable, bernoulli_pair_or_value, lambda table: table.values, range(0, 241, 2), 30),
-        (ZetaEvenTable, zeta_pair_or_ratio, ZetaEvenTable.ratios, range(80, 0, -1), 20),
-        (BernoulliTable, bernoulli_pair_or_value, lambda table: table.values, range(240, -1, -2), 30),
+        (ZetaEvenTable, zeta_pair_or_ratio, zeta_snapshot, range(1, 81), 20),
+        (BernoulliTable, bernoulli_pair_or_value, bernoulli_snapshot, range(0, 241, 2), 30),
+        (ZetaEvenTable, zeta_pair_or_ratio, zeta_snapshot, range(80, 0, -1), 20),
+        (BernoulliTable, bernoulli_pair_or_value, bernoulli_snapshot, range(240, -1, -2), 30),
     ),
     ids=(
         "zeta", "bernoulli", "zeta-high-first", "bernoulli-high-first",

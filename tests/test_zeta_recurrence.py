@@ -20,7 +20,6 @@ from zetaeven.zeta_recurrence import (
     ZetaEvenTable,
     zeta_even_decimal,
     zeta_even_ratio,
-    zeta_even_table,
 )
 
 F = Fraction
@@ -35,13 +34,13 @@ class TestRatios:
         assert zeta_even_ratio(5) == F(1, 93555)
 
     def test_agrees_with_bernoulli_route(self):
-        table = zeta_even_table(400)
+        table = ZetaEvenTable()
         for k in range(1, 401):
             assert table.ratio(k) == zeta_even_via_euler(k)
 
     @pytest.mark.slow
     def test_agrees_with_bernoulli_route_to_1000(self):
-        table = zeta_even_table(1000)
+        table = ZetaEvenTable()
         for k in range(1, 1001):
             assert table.ratio(k) == zeta_even_via_euler(k)
 
@@ -68,10 +67,12 @@ class TestRatios:
                 for m in range(1, k)
             ) - F((-1) ** k, 4 * factorial(2 * k))
             r.append(rhs / (1 - F(1, 4**k)))
-        assert tuple(r) == zeta_even_table(40).ratios()
+        table = ZetaEvenTable()
+        assert r == [table.ratio(k) for k in range(1, 41)]
 
     def test_ratios_positive_and_decreasing(self):
-        ratios = zeta_even_table(30).ratios()
+        table = ZetaEvenTable()
+        ratios = [table.ratio(k) for k in range(1, 31)]
         assert all(r > 0 for r in ratios)
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
@@ -90,18 +91,14 @@ class TestTable:
             table = ZetaEvenTable()
             table.ratio(k)
             assert table.max_k == k
-            assert len(table.ratios()) == k
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             ZetaEvenTable().ratio(0)
-        with pytest.raises(ValueError):
-            zeta_even_table(0)
 
     def test_fresh_table_matches_shared_route(self):
-        assert zeta_even_table(6).ratios() == tuple(
-            zeta_even_ratio(k) for k in range(1, 7)
-        )
+        table = ZetaEvenTable()
+        assert [table.ratio(k) for k in range(1, 7)] == [zeta_even_ratio(k) for k in range(1, 7)]
 
 
 class TestDecimal:

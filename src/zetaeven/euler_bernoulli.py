@@ -50,8 +50,10 @@ class BernoulliTable(_ExactTable):
     and Secant numbers", 2011). That table cannot be extended in place,
     so a request beyond it rebuilds it at least twice as long: a run of
     growing requests costs a constant times the last one. Each B_m is
-    appended as the unreduced pair of that formula, so a read of B_n
-    alone reduces no B_m below it.
+    appended as the unreduced pair of that formula and stays so: each
+    ``value(n)`` reduces B_n alone, and a reader of the pair
+    (``euler_polynomial``, ``zeta_even_via_euler``) reduces only what it
+    builds.
     """
 
     def __init__(self) -> None:
@@ -66,7 +68,7 @@ class BernoulliTable(_ExactTable):
     def value(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("Bernoulli index must be >= 0")
-        return self._read(n)
+        return Fraction(*self._pair(n))
 
     def _extend_to(self, size: int) -> None:
         h_max = (size - 1) // 2
@@ -120,10 +122,8 @@ def euler_polynomial(m: int) -> EulerPolynomial:
         raise ValueError("degree must be >= 0")
     coefficients = []
     for n in range(m, -1, -1):  # E_n(0) x^(m-n), largest n first: the table grows once
-        b = bernoulli(n + 1)
-        coefficients.append(Fraction(
-            -2 * math.comb(m, n) * (2 ** (n + 1) - 1) * b.numerator, (n + 1) * b.denominator
-        ))
+        p, q = _default_bernoulli._pair(n + 1)
+        coefficients.append(Fraction(-2 * math.comb(m, n) * (2 ** (n + 1) - 1) * p, (n + 1) * q))
     return EulerPolynomial(m, tuple(coefficients))
 
 
@@ -139,5 +139,5 @@ def zeta_even_via_euler(k: int) -> Fraction:
     """zeta(2k)/pi^(2k) by the classical closed form 2^(2k-1) |B_2k| / (2k)!."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    b = bernoulli(2 * k)
-    return Fraction(2 ** (2 * k - 1) * abs(b.numerator), b.denominator * math.factorial(2 * k))
+    p, q = _default_bernoulli._pair(2 * k)
+    return Fraction(2 ** (2 * k - 1) * abs(p), q * math.factorial(2 * k))

@@ -240,7 +240,12 @@ def _cvz_scaled(n: int, m: int, bits: int, terms: int) -> tuple[list[int], int]:
                     b[k] = (b[k] << bits) * (k + 1) ** m
             else:
                 for k in range(terms - 1, -1, -1):
-                    b[k] = (b[k] << bits) // (k + 1) ** -m
+                    c = b[k]
+                    # for e = -m: once e (bit_length(k+1) - 1) >= bit_length(c_k) + bits,
+                    # (k+1)^e > c_k 2^bits and the weight floors to 0, so the power,
+                    # which no budget counts, is never built
+                    past = -m * ((k + 1).bit_length() - 1) >= c.bit_length() + bits
+                    b[k] = 0 if past else (c << bits) // (k + 1) ** -m
             cached = _cvz_cache = key, b, d
     return cached[1], cached[2]
 
@@ -932,7 +937,8 @@ def recurrence_cross_check(k_max: int) -> VerificationReport:
     cross-multiplication, with (2k)! stepped along, which holds whether
     or not the pairs are reduced. So it reads both tables' unreduced
     pairs (``_pair``), and only the entries the report prints become
-    Fractions.
+    Fractions: r_k and 2^(2k-1) |B_2k|/(2k)! at the first mismatching k,
+    or at k_max, whose r_k is the read that built the table.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -941,7 +947,7 @@ def recurrence_cross_check(k_max: int) -> VerificationReport:
     from .zeta_recurrence import _shared_table, zeta_even_ratio
 
     # each table is built once, for k_max, not extended k by k
-    zeta_even_ratio(k_max)
+    last = zeta_even_ratio(k_max)
     bernoulli(2 * k_max)
     mismatches = []
     factorial = 1  # (2k)!
@@ -957,7 +963,7 @@ def recurrence_cross_check(k_max: int) -> VerificationReport:
             "k_max": k_max,
             "mismatch_indices": ",".join(map(str, mismatches)),
         },
-        lhs=zeta_even_ratio(first_bad),
+        lhs=last if first_bad == k_max else zeta_even_ratio(first_bad),
         rhs=zeta_even_via_euler(first_bad),
         residual=HighPrecisionReal(Decimal(len(mismatches)), 50),
         tolerance=HighPrecisionReal(Decimal(0), 50),

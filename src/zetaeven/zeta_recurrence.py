@@ -58,9 +58,10 @@ class ZetaEvenTable(_ExactTable):
     denominators), and the table keeps each term with its weight: before
     step k it holds the integers C(2k, 2m) D s_m for m < k, so the
     bracket D B_k is D - 4 times their sum, and each k reduces one
-    Fraction, s_k. r_k is appended as its unreduced pair: its gcd, of
-    4^(k-1) D B_k against D (4^k - 1) (2k)!, is the costliest Fraction
-    step, paid only by a read of r_k. Moving to k + 1, with D grown
+    Fraction, s_k. r_k is appended as its unreduced pair and stays so:
+    its gcd, of 4^(k-1) D B_k against D (4^k - 1) (2k)!, is the costliest
+    Fraction step, paid by each ``ratio(k)`` and by no reader of the pair
+    (the decimal of ``zeta_even_decimal``). Moving to k + 1, with D grown
     to D' = D grow, multiplies every term by grow (2k+1)(2k+2) and divides
     it by (2k+2-2m)(2k+1-2m), as in Brent and Harvey's tangent table;
     the division is exact because its quotient is C(2k+2, 2m) D' s_m,
@@ -80,10 +81,10 @@ class ZetaEvenTable(_ExactTable):
         return len(self._entries)
 
     def ratio(self, k: int) -> Fraction:
-        """Exact r_k, extending the table if needed."""
+        """Exact r_k, reduced, extending the table if needed."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        return self._read(k - 1)
+        return Fraction(*self._pair(k - 1))
 
     def _extend_to(self, k_max: int) -> None:
         terms = self._terms
@@ -140,14 +141,15 @@ def _zeta_even_ball(k: int, places: int, bits: int) -> tuple[int, int]:
     """zeta(2k) 10^places as a ball (value, radius), from pi^(2k) at scale
     2^bits.
 
-    With r_k = a/b and pi^(2k) 2^bits = v + d, |d| <= e,
+    With r_k = a/b, the shared table's unreduced pair (b > 0), and
+    pi^(2k) 2^bits = v + d, |d| <= e,
 
         zeta(2k) 10^places = a 10^places (v + d) / (b 2^bits),
 
     so the floor of a 10^places v / (b 2^bits) is within
     a 10^places e / (b 2^bits) + 1 of it: the last floor costs one more.
     """
-    a, b = zeta_even_ratio(k).as_integer_ratio()
+    a, b = _shared_table._pair(k - 1)
     v, e = _pi_power_ball(k, bits)
     scaled = a * 10**places
     return scaled * v // b >> bits, -(-scaled * e // b >> bits) + 1

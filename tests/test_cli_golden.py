@@ -87,6 +87,8 @@ ARGVS = (
     ("verify", "--suite", "abel", "--digits", "80", "--format", "json-lines"),
     ("verify", "--suite", "expansion", "--jmax", "200", "--digits", "80", "--format", "json-lines"),
     ("verify", "--suite", "recurrence", "--kmax", "300", "--format", "json-lines"),
+    # a divisor (k+1)^2000000 past every scaled weight: 29 terms, no power built
+    ("phi", "--m", "-2000000", "--u", "3", "--digits", "10"),
 )
 
 

@@ -23,7 +23,7 @@ F = Fraction
 
 class ReferenceTable(ZetaEvenTable):
     """The table with its stepped-binomial inner loop, which appends
-    reduced Fractions; the base table calls it with its lock held."""
+    reduced pairs; the base table calls it with its lock held."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -47,7 +47,8 @@ class ReferenceTable(ZetaEvenTable):
             quarter = 4 ** (k - 1)  # 4^k / 4
             base = denominator * (4 * quarter - 1)  # D (4^k - 1)
             self._factorial *= (n - 1) * n
-            self._entries.append(Fraction((t if k % 2 else -t) * quarter, base * self._factorial))
+            ratio = Fraction((t if k % 2 else -t) * quarter, base * self._factorial)
+            self._entries.append(ratio.as_integer_ratio())
             s_k = Fraction(t * (2 * quarter - 1), 4 * base)
             # put s_k on the common denominator, growing it if needed
             grow = s_k.denominator // math.gcd(denominator, s_k.denominator)
@@ -116,7 +117,7 @@ def test_table_matches_the_reference_loop_in_jumps(reference_ratios):
     ids=("descending", "high-first", "interleaved"),
 )
 def test_table_matches_the_reference_loop_in_any_read_order(reference_ratios, order):
-    # r_k is reduced on its first read, whichever read extended the table
+    # every read reduces its own r_k, whichever read extended the table
     table = ZetaEvenTable()
     for k in order:
         assert table.ratio(k) == reference_ratios[k - 1], k

@@ -1123,6 +1123,29 @@ class TestCvzKernel:
         previous_d = _cvz_weights(n - 1)[1]
         assert not weights_fit_the_polynomial(c, previous_d, n)
 
+    def test_negative_m_weights_equal_the_plain_formula(self, monkeypatch):
+        # for m = -e the scaled weight is floor(c_k 2^bits / (k+1)^e); once
+        # the divisor passes c_k 2^bits the kernel writes the 0 without
+        # building the power, and that must leave every weight as it was
+        n = 60
+        c, _ = _cvz_weights(n)
+        cases = [(bits, e) for bits in (40, 141, 300) for e in range(1, 401, 7)]
+        # at k + 1 = 2^j the weight turns to 0 exactly where e j reaches
+        # bit_length(c_k) + bits: e there and one below, at a bits j divides
+        for j in range(1, 6):
+            size = c[2**j - 1].bit_length()
+            bits = 141 + (-size - 141) % j
+            cases += [(bits, (size + bits) // j), (bits, (size + bits) // j - 1)]
+        first_zeros = set()
+        for bits, e in cases:
+            monkeypatch.setattr(series_verifier, "_cvz_cache", None)
+            scaled, _ = series_verifier._cvz_scaled(n, -e, bits, n)
+            plain = [(ck << bits) // (k + 1) ** e for k, ck in enumerate(c)]
+            assert scaled == plain, (bits, e)
+            first_zeros.add(plain.index(0) if 0 in plain else n)
+        # the floor turns to 0 partway down the list, at many places
+        assert len(first_zeros & set(range(2, n))) >= 10, sorted(first_zeros)
+
     def test_planted_denominator_fault_fails_against_mpmath(self, monkeypatch):
         # d_(n-1) in place of d_n inflates every sum by d_n/d_(n-1) ~ 5.8
         mpmath = pytest.importorskip("mpmath")

@@ -70,8 +70,7 @@ def race(make_table, read, snapshot, indices, rounds):
 
 # Thread t reads the indices at positions t, t + 8, t + 16, ..., which
 # share their residue mod 8 (mod 16 for the even Bernoulli indices): the
-# threads of four residues read unreduced pairs, the other four values,
-# so no pair a thread reads is one that another reduces.
+# threads of four residues read unreduced pairs, the other four values.
 def zeta_pair_or_ratio(table, k):
     return table._pair(k - 1) if k % 8 < 4 else table.ratio(k)
 
@@ -94,6 +93,9 @@ def bernoulli_snapshot(table):
     (
         (ZetaEvenTable, ZetaEvenTable.ratio, zeta_snapshot, range(1, 81), 20),
         (BernoulliTable, BernoulliTable.value, bernoulli_snapshot, range(0, 241, 2), 30),
+        # every index, odd ones too: the threads extend the table one or
+        # two entries at a time, as they do the zeta table
+        (BernoulliTable, BernoulliTable.value, bernoulli_snapshot, range(481), 30),
         # high indices first: the first read extends the whole table, and
         # the others race to build the values it left unbuilt
         (ZetaEvenTable, ZetaEvenTable.ratio, zeta_snapshot, range(80, 0, -1), 20),
@@ -105,7 +107,7 @@ def bernoulli_snapshot(table):
         (BernoulliTable, bernoulli_pair_or_value, bernoulli_snapshot, range(240, -1, -2), 30),
     ),
     ids=(
-        "zeta", "bernoulli", "zeta-high-first", "bernoulli-high-first",
+        "zeta", "bernoulli", "bernoulli-small-steps", "zeta-high-first", "bernoulli-high-first",
         "zeta-pairs", "bernoulli-pairs", "zeta-pairs-high-first", "bernoulli-pairs-high-first",
     ),
 )

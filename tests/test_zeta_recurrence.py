@@ -96,6 +96,25 @@ class TestTable:
         with pytest.raises(ValueError):
             ZetaEvenTable().ratio(0)
 
+    @pytest.mark.parametrize(
+        "make_table, read",
+        ((ZetaEvenTable, lambda table, i: table.ratio(i + 1)), (BernoulliTable, BernoulliTable.value)),
+        ids=("zeta", "bernoulli"),
+    )
+    def test_reads_leave_every_entry_as_appended(self, make_table, read):
+        # both exact tables are append-only: an entry is the integer pair
+        # that extension appended, and reads, public or not, and later
+        # extensions keep that very object
+        table = make_table()
+        read(table, 40)
+        appended = list(table._entries)
+        for i in range(41):
+            read(table, i)
+            table._pair(i)
+        read(table, 90)
+        assert all(entry is first for entry, first in zip(table._entries, appended))
+        assert all(type(a) is int and type(b) is int and b > 0 for a, b in table._entries)
+
     def test_fresh_table_matches_shared_route(self):
         table = ZetaEvenTable()
         assert [table.ratio(k) for k in range(1, 7)] == [zeta_even_ratio(k) for k in range(1, 7)]
@@ -202,6 +221,21 @@ class TestCertifiedDecimal:
             value, radius = zr._zeta_even_ball(k, places, bits)
             assert (value - radius) * 10**50 < true < (value + radius) * 10**50, (k, digits, bits)
 
+    def test_reads_the_tables_unreduced_pair(self, monkeypatch):
+        # the decimal takes r_k from the shared table's pair, with no public
+        # read: a wrong r_7 planted in the pair changes it, and the same
+        # r_7 as a further unreduced pair leaves it as it was
+        table = zr._shared_table
+        right = zeta_even_decimal(7, 30)
+        pair = table._pair
+        a, b = pair(6)
+        monkeypatch.setattr(ZetaEvenTable, "ratio", lambda *args: pytest.fail("a public read"))
+        monkeypatch.setattr(table, "_pair", lambda i: (3 * a, 3 * b) if i == 6 else pair(i))
+        assert zeta_even_decimal(7, 30) == right
+        wrong = a * (10**25 + 1), b * 10**25
+        monkeypatch.setattr(table, "_pair", lambda i: wrong if i == 6 else pair(i))
+        assert zeta_even_decimal(7, 30) != right
+
     def test_last_floor_costs_an_ulp(self, monkeypatch):
         # an exact pi^(2k) (radius 0): the ball must still hold the exact
         # quotient r_k v 10^places / 2^bits, which the floor cuts
@@ -304,20 +338,21 @@ class TestCrossCheck:
         assert builds == [116]
 
     def test_reduces_only_the_entries_it_prints(self, monkeypatch):
-        # fresh shared tables: the check compares unreduced pairs, and only
-        # r_116 and B_232, which the passing report prints, become Fractions
+        # fresh shared tables: the check compares unreduced pairs, and its
+        # only public reads, each a Fraction, are r_116 and B_232, which
+        # build the tables and which the passing report prints, once each
         monkeypatch.setattr(zr, "_shared_table", ZetaEvenTable())
         monkeypatch.setattr(eb, "_default_bernoulli", BernoulliTable())
-        assert recurrence_cross_check(116).passed
-        for table, printed in ((zr._shared_table, 115), (eb._default_bernoulli, 232)):
-            entries = table._entries
-            assert len(entries) == printed + 1
-            assert [i for i, entry in enumerate(entries) if type(entry) is F] == [printed]
-            assert table._pair(printed) == table._read(printed).as_integer_ratio()
-            # the pairs left unreduced hold their entry's value over a positive denominator
-            for i in (1, 40, printed - 1):
-                (a, b), (p, q) = table._pair(i), table._read(i).as_integer_ratio()
-                assert b > 0 and a * q == p * b, i
+        reads = []
+        for cls, name in ((ZetaEvenTable, "ratio"), (BernoulliTable, "value")):
+            read = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda table, i, read=read, name=name: (
+                reads.append((name, i)) or read(table, i)))
+        report = recurrence_cross_check(116)
+        assert report.passed
+        assert reads == [("ratio", 116), ("value", 232)]
+        assert report.lhs == report.rhs == str(zr._shared_table.ratio(116))
+        assert (zr._shared_table.max_k, eb._default_bernoulli.max_index) == (116, 232)
 
     def test_line_round_trip(self):
         report = recurrence_cross_check(12)
